@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 # specific interleaving: make check CHAOS_SEEDS="12345"
 CHAOS_SEEDS ?= 1902 7 42
 
-.PHONY: all build test check lint staticcheck chaos trace-smoke recovery-smoke scale-smoke storm-smoke soak-smoke partition-smoke fuzz-smoke
+.PHONY: all build test check bench-build lint staticcheck chaos trace-smoke recovery-smoke scale-smoke storm-smoke soak-smoke partition-smoke fuzz-smoke
 
 all: build
 
@@ -19,7 +19,9 @@ test:
 # race detector (includes the seeded chaos suite in internal/faults),
 # then the chaos scenarios again under each CHAOS_SEEDS schedule so the
 # supervisor's failover paths are exercised across distinct
-# drop/crash/freeze interleavings, not just the default one.
+# drop/crash/freeze interleavings, not just the default one. The packet
+# pool's concurrent get/release test repeats because its failure (a false
+# "free ring overflow") needed a rare preemption to show.
 check:
 	@fmt_out=$$($(GOFMT) -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
@@ -27,6 +29,8 @@ check:
 	$(MAKE) lint
 	$(MAKE) staticcheck
 	$(GO) test -race ./...
+	$(GO) test -count=20 -run TestConcurrentGetRelease ./internal/pktbuf
+	$(MAKE) bench-build
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos suite, seed $$seed =="; \
 		L25GC_CHAOS_SEED=$$seed $(GO) test -race -count=1 -run 'TestChaos' ./internal/faults || exit 1; \
@@ -35,6 +39,13 @@ check:
 	$(MAKE) storm-smoke
 	$(MAKE) soak-smoke
 	$(MAKE) partition-smoke
+
+# The repository benchmark (benchmark/, its own module) imports
+# l25gc/internal/{core,metrics,trace,ring,pktbuf,...} and `go ./...` from
+# the root does not descend into it: vet and test it here so a refactor
+# that breaks the harness fails tier-1, not the next benchmark run.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Repo-local invariant analyzers (DESIGN §13): determinism, replaysafe,
 # nomutexhold, metricnames. Zero diagnostics required; escape hatches

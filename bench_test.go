@@ -265,7 +265,7 @@ func BenchmarkFig12_PageLoad_SlowHO(b *testing.B) { benchPageLoad(b, 463*time.Mi
 func BenchmarkFig15_FailoverRestoreReplay(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := bench.RunFailoverScenario(); err != nil {
+		if _, err := bench.FailoverScenario(nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,7 +36,7 @@ func main() {
 	switchWorkers := flag.Int("switch-workers", 0, "descriptor-switch workers in the NF manager (0 = min(GOMAXPROCS, 4))")
 	flightDump := flag.String("flight-dump", "", "arm the telemetry pipeline and write an on-demand flight-recorder dump (JSON) here at the end of the run (implies -trace)")
 	n4assoc := flag.Bool("n4assoc", false, "arm the PFCP association lifecycle on N4 (SMF heartbeats, path-down detection, degraded mode, post-heal reconciliation)")
-	nfShards := flag.Int("nf-shards", runtime.GOMAXPROCS(0), "AMF/SMF UE-state shards (per-shard maps, locks and ID allocators; 1 = legacy single-lock layout)")
+	nfShards := flag.Int("nf-shards", runtime.GOMAXPROCS(0), "AMF/SMF UE-state shards (per-shard maps, locks and ID allocators; 0 or 1 = one shard)")
 	flag.Parse()
 	if *traceOut != "" || *flightDump != "" {
 		*doTrace = true

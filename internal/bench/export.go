@@ -17,13 +17,6 @@ func RunEventTimes(mode core.Mode) (ranue.EventTimes, error) {
 	return eventTimes(mode)
 }
 
-// RunFailoverScenario executes the live §5.5.1 failover once, returning
-// detection latency, recovery (restore+replay) latency and the number of
-// replayed messages.
-func RunFailoverScenario() (detect, failover time.Duration, replayed int, err error) {
-	return failoverScenario()
-}
-
 // RunReattach measures the live 3GPP reattach baseline once.
 func RunReattach() (time.Duration, error) { return reattachTime() }
 

@@ -1,180 +1,74 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"l25gc/internal/core"
 	"l25gc/internal/faults"
-	"l25gc/internal/lb"
 	"l25gc/internal/metrics"
 	"l25gc/internal/netsim"
 	"l25gc/internal/pfcp"
 	"l25gc/internal/pkt"
-	"l25gc/internal/pktbuf"
 	"l25gc/internal/ranue"
 	"l25gc/internal/resilience"
 	"l25gc/internal/rules"
-	"l25gc/internal/upf"
+	"l25gc/internal/supervisor"
+	"l25gc/internal/trace"
 )
-
-// ErrUnitCrashed reports a message delivered to a unit the fault injector
-// has marked crashed; the message is lost at that unit (but remains in the
-// LB's replay log).
-var ErrUnitCrashed = fmt.Errorf("bench: unit crashed")
-
-// upfUnit adapts a UPF (state + fast path) to the LB's Backend interface:
-// control messages are PFCP session management, data messages are GTP
-// frames run through the fast path.
-type upfUnit struct {
-	state *upf.State
-	upfc  *upf.UPFC
-	upfu  *upf.UPFU
-	pool  *pktbuf.Pool
-
-	inj     *faults.Injector
-	target  string
-	ingress faults.Point
-
-	forwarded atomic.Uint64
-}
-
-func newUPFUnit(n3 pkt.Addr) *upfUnit {
-	st := upf.NewState("ps", 0)
-	c := upf.NewUPFC(st, n3, nil)
-	u := upf.NewUPFU(st, c)
-	return &upfUnit{state: st, upfc: c, upfu: u, pool: pktbuf.NewPool(4096, "unit")}
-}
-
-// setInjector binds the unit to a fault injector under the given target
-// name; Deliver then runs every message through the target's ".ingress"
-// point and rejects traffic once the target is crashed.
-func (u *upfUnit) setInjector(inj *faults.Injector, target string) {
-	u.inj = inj
-	u.target = target
-	u.ingress = faults.Point(target + ".ingress")
-}
-
-// Deliver implements lb.Backend.
-func (u *upfUnit) Deliver(class resilience.Class, counter uint64, data []byte) error {
-	if u.inj != nil {
-		act := u.inj.Decide(u.ingress, data)
-		if u.inj.Crashed(u.target) {
-			// The crash may have been fired by this very message's rule:
-			// either way the unit is dead and the message is lost here.
-			return fmt.Errorf("%w: %s", ErrUnitCrashed, u.target)
-		}
-		if act.Drop {
-			return fmt.Errorf("bench: unit %s: ingress message dropped", u.target)
-		}
-		if act.Delay > 0 {
-			time.Sleep(act.Delay)
-		}
-	}
-	switch class {
-	case resilience.ULControl, resilience.DLControl:
-		_, msg, err := pfcp.Parse(data)
-		if err != nil {
-			return err
-		}
-		var seid uint64
-		switch m := msg.(type) {
-		case *pfcp.SessionEstablishmentRequest:
-			seid = m.CPSEID
-		default:
-			// Modification/deletion carry the SEID in the header.
-			hdr, _, _ := pfcp.Parse(data)
-			seid = hdr.SEID
-		}
-		_, err = u.upfc.Handle(seid, msg)
-		return err
-	default:
-		buf, err := u.pool.Get()
-		if err != nil {
-			return err
-		}
-		if err := buf.SetData(data); err != nil {
-			buf.Release()
-			return err
-		}
-		buf.Meta.Uplink = class == resilience.ULData
-		var scratch pkt.Parsed
-		if u.upfu.Process(buf, &scratch) {
-			if buf.Meta.Action == pktbuf.ActionToPort {
-				u.forwarded.Add(1)
-			}
-			buf.Release()
-		}
-		return nil
-	}
-}
-
-// FailoverOptions parameterizes FailoverScenario for chaos testing.
-type FailoverOptions struct {
-	// Injector, when set, drives the failure: the primary unit rejects
-	// traffic once Injector.Crashed(CrashTarget) is true (whether a Crash
-	// rule fired it at the primary's ingress point or the scenario forced
-	// it), and the probe agent uses Injector.AliveProbe(CrashTarget).
-	Injector *faults.Injector
-	// CrashTarget names the primary in the injector's crash registry
-	// (default "upf.primary"); its ingress point is CrashTarget+".ingress".
-	CrashTarget string
-	// ForceCrash, with an Injector, crashes the primary explicitly after
-	// the mid-handover messages even if no Crash rule fired. Without an
-	// Injector the crash always happens (the original experiment).
-	ForceCrash bool
-}
 
 // FailoverResult reports the scenario's measurements.
 type FailoverResult struct {
-	Detect         time.Duration // probe start -> failure declared
-	Failover       time.Duration // replica unfreeze + replay
-	Replayed       int           // messages replayed to the standby
+	Detect         time.Duration // first missed probe -> failure declared
+	Failover       time.Duration // replica unfreeze (restore) + replay
+	Downtime       time.Duration // Detect + Failover + fresh-standby resync
+	Replayed       int           // messages replayed to the promoted replica
 	LostDeliveries int           // ingress messages the dead primary rejected
 }
 
-// failoverScenario runs the §5.5.1 control-plane experiment with the
-// default (non-chaos) failure trigger, for Fig15.
-func failoverScenario() (detect, failover time.Duration, replayed int, err error) {
-	r, err := FailoverScenario(FailoverOptions{})
-	if err != nil {
-		return 0, 0, 0, err
+// FailoverScenario runs the §5.5.1 experiment on the supervisor, the one
+// crash-and-recover UPF scenario behind Fig. 15, the recovery table, the
+// root benchmark and the chaos suite. A session is established and
+// checkpointed; a mid-handover FAR update and a 20-frame DL burst land
+// after the checkpoint; the primary ("upf.g0") dies — from a Crash rule
+// the caller armed at "upf.g0.ingress", else right after the burst — and
+// ten more frames arrive at the dead primary. The promoted replica must
+// hold the session with the buffering FAR applied and the replayed data
+// buffered. inj may be nil; recovery spans land on tr when non-nil.
+func FailoverScenario(inj *faults.Injector, tr *trace.Tracer) (*FailoverResult, error) {
+	if inj == nil {
+		inj = faults.New(1)
 	}
-	return r.Detect, r.Failover, r.Replayed, nil
-}
-
-// FailoverScenario runs the §5.5.1 control-plane experiment: a failure
-// strikes mid-handover; the standby resumes from checkpoint + replay. The
-// chaos suite drives it with a fault injector so the crash, the liveness
-// probe and the lost deliveries all flow through one seeded schedule.
-func FailoverScenario(opts FailoverOptions) (*FailoverResult, error) {
+	sup := supervisor.New(supervisor.Config{Tracer: tr})
+	defer sup.Close()
 	n3 := pkt.AddrFrom(10, 100, 0, 2)
 	ueIP := pkt.AddrFrom(10, 60, 0, 1)
-	gnbIP := pkt.AddrFrom(10, 100, 0, 10)
-	primary := newUPFUnit(n3)
-	standby := newUPFUnit(n3)
-	if opts.CrashTarget == "" {
-		opts.CrashTarget = "upf.primary"
+	// The probe reports healthy until the whole burst has been offered,
+	// so how many deliveries are lost and replayed follows from the
+	// injector schedule alone, not from when the detector happens to fire.
+	var offered atomic.Bool
+	unit, err := sup.Register(supervisor.UnitConfig{
+		Name: "upf", Injector: inj,
+		Probe: func(target string) bool { return !offered.Load() || inj.AliveProbe(target)() },
+		Spawn: func(_ *supervisor.Unit, _ int) (supervisor.Instance, error) {
+			return supervisor.NewUPFInstance(n3), nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	if opts.Injector != nil {
-		primary.setInjector(opts.Injector, opts.CrashTarget)
-	}
-	balancer := lb.New(primary, standby, 0)
-	res := &FailoverResult{}
-
-	// ingress tolerates deliveries rejected by a crashed primary: the
-	// message is logged at the LB either way and recovered by replay.
+	// A delivery rejected by the crashed primary is logged all the same
+	// and recovered by replay.
 	ingress := func(class resilience.Class, data []byte) error {
-		err := balancer.Ingress(class, data)
-		if err != nil && opts.Injector != nil && opts.Injector.Crashed(opts.CrashTarget) {
-			res.LostDeliveries++
+		_, err := unit.Ingress(class, data)
+		if errors.Is(err, supervisor.ErrUnitDown) {
 			return nil
 		}
 		return err
 	}
 
-	// 1. Session establishment through the LB (logged, counter-stamped).
 	est := &pfcp.SessionEstablishmentRequest{
 		NodeID: "smf", CPSEID: 77, UEIP: ueIP,
 		CreatePDRs: []*rules.PDR{
@@ -188,99 +82,57 @@ func FailoverScenario(opts FailoverOptions) (*FailoverResult, error) {
 		CreateFARs: []*rules.FAR{
 			{ID: 1, Action: rules.FARForward, DestInterface: rules.IfCore},
 			{ID: 2, Action: rules.FARForward, DestInterface: rules.IfAccess,
-				HasOuterHeader: true, OuterTEID: 0x5001, OuterAddr: gnbIP},
+				HasOuterHeader: true, OuterTEID: 0x5001, OuterAddr: pkt.AddrFrom(10, 100, 0, 10)},
 		},
 	}
 	if err := ingress(resilience.ULControl, pfcp.Marshal(est, 77, true, 1)); err != nil {
 		return nil, err
 	}
-
-	// 2. Periodic delta checkpoint: primary state -> remote replica.
-	snap := resilience.UPFSnapshotter{State: primary.state, UPFC: primary.upfc}
-	remote := resilience.NewRemoteReplica(&resilience.UPFSnapshotter{State: standby.state, UPFC: standby.upfc})
-	remote.OnAck = balancer.AckCheckpoint
-	stateBytes, err := snap.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	cp := resilience.Checkpoint{Counter: balancer.Logger.Counter(), State: stateBytes}
-	if err := remote.Apply(cp.Encode()); err != nil {
+	if err := unit.Checkpoint(); err != nil {
 		return nil, err
 	}
 
-	// 3. Half the handover executes after the checkpoint: the buffering
-	// FAR update is logged at the LB but NOT yet checkpointed.
+	// Half the handover executes after the checkpoint: the buffering FAR
+	// update and the data in flight are in the log but not in the replica.
 	mod := &pfcp.SessionModificationRequest{
 		UpdateFARs: []*rules.FAR{{ID: 2, Action: rules.FARBuffer, DestInterface: rules.IfAccess}},
 	}
 	if err := ingress(resilience.ULControl, pfcp.Marshal(mod, 77, true, 2)); err != nil {
 		return nil, err
 	}
-	// Data packets in flight are logged too. With an injector, a Crash rule
-	// can fire at the primary's ingress point partway through this burst.
 	dl := make([]byte, 128)
 	n, _ := pkt.BuildUDPv4(dl, benchDN, ueIP, 9000, 40000, 0, make([]byte, 32))
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 30; i++ {
+		if i == 20 && !inj.Crashed("upf.g0") {
+			inj.Crash("upf.g0")
+		}
 		if err := ingress(resilience.DLData, dl[:n]); err != nil {
 			return nil, err
 		}
 	}
-
-	// 4. The primary dies; the probe agent detects it.
-	var alive atomic.Bool
-	alive.Store(true)
-	probe := func() bool { return alive.Load() }
-	if opts.Injector != nil {
-		probe = opts.Injector.AliveProbe(opts.CrashTarget)
-	}
-	detected := make(chan time.Duration, 1)
-	det := &resilience.Detector{
-		Probe:     probe,
-		Interval:  100 * time.Microsecond,
-		Misses:    3,
-		OnFailure: func(dt time.Duration) { detected <- dt },
-	}
-	det.Start()
-	defer det.Stop()
-	time.Sleep(time.Millisecond)
-	switch {
-	case opts.Injector == nil:
-		alive.Store(false)
-	case opts.ForceCrash || !opts.Injector.Crashed(opts.CrashTarget):
-		opts.Injector.Crash(opts.CrashTarget)
-	}
-	select {
-	case res.Detect = <-detected:
-	case <-time.After(2 * time.Second):
-		return nil, fmt.Errorf("failure never detected")
-	}
-
-	// 5. Unfreeze the remote replica (restores the checkpoint) and replay
-	// everything newer through the LB — control first by counter order.
-	start := time.Now()
-	replayAfter, err := remote.Unfreeze()
-	if err != nil {
+	offered.Store(true)
+	if err := unit.AwaitRecovery(1, 5*time.Second); err != nil {
 		return nil, err
 	}
-	res.Replayed, err = balancer.Failover(replayAfter)
-	if err != nil {
-		return nil, err
-	}
-	res.Failover = time.Since(start)
+	stats := unit.LastRecovery()
 
-	// Verify: the standby holds the session *with the mid-handover FAR
-	// update applied* (buffered, not forwarded).
-	ctx, ok := standby.state.Session(77)
+	ctx, ok := unit.Active().(*supervisor.UPFInstance).State().Session(77)
 	if !ok {
-		return nil, fmt.Errorf("standby lost the session")
+		return nil, fmt.Errorf("promoted UPF lost the session")
 	}
 	if far := ctx.Sess.FAR(2); far == nil || far.Action&rules.FARBuffer == 0 {
-		return nil, fmt.Errorf("replayed handover state missing")
+		return nil, fmt.Errorf("replayed FAR update missing on promoted UPF")
 	}
 	if st := ctx.Stats(); st.Buffered == 0 {
 		return nil, fmt.Errorf("replayed data packets were not buffered (stats %+v)", st)
 	}
-	return res, nil
+	return &FailoverResult{
+		Detect:         stats.Detect,
+		Failover:       stats.Restore,
+		Downtime:       stats.Downtime,
+		Replayed:       stats.Replayed,
+		LostDeliveries: int(unit.Lost()),
+	}, nil
 }
 
 // reattachTime measures the 3GPP baseline: after a failure the UE must
@@ -312,10 +164,11 @@ func reattachTime() (time.Duration, error) {
 // (detection, replica unfreeze + replay) vs live 3GPP reattach, plus the
 // simulated data-plane impact on an ongoing TCP stream.
 func Fig15() (*Result, error) {
-	detect, failover, replayed, err := failoverScenario()
+	fo, err := FailoverScenario(nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	detect, failover, replayed := fo.Detect, fo.Failover, fo.Replayed
 	reattach, err := reattachTime()
 	if err != nil {
 		return nil, err

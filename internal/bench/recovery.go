@@ -8,11 +8,8 @@ import (
 	"l25gc/internal/core"
 	"l25gc/internal/faults"
 	"l25gc/internal/metrics"
-	"l25gc/internal/pfcp"
 	"l25gc/internal/pkt"
 	"l25gc/internal/ranue"
-	"l25gc/internal/resilience"
-	"l25gc/internal/rules"
 	"l25gc/internal/supervisor"
 	"l25gc/internal/trace"
 )
@@ -23,89 +20,6 @@ type recoveryRow struct {
 	detect   time.Duration
 	downtime time.Duration
 	replayed int
-}
-
-// supervisedUPFRecovery crashes a supervised UPF mid-burst: a session is
-// established and checkpointed, then a FAR update and a DL data burst
-// land post-checkpoint, the crash strikes, and ten more frames arrive at
-// the dead primary (lost there, held in the log). The measured recovery
-// must replay all of it into the promoted generation.
-func supervisedUPFRecovery(tr *trace.Tracer) (recoveryRow, error) {
-	row := recoveryRow{nf: "UPF"}
-	inj := faults.New(1)
-	sup := supervisor.New(supervisor.Config{Tracer: tr})
-	defer sup.Close()
-	n3 := pkt.AddrFrom(10, 100, 0, 2)
-	ueIP := pkt.AddrFrom(10, 60, 0, 1)
-	unit, err := sup.Register(supervisor.UnitConfig{
-		Name: "upf", Injector: inj,
-		Spawn: func(_ *supervisor.Unit, _ int) (supervisor.Instance, error) {
-			return supervisor.NewUPFInstance(n3), nil
-		},
-	})
-	if err != nil {
-		return row, err
-	}
-
-	est := &pfcp.SessionEstablishmentRequest{
-		NodeID: "smf", CPSEID: 77, UEIP: ueIP,
-		CreatePDRs: []*rules.PDR{
-			{ID: 1, Precedence: 32,
-				PDI:                rules.PDI{SourceInterface: rules.IfAccess, HasTEID: true, TEID: 0x9001, TEIDAddr: n3, UEIP: ueIP, HasUEIP: true},
-				OuterHeaderRemoval: true, FARID: 1},
-			{ID: 2, Precedence: 32,
-				PDI:   rules.PDI{SourceInterface: rules.IfCore, UEIP: ueIP, HasUEIP: true},
-				FARID: 2},
-		},
-		CreateFARs: []*rules.FAR{
-			{ID: 1, Action: rules.FARForward, DestInterface: rules.IfCore},
-			{ID: 2, Action: rules.FARForward, DestInterface: rules.IfAccess,
-				HasOuterHeader: true, OuterTEID: 0x5001, OuterAddr: pkt.AddrFrom(10, 100, 0, 10)},
-		},
-	}
-	if _, err := unit.Ingress(resilience.ULControl, pfcp.Marshal(est, 77, true, 1)); err != nil {
-		return row, err
-	}
-	if err := unit.Checkpoint(); err != nil {
-		return row, err
-	}
-
-	// Post-checkpoint: a mid-handover buffering update plus a DL burst —
-	// the log tail the promoted replica must replay.
-	mod := &pfcp.SessionModificationRequest{
-		UpdateFARs: []*rules.FAR{{ID: 2, Action: rules.FARBuffer, DestInterface: rules.IfAccess}},
-	}
-	if _, err := unit.Ingress(resilience.ULControl, pfcp.Marshal(mod, 77, true, 2)); err != nil {
-		return row, err
-	}
-	dl := make([]byte, 128)
-	n, _ := pkt.BuildUDPv4(dl, benchDN, ueIP, 9000, 40000, 0, make([]byte, 32))
-	for i := 0; i < 20; i++ {
-		if _, err := unit.Ingress(resilience.DLData, dl[:n]); err != nil {
-			return row, err
-		}
-	}
-	inj.Crash("upf.g0")
-	for i := 0; i < 10; i++ {
-		unit.Ingress(resilience.DLData, dl[:n]) // lost at the primary, kept in the log
-	}
-	if err := unit.AwaitRecovery(1, 5*time.Second); err != nil {
-		return row, err
-	}
-	stats := unit.LastRecovery()
-
-	// The promoted generation must hold the session with the buffering
-	// FAR applied — zero session loss.
-	st := unit.Active().(*supervisor.UPFInstance).State()
-	ctx, ok := st.Session(77)
-	if !ok {
-		return row, fmt.Errorf("promoted UPF lost the session")
-	}
-	if far := ctx.Sess.FAR(2); far == nil || far.Action&rules.FARBuffer == 0 {
-		return row, fmt.Errorf("replayed FAR update missing on promoted UPF")
-	}
-	row.detect, row.downtime, row.replayed = stats.Detect, stats.Downtime, stats.Replayed
-	return row, nil
 }
 
 // supervisedCPRecovery runs a resilience-enabled core with live UE
@@ -169,10 +83,11 @@ func supervisedCPRecovery(tr *trace.Tracer) (smfRow, amfRow recoveryRow, err err
 // children) land in "<prefix>-recovery.json".
 func Recovery() (*Result, error) {
 	tr := trace.New()
-	upfRow, err := supervisedUPFRecovery(tr)
+	fo, err := FailoverScenario(nil, tr)
 	if err != nil {
 		return nil, fmt.Errorf("upf recovery: %w", err)
 	}
+	upfRow := recoveryRow{nf: "UPF", detect: fo.Detect, downtime: fo.Downtime, replayed: fo.Replayed}
 	smfRow, amfRow, err := supervisedCPRecovery(tr)
 	if err != nil {
 		return nil, fmt.Errorf("control-plane recovery: %w", err)

@@ -108,7 +108,7 @@ func (s *stormStats) goodput() float64 {
 // stormRun offers `total` registrations at fixed worker concurrency,
 // with session-establishment and deregistration churn mixed in. The
 // same workload runs controlled (withOverload) and uncontrolled;
-// `shards` stripes the AMF/SMF UE state (1 = legacy single-lock layout).
+// `shards` stripes the AMF/SMF UE state (1 = one shard, one lock per NF).
 func stormRun(total, workers int, withOverload bool, shards int, seed int64) (*stormStats, error) {
 	st := &stormStats{
 		offered:  total,
@@ -335,7 +335,7 @@ func Storm() (*Result, error) {
 	}
 
 	// Shard sweep: the same uncontrolled storm with the state layer as
-	// the only variable — legacy single-lock layout vs one shard per
+	// the only variable — one shard (one lock per NF) vs one shard per
 	// core. This is where the global-lock convoy shows up: admission
 	// control would cap concurrency at the gate and mask it.
 	sweepTotal := stormEnvInt("L25GC_STORM_SWEEP", baseTotal)

@@ -13,11 +13,6 @@ import (
 	"l25gc/internal/traffic"
 )
 
-// higherRTTThreshold classifies a packet as "experiencing higher RTT"
-// (the Tables 1 & 2 column): anything an order of magnitude above the
-// sub-millisecond base RTT.
-const higherRTTThreshold = 5 * time.Millisecond
-
 // echoHarness wires a live core so that DL packets from the DN probe are
 // echoed back uplink by the UE, giving the generator an RTT per packet.
 type echoHarness struct {
@@ -30,7 +25,7 @@ func newEchoHarness(mode core.Mode) (*echoHarness, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	e := &echoHarness{h: h, probe: traffic.NewRTTProbe(higherRTTThreshold)}
+	e := &echoHarness{h: h, probe: traffic.NewRTTProbe()}
 	// UE echoes every DL payload back uplink.
 	h.ue.OnData = func(ipPkt []byte) {
 		var p pkt.Parsed
@@ -103,14 +98,14 @@ func runPaging(mode core.Mode) (*pagingRow, error) {
 		return nil, err
 	}
 	e.settle()
-	row := &pagingRow{baseRTT: e.probe.Hist.Mean()}
+	base := e.probe.Hist.Window()
+	row := &pagingRow{baseRTT: base.Mean()}
 
 	// Phase 2: UE sleeps; DL data triggers paging; packets buffer at the
 	// UPF and drain once the UE reconnects.
 	if err := e.h.ue.GoIdle(); err != nil {
 		return nil, err
 	}
-	e.probe.Hist.Reset()
 	pagingDone := make(chan error, 1)
 	go func() {
 		t, err := e.h.ue.AwaitPagingAndReconnect(5 * time.Second)
@@ -124,8 +119,10 @@ func runPaging(mode core.Mode) (*pagingRow, error) {
 		return nil, fmt.Errorf("paging: %w", err)
 	}
 	e.settle()
-	row.rttAfter = e.probe.Hist.Max() // worst queue-drain RTT after paging
-	row.higher = uint64(e.probe.Hist.CountAbove(4 * row.baseRTT))
+	after := e.probe.Hist.Window()
+	after = after.Since(&base)
+	row.rttAfter = after.Max() // worst queue-drain RTT after paging
+	row.higher = uint64(after.CountAbove(4 * row.baseRTT))
 	return row, nil
 }
 
@@ -203,8 +200,8 @@ func runHandover(mode core.Mode, concurrent bool) (*hoRow, error) {
 		return nil, err
 	}
 	e.settle()
-	row := &hoRow{baseRTT: e.probe.Hist.Mean()}
-	e.probe.Hist.Reset()
+	base := e.probe.Hist.Window()
+	row := &hoRow{baseRTT: base.Mean()}
 
 	// Handover at "1 second": run CBR and trigger HO concurrently.
 	hoDone := make(chan error, 1)
@@ -220,8 +217,10 @@ func runHandover(mode core.Mode, concurrent bool) (*hoRow, error) {
 		return nil, fmt.Errorf("handover: %w", err)
 	}
 	e.settle()
-	row.rttAfter = e.probe.Hist.Max()
-	row.higher = uint64(e.probe.Hist.CountAbove(4 * row.baseRTT))
+	after := e.probe.Hist.Window()
+	after = after.Since(&base)
+	row.rttAfter = after.Max()
+	row.higher = uint64(after.CountAbove(4 * row.baseRTT))
 	row.dropped = e.probe.Outstanding()
 	if stopOther != nil {
 		stopOther()

@@ -86,8 +86,8 @@ type Config struct {
 	SwitchWorkers int
 	// NFShards stripes the AMF and SMF UE/session state (maps, locks, ID
 	// allocators) across this many shards keyed by UE-ID hash. 0 means 1
-	// shard, which preserves the legacy single-lock ID sequences bit for
-	// bit; cmd/l25gc defaults the flag to GOMAXPROCS.
+	// shard; snapshots are byte-identical at any count. cmd/l25gc
+	// defaults the flag to GOMAXPROCS.
 	NFShards int
 
 	// Tracer, when non-nil, threads span tracks through every traced
@@ -181,6 +181,10 @@ type Core struct {
 	kupf *kernelpath.KernelUPF  // kernel mode
 	sup  *supervisor.Supervisor // resilience mode
 
+	nb neighbors
+	// The AMF's conn as the SMF sees it (paging); set once the AMF exists.
+	amfConn atomic.Pointer[sbi.Conn]
+
 	// Active generation's N4 association + SMF (supervised mode spawns
 	// one association per SMF generation; these track the ticking one so
 	// metrics registered once read across failovers).
@@ -225,10 +229,19 @@ func New(cfg Config) (*Core, error) {
 	return c, nil
 }
 
+// neighbors are the shared connections every AMF/SMF instance — the
+// plain path's only one, or each supervised generation — is built over.
+type neighbors struct {
+	ausf, udmAmf, pcfAmf sbi.Conn // AMF's producers
+	udmSmf, pcfSmf       sbi.Conn // SMF's producers
+	n4                   pfcp.Endpoint
+}
+
+func (c *Core) track(name string) *trace.Track { return trace.NewTrack(c.cfg.Tracer, name) }
+
 func (c *Core) start() error {
 	cfg := c.cfg
-	tr, reg := cfg.Tracer, cfg.Metrics
-	track := func(name string) *trace.Track { return trace.NewTrack(tr, name) }
+	reg := cfg.Metrics
 
 	// --- telemetry pipeline ---
 	// Bound first so every later registration (gauges, tracks) is already
@@ -236,7 +249,7 @@ func (c *Core) start() error {
 	// core's closers (goroutine-leak tests cover this).
 	tel := cfg.Telemetry
 	if tel != nil {
-		tel.Bind(tr, reg)
+		tel.Bind(cfg.Tracer, reg)
 		tel.Start()
 		c.closers = append(c.closers, tel.Stop)
 	}
@@ -245,7 +258,7 @@ func (c *Core) start() error {
 	if cfg.Overload {
 		mk := func(nf string) *overload.Controller {
 			ctl := overload.New(nf, cfg.OverloadConfig)
-			ctl.SetTracer(track("overload." + nf))
+			ctl.SetTracer(c.track("overload." + nf))
 			ctl.ExportMetrics(reg, "overload."+nf)
 			if tel != nil {
 				nf := nf
@@ -272,72 +285,37 @@ func (c *Core) start() error {
 	}
 
 	// --- N4 + data plane ---
-	var smfN4 pfcp.Endpoint
-	switch cfg.Mode {
-	case ModeFree5GC:
-		c.UPFState = upf.NewState(cfg.ClsAlgo, int(cfg.BufferPkts))
-		upfEP, err := pfcp.NewUDPEndpoint("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		c.closers = append(c.closers, func() { upfEP.Close() })
-		upfEP.SetTracer(track("pfcp.upf"))
-		upfEP.ExportMetrics(reg, "pfcp.upf")
-		c.UPFC = upf.NewUPFC(c.UPFState, upfN3IP, upfEP)
+	smfEP, upfEP, err := c.newN4()
+	if err != nil {
+		return err
+	}
+	c.nb.n4 = smfEP
+	if cfg.N4Assoc {
+		c.exportN4AssocMetrics(reg)
+	}
+	c.UPFState = upf.NewState(cfg.ClsAlgo, int(cfg.BufferPkts))
+	c.UPFState.ExportMetrics(reg, "upf")
+	c.UPFC = upf.NewUPFC(c.UPFState, upfN3IP, upfEP)
+	c.UPFC.SetOverload(c.OverloadUPF)
+	if cfg.Mode == ModeFree5GC {
 		k, err := kernelpath.New(c.UPFState, c.UPFC)
 		if err != nil {
 			return err
 		}
 		c.kupf = k
 		c.closers = append(c.closers, func() { k.Close() })
-		k.SetTracer(track("kern"))
+		k.SetTracer(c.track("kern"))
 		k.ExportMetrics(reg, "kern")
-		smfEP, err := pfcp.NewUDPEndpoint("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		c.closers = append(c.closers, func() { smfEP.Close() })
-		smfEP.SetTracer(track("pfcp.smf"))
-		smfEP.ExportMetrics(reg, "pfcp.smf")
-		if cfg.FaultInjector != nil {
-			smfEP.SetInjector(cfg.FaultInjector, "pfcp.smf")
-			upfEP.SetInjector(cfg.FaultInjector, "pfcp.upf")
-		}
-		if cfg.N4Retry.T1 > 0 {
-			smfEP.SetRetry(cfg.N4Retry)
-		}
-		if err := smfEP.Connect(upfEP.Addr()); err != nil {
-			return err
-		}
-		if err := upfEP.Connect(smfEP.Addr()); err != nil {
-			return err
-		}
-		smfN4 = smfEP
-	default: // shared-memory data plane
-		c.UPFState = upf.NewState(cfg.ClsAlgo, int(cfg.BufferPkts))
-		smfEP, upfEP := pfcp.NewMemPair(1024)
-		c.closers = append(c.closers, func() { smfEP.Close(); upfEP.Close() })
-		smfEP.SetTracer(track("pfcp.smf"))
-		smfEP.ExportMetrics(reg, "pfcp.smf")
-		upfEP.SetTracer(track("pfcp.upf"))
-		upfEP.ExportMetrics(reg, "pfcp.upf")
-		if cfg.FaultInjector != nil {
-			smfEP.SetInjector(cfg.FaultInjector, "pfcp.smf")
-			upfEP.SetInjector(cfg.FaultInjector, "pfcp.upf")
-		}
-		if cfg.N4Retry.T1 > 0 {
-			smfEP.SetRetry(cfg.N4Retry)
-		}
-		c.UPFC = upf.NewUPFC(c.UPFState, upfN3IP, upfEP)
+	} else {
 		c.UPFU = upf.NewUPFU(c.UPFState, c.UPFC)
-		c.UPFU.SetTracer(track("upf"))
+		c.UPFU.SetTracer(c.track("upf"))
 		c.UPFU.ExportMetrics(reg, "upf")
 		c.mgr = onvm.NewManager(onvm.Config{
 			PoolSize: 8192, RingSize: 2048, PoolPrefix: cfg.PoolPrefix,
 			SwitchWorkers: cfg.SwitchWorkers,
 		})
 		c.closers = append(c.closers, c.mgr.Stop)
-		c.mgr.SetTracer(track("onvm"))
+		c.mgr.SetTracer(c.track("onvm"))
 		c.mgr.ExportMetrics(reg, "onvm")
 		if _, err := c.UPFU.AttachONVM(c.mgr, upfServiceID); err != nil {
 			return err
@@ -346,161 +324,222 @@ func (c *Core) start() error {
 		c.mgr.BindPortNF(uint16(upf.PortN6), upfServiceID)
 		c.mgr.RegisterPort(uint16(upf.PortN3), c.n3Egress)
 		c.mgr.RegisterPort(uint16(upf.PortN6), c.n6Egress)
-		smfN4 = smfEP
 	}
-	c.UPFState.ExportMetrics(reg, "upf")
-	c.UPFC.SetOverload(c.OverloadUPF)
 
 	// --- control-plane NF mesh ---
-	// connTo builds a consumer connection to a producer handler according
-	// to the mode's SBI transport, registering the producer with the NRF.
-	httpSBI := cfg.Mode == ModeFree5GC || cfg.Mode == ModeONVMUPF
-	connTo := func(nfType string, h sbi.Handler) (sbi.Conn, error) {
-		sbiName := "sbi." + strings.ToLower(nfType)
-		if httpSBI {
-			srv, err := sbi.NewHTTPServer("127.0.0.1:0", codec.JSON{}, h)
-			if err != nil {
-				return nil, err
-			}
-			c.closers = append(c.closers, func() { srv.Close() })
-			c.NRF.Handle(sbi.OpNFRegister, &sbi.NFRegisterRequest{
-				NfInstanceID: nfType + "-1", NfType: nfType, Addr: srv.Addr(),
-			})
-			conn := sbi.NewHTTPConn(srv.Addr(), codec.JSON{})
-			c.closers = append(c.closers, func() { conn.Close() })
-			conn.SetTracer(track(sbiName))
-			conn.ExportMetrics(reg, sbiName)
-			return conn, nil
-		}
-		conn, srv := sbi.NewShmPair(1024, h)
-		c.closers = append(c.closers, func() { srv.Close(); conn.Close() })
-		c.NRF.Handle(sbi.OpNFRegister, &sbi.NFRegisterRequest{
-			NfInstanceID: nfType + "-1", NfType: nfType, Addr: "shm:" + nfType,
-		})
-		conn.SetTracer(track(sbiName))
-		conn.ExportMetrics(reg, sbiName)
-		return conn, nil
-	}
-
-	udrConn, err := connTo("UDR", c.UDR.Handle)
+	udrConn, err := c.connTo("UDR", c.UDR.Handle)
 	if err != nil {
 		return err
 	}
 	c.UDM = udm.New(udrConn)
-	udmConnAusf, err := connTo("UDM", c.UDM.Handle)
+	udmConnAusf, err := c.connTo("UDM", c.UDM.Handle)
 	if err != nil {
 		return err
 	}
-	udmConnAmf, err := connTo("UDM", c.UDM.Handle)
-	if err != nil {
+	if c.nb.udmAmf, err = c.connTo("UDM", c.UDM.Handle); err != nil {
 		return err
 	}
-	udmConnSmf, err := connTo("UDM", c.UDM.Handle)
-	if err != nil {
+	if c.nb.udmSmf, err = c.connTo("UDM", c.UDM.Handle); err != nil {
 		return err
 	}
 	c.AUSF = ausf.New(udmConnAusf)
-	ausfConn, err := connTo("AUSF", c.AUSF.Handle)
-	if err != nil {
+	if c.nb.ausf, err = c.connTo("AUSF", c.AUSF.Handle); err != nil {
 		return err
 	}
 	c.PCF = pcf.New(pcf.Policy{})
-	pcfConnAmf, err := connTo("PCF", c.PCF.Handle)
-	if err != nil {
+	if c.nb.pcfAmf, err = c.connTo("PCF", c.PCF.Handle); err != nil {
 		return err
 	}
-	pcfConnSmf, err := connTo("PCF", c.PCF.Handle)
-	if err != nil {
+	if c.nb.pcfSmf, err = c.connTo("PCF", c.PCF.Handle); err != nil {
 		return err
 	}
 
 	if cfg.Resilience {
-		if err := c.startSupervised(track, ausfConn, udmConnAmf, pcfConnAmf,
-			udmConnSmf, pcfConnSmf, smfN4); err != nil {
-			return err
-		}
-		return c.startDN()
+		err = c.startSupervised()
+	} else {
+		err = c.startPlain()
 	}
-
-	// SMF's AMF connection is resolved lazily (the AMF is built after the
-	// SMF because the AMF needs the SMF conn).
-	var amfConnForSmf sbi.Conn
-	var amfConnMu sync.Mutex
-	c.SMF = smf.New(smf.Config{
-		NodeID: "smf.l25gc", UPFN3IP: upfN3IP,
-		UEPoolBase: pkt.AddrFrom(10, 60, 0, 1),
-		BufferPkts: cfg.BufferPkts, Shards: cfg.NFShards,
-	}, udmConnSmf, pcfConnSmf, smfN4, func() sbi.Conn {
-		amfConnMu.Lock()
-		defer amfConnMu.Unlock()
-		return amfConnForSmf
-	})
-	c.SMF.SetTracer(track("smf"))
-	c.SMF.SetOverload(c.OverloadSMF)
-	if cfg.N4Assoc {
-		a := c.newN4Assoc(c.SMF, smfN4, track, "smf.l25gc")
-		c.n4assoc.Store(a)
-		c.n4smf.Store(c.SMF)
-		c.exportN4AssocMetrics(reg)
-		// Best-effort initial setup: a failure leaves the association
-		// probing (ticker or manual Ticks) rather than failing the core.
-		_ = a.Setup()
-		a.Start()
-		c.closers = append(c.closers, a.Stop)
-	}
-	// Admission runs at the transport boundary (not inside Handle): in
-	// resilience mode replay re-enters Handle, and replayed work must
-	// never be re-admitted. The plain path has no replay, so the wrapper
-	// is the boundary.
-	smfConn, err := connTo("SMF", overload.WrapSBI(c.OverloadSMF, nil, c.SMF.Handle))
 	if err != nil {
 		return err
 	}
-
-	c.AMF, err = amf.New(amf.Config{
-		Name: "amf.l25gc", Guami: "5G:mnc093.mcc208", Addr: "127.0.0.1:0",
-		Shards: cfg.NFShards,
-	}, ausfConn, udmConnAmf, pcfConnAmf, smfConn)
-	if err != nil {
-		return err
-	}
-	c.closers = append(c.closers, func() { c.AMF.Close() })
-	c.AMF.SetTracer(track("amf"))
-	c.AMF.SetOverload(c.OverloadAMF)
-
-	amfConn, err := connTo("AMF", overload.WrapSBI(c.OverloadAMF, nil, c.AMF.Handle))
-	if err != nil {
-		return err
-	}
-	amfConnMu.Lock()
-	amfConnForSmf = amfConn
-	amfConnMu.Unlock()
-
 	return c.startDN()
 }
 
-// newN4Assoc builds one SMF instance's association state machine over
-// the (shared) N4 endpoint and attaches it to the SMF for degraded-mode
-// gating and snapshot persistence. Reconciliation is the OnUp hook, so a
-// heal never advertises Up before the SEID tables agree; association
-// down snapshots the telemetry flight ring.
-func (c *Core) newN4Assoc(s *smf.SMF, ep pfcp.Endpoint, track func(string) *trace.Track, nodeID string) *pfcp.Association {
-	cfg := c.cfg
-	a := pfcp.NewAssociation(ep, pfcp.AssocConfig{
-		NodeID:            nodeID,
-		RecoveryTimestamp: 1,
-		HeartbeatInterval: cfg.N4HeartbeatInterval,
-		MissThreshold:     cfg.N4MissThreshold,
-		OnUp:              s.Reconcile,
-		OnDown: func(reason string) {
-			if tel := cfg.Telemetry; tel != nil {
-				tel.DumpNow("pfcp.assoc.down")
-			}
-		},
+// newN4 opens the N4 endpoint pair on the mode's transport — kernel UDP
+// sockets for free5GC, a shared-memory ring pair otherwise — and applies
+// the one wiring both transports share: tracks, counters, fault points
+// and the SMF side's retransmission profile.
+func (c *Core) newN4() (smfEP, upfEP pfcp.Endpoint, err error) {
+	if c.cfg.Mode == ModeFree5GC {
+		u, err := pfcp.NewUDPEndpoint("127.0.0.1:0")
+		if err != nil {
+			return nil, nil, err
+		}
+		c.closers = append(c.closers, func() { u.Close() })
+		s, err := pfcp.NewUDPEndpoint("127.0.0.1:0")
+		if err != nil {
+			return nil, nil, err
+		}
+		c.closers = append(c.closers, func() { s.Close() })
+		if err := s.Connect(u.Addr()); err != nil {
+			return nil, nil, err
+		}
+		if err := u.Connect(s.Addr()); err != nil {
+			return nil, nil, err
+		}
+		smfEP, upfEP = s, u
+	} else {
+		s, u := pfcp.NewMemPair(1024)
+		c.closers = append(c.closers, func() { s.Close(); u.Close() })
+		smfEP, upfEP = s, u
+	}
+	wire := func(ep pfcp.Endpoint, name string) {
+		ep.SetTracer(c.track(name))
+		ep.ExportMetrics(c.cfg.Metrics, name)
+		if c.cfg.FaultInjector != nil {
+			ep.SetInjector(c.cfg.FaultInjector, name)
+		}
+	}
+	wire(smfEP, "pfcp.smf")
+	wire(upfEP, "pfcp.upf")
+	if c.cfg.N4Retry.T1 > 0 {
+		smfEP.SetRetry(c.cfg.N4Retry)
+	}
+	return smfEP, upfEP, nil
+}
+
+// connTo builds a consumer connection to a producer handler according to
+// the mode's SBI transport, registering the producer with the NRF.
+func (c *Core) connTo(nfType string, h sbi.Handler) (sbi.Conn, error) {
+	name := "sbi." + strings.ToLower(nfType)
+	addr := "shm:" + nfType
+	var conn sbi.Conn
+	if c.cfg.Mode == ModeFree5GC || c.cfg.Mode == ModeONVMUPF {
+		srv, err := sbi.NewHTTPServer("127.0.0.1:0", codec.JSON{}, h)
+		if err != nil {
+			return nil, err
+		}
+		hc := sbi.NewHTTPConn(srv.Addr(), codec.JSON{})
+		hc.SetTracer(c.track(name))
+		hc.ExportMetrics(c.cfg.Metrics, name)
+		c.closers = append(c.closers, func() { srv.Close(); hc.Close() })
+		addr, conn = srv.Addr(), hc
+	} else {
+		sc, srv := sbi.NewShmPair(1024, h)
+		sc.SetTracer(c.track(name))
+		sc.ExportMetrics(c.cfg.Metrics, name)
+		c.closers = append(c.closers, func() { srv.Close(); sc.Close() })
+		conn = sc
+	}
+	c.NRF.Handle(sbi.OpNFRegister, &sbi.NFRegisterRequest{
+		NfInstanceID: nfType + "-1", NfType: nfType, Addr: addr,
 	})
-	a.SetTracer(track("pfcp.smf"))
-	s.SetAssociation(a)
-	return a
+	return conn, nil
+}
+
+// newSMF builds one SMF instance over the shared neighbors: the plain
+// path's only one, or one supervised generation. Its AMF connection
+// resolves lazily through c.amfConn — the AMF is built after the SMF
+// because it needs the SMF's conn. With Config.N4Assoc the instance gets
+// its own association state machine over the (shared) N4 endpoint,
+// attached for degraded-mode gating and snapshot persistence but not
+// ticking until armN4. Reconciliation is the OnUp hook, so a heal never
+// advertises Up before the SEID tables agree; association down snapshots
+// the telemetry flight ring.
+func (c *Core) newSMF(nodeID string) *smf.SMF {
+	cfg := c.cfg
+	s := smf.New(smf.Config{
+		NodeID: nodeID, UPFN3IP: upfN3IP,
+		UEPoolBase: pkt.AddrFrom(10, 60, 0, 1),
+		BufferPkts: cfg.BufferPkts, Shards: cfg.NFShards,
+	}, c.nb.udmSmf, c.nb.pcfSmf, c.nb.n4, func() sbi.Conn {
+		if p := c.amfConn.Load(); p != nil {
+			return *p
+		}
+		return nil
+	})
+	s.SetTracer(c.track("smf"))
+	s.SetOverload(c.OverloadSMF)
+	if cfg.N4Assoc {
+		a := pfcp.NewAssociation(c.nb.n4, pfcp.AssocConfig{
+			NodeID:            nodeID,
+			RecoveryTimestamp: 1,
+			HeartbeatInterval: cfg.N4HeartbeatInterval,
+			MissThreshold:     cfg.N4MissThreshold,
+			OnUp:              s.Reconcile,
+			OnDown: func(reason string) {
+				if tel := cfg.Telemetry; tel != nil {
+					tel.DumpNow("pfcp.assoc.down")
+				}
+			},
+		})
+		a.SetTracer(c.track("pfcp.smf"))
+		s.SetAssociation(a)
+	}
+	return s
+}
+
+// armN4 makes s the SMF whose association drives N4: the pfcp.assoc.*
+// gauges read through it and its heartbeats tick. The first SMF armed
+// also runs the initial setup exchange — best effort, a failure leaves
+// the association probing (ticker or manual Ticks) rather than failing
+// the core; a promoted generation carries its state in the checkpoint.
+func (c *Core) armN4(s *smf.SMF) {
+	a := s.Association()
+	if a == nil {
+		return
+	}
+	first := c.n4assoc.Swap(a) == nil
+	c.n4smf.Store(s)
+	if first {
+		_ = a.Setup()
+	}
+	a.Start()
+}
+
+// stopN4 halts s's association ticker, if it has one.
+func stopN4(s *smf.SMF) {
+	if a := s.Association(); a != nil {
+		a.Stop()
+	}
+}
+
+// newAMF builds one AMF instance over the shared neighbors and smfConn.
+func (c *Core) newAMF(name string, smfConn sbi.Conn) (*amf.AMF, error) {
+	a, err := amf.New(amf.Config{
+		Name: name, Guami: "5G:mnc093.mcc208", Addr: "127.0.0.1:0",
+		Shards: c.cfg.NFShards,
+	}, c.nb.ausf, c.nb.udmAmf, c.nb.pcfAmf, smfConn)
+	if err != nil {
+		return nil, err
+	}
+	a.SetTracer(c.track("amf"))
+	a.SetOverload(c.OverloadAMF)
+	return a, nil
+}
+
+// startPlain assembles one AMF and one SMF behind SBI conns. Admission
+// runs at the transport boundary (not inside Handle): in resilience mode
+// replay re-enters Handle, and replayed work must never be re-admitted.
+// The plain path has no replay, so the wrapper is the boundary.
+func (c *Core) startPlain() error {
+	c.SMF = c.newSMF("smf.l25gc")
+	c.closers = append(c.closers, func() { stopN4(c.SMF) })
+	c.armN4(c.SMF)
+	smfConn, err := c.connTo("SMF", overload.WrapSBI(c.OverloadSMF, nil, c.SMF.Handle))
+	if err != nil {
+		return err
+	}
+	if c.AMF, err = c.newAMF("amf.l25gc", smfConn); err != nil {
+		return err
+	}
+	c.closers = append(c.closers, func() { c.AMF.Close() })
+	amfConn, err := c.connTo("AMF", overload.WrapSBI(c.OverloadAMF, nil, c.AMF.Handle))
+	if err != nil {
+		return err
+	}
+	c.amfConn.Store(&amfConn)
+	return nil
 }
 
 // exportN4AssocMetrics registers the pfcp.assoc.* family exactly once,
@@ -597,9 +636,7 @@ func (c *Core) startDN() error {
 // replay). Peers reach the units through unit conns, which ride out
 // failovers by waiting for recovery and retrying into the promoted
 // generation's dedup cache.
-func (c *Core) startSupervised(track func(string) *trace.Track,
-	ausfConn, udmConnAmf, pcfConnAmf, udmConnSmf, pcfConnSmf sbi.Conn,
-	smfN4 pfcp.Endpoint) error {
+func (c *Core) startSupervised() error {
 	cfg := c.cfg
 	supCfg := supervisor.Config{Tracer: cfg.Tracer, Metrics: cfg.Metrics}
 	if tel := cfg.Telemetry; tel != nil {
@@ -610,52 +647,23 @@ func (c *Core) startSupervised(track func(string) *trace.Track,
 	c.sup = supervisor.New(supCfg)
 	c.closers = append(c.closers, c.sup.Close)
 
-	// The SMF's paging conn resolves lazily: the AMF unit registers after
-	// the SMF unit (it needs the SMF unit's conn).
-	var (
-		amfUnitMu sync.Mutex
-		amfUnit   *supervisor.Unit
-	)
 	smfUnit, err := c.sup.Register(supervisor.UnitConfig{
 		Name: "smf", Injector: cfg.FaultInjector, CheckpointEvery: 1,
 		Overload: c.OverloadSMF,
 		Spawn: func(su *supervisor.Unit, gen int) (supervisor.Instance, error) {
-			s := smf.New(smf.Config{
-				NodeID: fmt.Sprintf("smf.l25gc.g%d", gen), UPFN3IP: upfN3IP,
-				UEPoolBase: pkt.AddrFrom(10, 60, 0, 1),
-				BufferPkts: cfg.BufferPkts, Shards: cfg.NFShards,
-			}, udmConnSmf, pcfConnSmf, smfN4, func() sbi.Conn {
-				amfUnitMu.Lock()
-				defer amfUnitMu.Unlock()
-				if amfUnit == nil {
-					return nil
-				}
-				return amfUnit.Conn()
-			})
-			s.SetTracer(track("smf"))
-			s.SetOverload(c.OverloadSMF)
+			s := c.newSMF(fmt.Sprintf("smf.l25gc.g%d", gen))
 			supervisor.AttachSMF(su, s)
-			var closer func() error
-			if cfg.N4Assoc {
-				a := c.newN4Assoc(s, smfN4, track,
-					fmt.Sprintf("smf.l25gc.g%d", gen))
-				closer = func() error { a.Stop(); return nil }
-			}
-			return supervisor.NewSMFInstance(s, closer), nil
+			return supervisor.NewSMFInstance(s, func() error { stopN4(s); return nil }), nil
 		},
-		// Generations share smfN4; the active one must hold its inbound
-		// handler or session reports (paging triggers) would land on the
-		// empty standby. Likewise only the active generation's
+		// Generations share the N4 endpoint; the active one must hold its
+		// inbound handler or session reports (paging triggers) would land
+		// on the empty standby. Likewise only the active generation's
 		// association heartbeats — the standby's stays in manual mode
 		// until promotion, and the retired one is stopped via its closer.
 		OnPromote: func(active supervisor.Instance) {
 			s := active.(*supervisor.SMFInstance).S
 			s.BindN4()
-			if a := s.Association(); a != nil {
-				c.n4assoc.Store(a)
-				c.n4smf.Store(s)
-				a.Start()
-			}
+			c.armN4(s)
 		},
 	})
 	if err != nil {
@@ -663,20 +671,14 @@ func (c *Core) startSupervised(track func(string) *trace.Track,
 	}
 	c.SMF = smfUnit.Active().(*supervisor.SMFInstance).S
 
-	aUnit, err := c.sup.Register(supervisor.UnitConfig{
+	amfUnit, err := c.sup.Register(supervisor.UnitConfig{
 		Name: "amf", Injector: cfg.FaultInjector, CheckpointEvery: 1,
 		Overload: c.OverloadAMF,
 		Spawn: func(su *supervisor.Unit, gen int) (supervisor.Instance, error) {
-			a, err := amf.New(amf.Config{
-				Name:  fmt.Sprintf("amf.l25gc.g%d", gen),
-				Guami: "5G:mnc093.mcc208", Addr: "127.0.0.1:0",
-				Shards: cfg.NFShards,
-			}, ausfConn, udmConnAmf, pcfConnAmf, smfUnit.Conn())
+			a, err := c.newAMF(fmt.Sprintf("amf.l25gc.g%d", gen), smfUnit.Conn())
 			if err != nil {
 				return nil, err
 			}
-			a.SetTracer(track("amf"))
-			a.SetOverload(c.OverloadAMF)
 			supervisor.AttachAMF(su, a)
 			return supervisor.NewAMFInstance(a), nil
 		},
@@ -684,18 +686,9 @@ func (c *Core) startSupervised(track func(string) *trace.Track,
 	if err != nil {
 		return err
 	}
-	amfUnitMu.Lock()
-	amfUnit = aUnit
-	amfUnitMu.Unlock()
-	c.AMF = aUnit.Active().(*supervisor.AMFInstance).A
-	if cfg.N4Assoc {
-		c.exportN4AssocMetrics(cfg.Metrics)
-		// Best-effort initial setup on the active generation (OnPromote
-		// already ran at registration and stored it).
-		if a := c.n4assoc.Load(); a != nil {
-			_ = a.Setup()
-		}
-	}
+	amfConn := amfUnit.Conn()
+	c.amfConn.Store(&amfConn)
+	c.AMF = amfUnit.Active().(*supervisor.AMFInstance).A
 	return nil
 }
 

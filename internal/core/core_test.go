@@ -1,11 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"l25gc/internal/lb"
 	"l25gc/internal/nf/udr"
 	"l25gc/internal/pkt"
 	"l25gc/internal/ranue"
@@ -296,10 +296,10 @@ func TestCanaryUPFRollout(t *testing.T) {
 	}
 }
 
-func TestTwoUnitsWithAffinity(t *testing.T) {
+func TestTwoUnitsIsolated(t *testing.T) {
 	// §4 scaling: multiple 5GC units in one serving region, each with its
-	// own security-domain pool prefix; the UE-aware LB affinity pins each
-	// UE to one unit for its session lifetime.
+	// own security-domain pool prefix; each UE is pinned to one unit for
+	// its session lifetime.
 	c1, err := New(Config{Mode: ModeL25GC, PoolPrefix: "unit-1",
 		Subscribers: []udr.Subscriber{testSubscriber("imsi-208930000000001")}})
 	if err != nil {
@@ -314,9 +314,7 @@ func TestTwoUnitsWithAffinity(t *testing.T) {
 	t.Cleanup(c2.Stop)
 	units := []*Core{c1, c2}
 
-	aff := lb.NewAffinity(2)
-	attach := func(supi string) (*Core, *ranue.UE, *ranue.GNB) {
-		u := aff.UnitFor(supi)
+	attach := func(u int, supi string) (*Core, *ranue.UE, *ranue.GNB) {
 		c := units[u]
 		g, err := ranue.NewGNB(uint32(10+u), pkt.AddrFrom(10, 100, byte(u), 10), c.N2Addr(), c)
 		if err != nil {
@@ -326,19 +324,53 @@ func TestTwoUnitsWithAffinity(t *testing.T) {
 		ue := fullAttach(t, c, g, supi)
 		return c, ue, g
 	}
-	cA, ueA, _ := attach("imsi-208930000000001")
-	cB, ueB, _ := attach("imsi-208930000000002")
-	if cA == cB {
-		t.Fatal("affinity did not spread two UEs across two units")
-	}
-	// Affinity is sticky for the session lifetime.
-	if units[aff.UnitFor("imsi-208930000000001")] != cA {
-		t.Fatal("affinity moved a live session")
-	}
+	cA, ueA, _ := attach(0, "imsi-208930000000001")
+	cB, ueB, _ := attach(1, "imsi-208930000000002")
 	// Each unit serves its own UE's session independently.
 	if cA.UPFState.Sessions() != 1 || cB.UPFState.Sessions() != 1 {
 		t.Fatalf("sessions %d/%d", cA.UPFState.Sessions(), cB.UPFState.Sessions())
 	}
 	_ = ueA
 	_ = ueB
+}
+
+// Register→session→deregister churn must not grow the live heap: every
+// control-plane wait in ranue arms a multi-second timer, and one that is
+// not stopped when the awaited message arrives stays on the heap until
+// it would have fired — seconds of churn's worth under go 1.22 timers.
+func TestUEChurnHeapFlat(t *testing.T) {
+	c := startCore(t, ModeL25GC)
+	g, err := ranue.NewGNB(1, pkt.AddrFrom(10, 100, 0, 10), c.N2Addr(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			ue := ranue.NewUE("imsi-208930000000001", []byte("0123456789abcdef"), []byte("fedcba9876543210"))
+			if _, err := ue.Register(g); err != nil {
+				t.Fatalf("cycle %d register: %v", i, err)
+			}
+			if _, err := ue.EstablishSession(5, "internet"); err != nil {
+				t.Fatalf("cycle %d session: %v", i, err)
+			}
+			if err := ue.Deregister(); err != nil {
+				t.Fatalf("cycle %d deregister: %v", i, err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	cycle(100) // warm pools, codecs and connection buffers
+	before := heap()
+	cycle(1500)
+	after := heap()
+	t.Logf("live heap %d KB -> %d KB over 1500 churn cycles", before>>10, after>>10)
+	if after > before+1<<20 {
+		t.Fatalf("live heap grew %d KB", (after-before)>>10)
+	}
 }

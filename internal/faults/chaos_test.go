@@ -129,24 +129,22 @@ func TestChaosAttachUnderPFCPLoss(t *testing.T) {
 	}
 }
 
-// TestChaosFailoverUnderCrash crashes the primary UPF mid-procedure via a
-// seeded Crash rule at its ingress point: the 6th message the primary sees
-// kills it partway through the post-checkpoint burst. The standby must
-// recover the session, the mid-handover FAR update and the buffered data
-// through checkpoint + replay — FailoverScenario fails the run otherwise.
+// TestChaosFailoverUnderCrash crashes the supervised primary UPF
+// mid-procedure via a seeded Crash rule at its ingress point: the 6th
+// message the primary sees kills it partway through the post-checkpoint
+// burst. The promoted standby must recover the session, the mid-handover
+// FAR update and the buffered data through checkpoint + replay —
+// FailoverScenario fails the run otherwise.
 func TestChaosFailoverUnderCrash(t *testing.T) {
 	run := func(seed int64) *bench.FailoverResult {
 		inj := faults.New(seed).Add(faults.Rule{
-			Point:  "upf.primary.ingress",
+			Point:  "upf.g0.ingress",
 			Kind:   faults.Crash,
 			After:  5,
 			Count:  1,
-			Target: "upf.primary",
+			Target: "upf.g0",
 		})
-		res, err := bench.FailoverScenario(bench.FailoverOptions{
-			Injector:    inj,
-			CrashTarget: "upf.primary",
-		})
+		res, err := bench.FailoverScenario(inj, nil)
 		if err != nil {
 			t.Fatalf("failover under injected crash (seed %d): %v", seed, err)
 		}
@@ -159,7 +157,7 @@ func TestChaosFailoverUnderCrash(t *testing.T) {
 	if res.Replayed == 0 {
 		t.Fatal("nothing replayed to the standby")
 	}
-	// Detection uses 100µs probes with 3 misses; a loaded machine gets
+	// Detection uses 200µs probes with 3 misses; a loaded machine gets
 	// generous slack but a wedged detector must fail the run.
 	if res.Detect > 500*time.Millisecond {
 		t.Fatalf("failure detection took %v", res.Detect)

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,148 +43,264 @@ func (c *Counter) String() string {
 	return fmt.Sprintf("%s=%d", c.name, c.v.Load())
 }
 
-// Histogram collects duration samples and reports distribution summaries.
+// Histogram is the repository's one latency-distribution type: a fixed
+// array of log-spaced buckets (16 per octave) plus a running sum and the
+// extremes. Observe is lock-free and allocation-free — safe on span and
+// admission hot paths — and the structure never grows, so a long-lived
+// core can observe forever. Count, Mean, Min and Max are exact;
+// percentiles and CountAbove carry the bucket resolution: values below
+// 32 ns are exact, above that a reported percentile is the lower bound
+// of the sample's bucket, at most 1/16 (6.25 %) under the sample.
+//
+// The zero value is an empty histogram.
 type Histogram struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	sorted  bool
-	// min/max are tracked incrementally on Observe so reading them never
-	// forces a full percentile sort.
-	min, max time.Duration
+	counts [histBuckets]atomic.Uint64
+	sum    atomic.Uint64 // nanoseconds
+	// minP1 holds min+1 so that zero means "no sample yet".
+	minP1 atomic.Uint64
+	max   atomic.Uint64
+}
+
+// Bucket layout: values below 2^histSubBits map 1:1; above, each octave
+// splits into 2^histSubBits sub-buckets, so the index is monotone in the
+// value and a bucket's bounds are recoverable from the index alone.
+// Samples are non-negative int64s, so the largest exponent is 62 and the
+// last index (62-4)*16+31.
+const (
+	histSubBits    = 4
+	histSubBuckets = 1 << histSubBits
+	histBuckets    = (64 - histSubBits) * histSubBuckets
+)
+
+// bucketOf maps a nanosecond count to its bucket index.
+func bucketOf(v uint64) int {
+	if v < histSubBuckets {
+		return int(v)
+	}
+	exp := bits.Len64(v) - 1
+	return (exp-histSubBits)*histSubBuckets + int(v>>(uint(exp)-histSubBits))
+}
+
+// bucketLow returns the smallest value bucket idx holds; bucketLow(idx+1)-1
+// is the largest.
+func bucketLow(idx int) uint64 {
+	if idx < 2*histSubBuckets {
+		return uint64(idx)
+	}
+	block := idx >> histSubBits
+	sub := idx & (histSubBuckets - 1)
+	return uint64(histSubBuckets|sub) << uint(block-1)
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// Observe records one sample.
+// Observe records one sample; negative durations count as zero.
 func (h *Histogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	if len(h.samples) == 0 || d < h.min {
-		h.min = d
+	if d < 0 {
+		d = 0
 	}
-	if len(h.samples) == 0 || d > h.max {
-		h.max = d
+	v := uint64(d)
+	// Extremes first, bucket second, sum last; Window reads in the
+	// opposite order, so every sample a window counts is inside the
+	// extremes it carries and the sum never runs ahead of the buckets.
+	for cur := h.minP1.Load(); cur == 0 || v+1 < cur; cur = h.minP1.Load() {
+		if h.minP1.CompareAndSwap(cur, v+1) {
+			break
+		}
 	}
-	h.samples = append(h.samples, d)
-	h.sorted = false
-	h.mu.Unlock()
+	for cur := h.max.Load(); v > cur; cur = h.max.Load() {
+		if h.max.CompareAndSwap(cur, v) {
+			break
+		}
+	}
+	h.counts[bucketOf(v)].Add(1)
+	h.sum.Add(v)
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
+// Window is a set of observations of one histogram: everything up to an
+// instant (Histogram.Window) or everything between two instants (Since).
+// Readers that need several figures take one Window and query it, so
+// every figure describes the same population while writers keep
+// observing.
+type Window struct {
+	counts [histBuckets]uint64
+	n      uint64 // total of counts
+	sum    uint64
+	// The histogram's lifetime extremes when the window was taken. They
+	// bound every sample in the window, which makes Min and Max exact on
+	// an unsubtracted window and pins single-sample percentiles to the
+	// sample itself.
+	lo, hi uint64
 }
 
-func (h *Histogram) sortLocked() {
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
+// Window copies the histogram's current state.
+func (h *Histogram) Window() Window {
+	var w Window
+	w.sum = h.sum.Load()
+	for i := range h.counts {
+		w.counts[i] = h.counts[i].Load()
+		w.n += w.counts[i]
 	}
+	if m := h.minP1.Load(); m > 0 {
+		w.lo = m - 1
+	}
+	w.hi = h.max.Load()
+	return w
 }
 
-// Mean returns the arithmetic mean, or 0 with no samples.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
+// Since returns the observations in w that are not in prev, an earlier
+// window of the same histogram. This is how periodic readers (the
+// telemetry sampler, the overload controller's tick, Registry.Reset)
+// get per-interval figures without ever writing to the histogram.
+func (w *Window) Since(prev *Window) Window {
+	out := Window{lo: w.lo, hi: w.hi}
+	for i := range w.counts {
+		if w.counts[i] >= prev.counts[i] {
+			out.counts[i] = w.counts[i] - prev.counts[i]
+			out.n += out.counts[i]
+		}
+	}
+	if w.sum >= prev.sum {
+		out.sum = w.sum - prev.sum
+	}
+	return out
+}
+
+// Count returns the number of observations in the window.
+func (w *Window) Count() int { return int(w.n) }
+
+// clamp pins v into the window's extremes.
+func (w *Window) clamp(v uint64) time.Duration {
+	if v < w.lo {
+		v = w.lo
+	}
+	if v > w.hi {
+		v = w.hi
+	}
+	return time.Duration(v)
+}
+
+// Min returns the smallest observation (0 when empty): exact on an
+// unsubtracted window, at bucket resolution after Since.
+func (w *Window) Min() time.Duration {
+	for i, c := range w.counts {
+		if c > 0 {
+			return w.clamp(bucketLow(i))
+		}
+	}
+	return 0
+}
+
+// Max returns the largest observation (0 when empty): exact on an
+// unsubtracted window, at bucket resolution after Since.
+func (w *Window) Max() time.Duration {
+	for i := len(w.counts) - 1; i >= 0; i-- {
+		if w.counts[i] > 0 {
+			return w.clamp(bucketLow(i+1) - 1)
+		}
+	}
+	return 0
+}
+
+// Mean returns the arithmetic mean (0 when empty). With writers active
+// the sum may trail the bucket copy by the observations in flight, so
+// the result is pinned into [Min, Max].
+func (w *Window) Mean() time.Duration {
+	if w.n == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
+	m := time.Duration(w.sum / w.n)
+	if lo := w.Min(); m < lo {
+		return lo
 	}
-	return sum / time.Duration(len(h.samples))
+	if hi := w.Max(); m > hi {
+		return hi
+	}
+	return m
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100).
-func (h *Histogram) Percentile(p float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.percentileLocked(p)
-}
-
-func (h *Histogram) percentileLocked(p float64) time.Duration {
-	if len(h.samples) == 0 {
+// Percentile returns the p-th percentile (0 < p <= 100) by nearest rank:
+// the lower bound of the bucket holding that rank, pinned into the
+// extremes (so never outside [Min, Max]). 0 when empty.
+func (w *Window) Percentile(p float64) time.Duration {
+	if w.n == 0 {
 		return 0
 	}
-	h.sortLocked()
-	idx := int(math.Ceil(p/100*float64(len(h.samples)))) - 1
-	if idx < 0 {
-		idx = 0
+	rank := uint64(math.Ceil(p / 100 * float64(w.n)))
+	if rank < 1 {
+		rank = 1
 	}
-	if idx >= len(h.samples) {
-		idx = len(h.samples) - 1
+	if rank > w.n {
+		rank = w.n
 	}
-	return h.samples[idx]
+	var seen uint64
+	for i, c := range w.counts {
+		seen += c
+		if seen >= rank {
+			return w.clamp(bucketLow(i))
+		}
+	}
+	return time.Duration(w.hi)
 }
 
-// P50 returns the median.
-func (h *Histogram) P50() time.Duration { return h.Percentile(50) }
+// CountAbove returns the number of observations in buckets wholly above
+// d's bucket — samples greater than d, short of those sharing its
+// bucket.
+func (w *Window) CountAbove(d time.Duration) int {
+	if d < 0 {
+		return w.Count()
+	}
+	var n uint64
+	for _, c := range w.counts[bucketOf(uint64(d))+1:] {
+		n += c
+	}
+	return int(n)
+}
 
-// P90 returns the 90th percentile.
-func (h *Histogram) P90() time.Duration { return h.Percentile(90) }
+// HistStats is a distribution summary; every field of one HistStats
+// describes the same Window.
+type HistStats struct {
+	Count                     int
+	Mean, P50, P90, P99, P999 time.Duration
+	Min, Max                  time.Duration
+}
 
-// P99 returns the 99th percentile.
-func (h *Histogram) P99() time.Duration { return h.Percentile(99) }
-
-// P999 returns the 99.9th percentile.
-func (h *Histogram) P999() time.Duration { return h.Percentile(99.9) }
-
-// Stats summarizes the histogram under a single lock acquisition, so
-// every field describes the same sample set even while writers keep
-// observing concurrently. Snapshot readers (the registry, the telemetry
-// sampler) must use this instead of stringing Count/Mean/Percentile
-// calls together, which would each see a different population.
-func (h *Histogram) Stats() HistStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := HistStats{Count: len(h.samples), Min: h.min, Max: h.max}
+// Stats summarizes the window.
+func (w *Window) Stats() HistStats {
+	st := HistStats{Count: w.Count()}
 	if st.Count == 0 {
 		return st
 	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	st.Mean = sum / time.Duration(st.Count)
-	st.P50 = h.percentileLocked(50)
-	st.P90 = h.percentileLocked(90)
-	st.P99 = h.percentileLocked(99)
-	st.P999 = h.percentileLocked(99.9)
+	st.Min, st.Max, st.Mean = w.Min(), w.Max(), w.Mean()
+	st.P50, st.P90 = w.Percentile(50), w.Percentile(90)
+	st.P99, st.P999 = w.Percentile(99), w.Percentile(99.9)
 	return st
 }
 
-// Min returns the smallest sample (0 with no samples) without sorting.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
+// The methods below read one figure over everything observed so far.
+// Each takes its own Window; use Stats (or one Window) for several.
 
-// Max returns the largest sample (0 with no samples) without sorting.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
+// Count returns the number of samples.
+func (h *Histogram) Count() int { w := h.Window(); return w.Count() }
 
-// Summary renders "mean p50 p99 max (n)" in a compact line.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("mean=%v p50=%v p99=%v max=%v n=%d",
-		h.Mean().Round(time.Microsecond), h.Percentile(50).Round(time.Microsecond),
-		h.Percentile(99).Round(time.Microsecond), h.Max().Round(time.Microsecond), h.Count())
-}
+// Mean returns the arithmetic mean, or 0 with no samples.
+func (h *Histogram) Mean() time.Duration { w := h.Window(); return w.Mean() }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.samples = h.samples[:0]
-	h.sorted = false
-	h.min, h.max = 0, 0
-	h.mu.Unlock()
-}
+// Min returns the smallest sample (0 with no samples).
+func (h *Histogram) Min() time.Duration { w := h.Window(); return w.Min() }
+
+// Max returns the largest sample (0 with no samples).
+func (h *Histogram) Max() time.Duration { w := h.Window(); return w.Max() }
+
+// Percentile returns the p-th percentile (0 < p <= 100).
+func (h *Histogram) Percentile(p float64) time.Duration { w := h.Window(); return w.Percentile(p) }
+
+// CountAbove returns the number of samples above d, at bucket resolution.
+func (h *Histogram) CountAbove(d time.Duration) int { w := h.Window(); return w.CountAbove(d) }
+
+// Stats summarizes everything observed so far from one Window.
+func (h *Histogram) Stats() HistStats { w := h.Window(); return w.Stats() }
 
 // Point is one time-series sample.
 type Point struct {
@@ -327,17 +443,4 @@ func (t *Table) String() string {
 	var b strings.Builder
 	t.Write(&b)
 	return b.String()
-}
-
-// CountAbove returns the number of samples strictly greater than d.
-func (h *Histogram) CountAbove(d time.Duration) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := 0
-	for _, s := range h.samples {
-		if s > d {
-			n++
-		}
-	}
-	return n
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"sort"
 	"sync"
-	"time"
 )
 
 // Registry centralizes the counters and histograms that were previously
@@ -16,8 +15,9 @@ import (
 // cheap atomics on the hot path and the registry only pays at snapshot
 // time. Several readers may share one name (the core wires three UDM
 // connections under "sbi.udm.*"); their values sum. Reset records the
-// current readings as a baseline and later snapshots report the delta, so
-// monotonic sources need no writable reset hook.
+// current readings (counter values, histogram windows) as a baseline and
+// later snapshots report the delta, so sources need no writable reset
+// hook.
 //
 // A nil *Registry is a valid no-op at every method, letting components
 // call ExportMetrics unconditionally.
@@ -26,6 +26,7 @@ type Registry struct {
 	counters map[string][]func() uint64
 	base     map[string]uint64
 	hists    map[string]*Histogram
+	histBase map[string]*Window
 	owned    map[string]*Counter
 }
 
@@ -35,6 +36,7 @@ func NewRegistry() *Registry {
 		counters: make(map[string][]func() uint64),
 		base:     make(map[string]uint64),
 		hists:    make(map[string]*Histogram),
+		histBase: make(map[string]*Window),
 		owned:    make(map[string]*Counter),
 	}
 }
@@ -103,15 +105,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// HistStats is a histogram summary inside a Snapshot. All fields are
-// computed under one histogram lock (Histogram.Stats), so they describe
-// a single consistent sample population.
-type HistStats struct {
-	Count                     int
-	Mean, P50, P90, P99, P999 time.Duration
-	Min, Max                  time.Duration
-}
-
 // Snapshot is a point-in-time reading of every registered metric.
 type Snapshot struct {
 	Counters   map[string]uint64
@@ -141,9 +134,28 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Counters[name] = v
 	}
 	for name, h := range r.hists {
-		snap.Histograms[name] = h.Stats()
+		w := h.Window()
+		if base := r.histBase[name]; base != nil {
+			w = w.Since(base)
+		}
+		snap.Histograms[name] = w.Stats()
 	}
 	return snap
+}
+
+// Histograms returns the registered histograms by name, for readers that
+// take their own windows (the telemetry sampler's per-tick deltas).
+func (r *Registry) Histograms() map[string]*Histogram {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]*Histogram, len(r.hists))
+	for name, h := range r.hists {
+		out[name] = h
+	}
+	return out
 }
 
 // Names returns every registered metric name, sorted.
@@ -164,8 +176,8 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Reset zeroes the registry's view: counter/gauge readings become the new
-// baseline and histograms are cleared. Component-side atomics are not
+// Reset zeroes the registry's view: counter/gauge readings and histogram
+// windows become the new baseline. Component-side atomics are not
 // touched, so concurrent hot paths never observe a reset.
 func (r *Registry) Reset() {
 	if r == nil {
@@ -180,8 +192,9 @@ func (r *Registry) Reset() {
 		}
 		r.base[name] = v
 	}
-	for _, h := range r.hists {
-		h.Reset()
+	for name, h := range r.hists {
+		w := h.Window()
+		r.histBase[name] = &w
 	}
 }
 

@@ -89,7 +89,7 @@ func TestRegistryHistogramSnapshot(t *testing.T) {
 	if hs.Count != 10 || hs.Min != time.Millisecond || hs.Max != 10*time.Millisecond {
 		t.Fatalf("hist stats = %+v", hs)
 	}
-	if hs.P50 != 5*time.Millisecond {
+	if !inBucketOf(hs.P50, 5*time.Millisecond) {
 		t.Fatalf("p50 = %v", hs.P50)
 	}
 }

@@ -151,7 +151,8 @@ type Controller struct {
 	tightens  atomic.Uint64
 	relaxes   atomic.Uint64
 
-	window *metrics.Histogram // observed procedure latency since last tick
+	window *metrics.Histogram // observed procedure latency
+	used   metrics.Window     // window as of the last tick that consumed it
 	calm   int                // consecutive ticks below RelaxP99
 
 	rngMu sync.Mutex
@@ -322,15 +323,18 @@ func (c *Controller) Observe(d time.Duration) {
 	c.window.Observe(d)
 }
 
-// Tick runs one feedback step: read the window p99, tighten when it
-// exceeds TargetP99, relax after HoldTicks consecutive calm readings,
-// then reset the window. Call it from Start's loop or directly from
-// tests/benches for deterministic stepping.
+// Tick runs one feedback step: read the p99 of the latencies observed
+// since the last consumed window, tighten when it exceeds TargetP99,
+// relax after HoldTicks consecutive calm readings. Call it from Start's
+// loop or directly from tests/benches for deterministic stepping (one
+// goroutine at a time).
 func (c *Controller) Tick() {
 	if c == nil {
 		return
 	}
-	n := c.window.Count()
+	cur := c.window.Window()
+	win := cur.Since(&c.used)
+	n := win.Count()
 	if n < c.cfg.MinSamples {
 		// A sparse window is calm by definition: too little traffic to
 		// call the NF overloaded. This must count toward relaxing even
@@ -343,14 +347,12 @@ func (c *Controller) Tick() {
 		if c.calm >= c.cfg.HoldTicks {
 			c.relax()
 			c.calm = 0
-			if n > 0 {
-				c.window.Reset()
-			}
+			c.used = cur
 		}
 		return
 	}
-	p99 := c.window.Percentile(99)
-	c.window.Reset()
+	p99 := win.Percentile(99)
+	c.used = cur
 	switch {
 	case p99 > c.cfg.TargetP99:
 		c.calm = 0

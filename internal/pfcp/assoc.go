@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"l25gc/internal/metrics"
 	"l25gc/internal/trace"
 )
 
@@ -185,17 +184,6 @@ func (a *Association) Counters() AssocCounters {
 		PeerRestarts:  a.restarts.Load(),
 		SetupFails:    a.setupFails.Load(),
 	}
-}
-
-// ExportMetrics registers the pfcp.assoc.* gauge family.
-func (a *Association) ExportMetrics(reg *metrics.Registry, prefix string) {
-	reg.RegisterGauge(prefix+".state", func() uint64 { return uint64(a.State()) })
-	reg.RegisterGauge(prefix+".heartbeat.ok", a.heartbeatsOK.Load)
-	reg.RegisterGauge(prefix+".heartbeat.miss", a.heartbeatsMiss.Load)
-	reg.RegisterGauge(prefix+".down.total", a.downs.Load)
-	reg.RegisterGauge(prefix+".up.total", a.ups.Load)
-	reg.RegisterGauge(prefix+".peer.restarts", a.restarts.Load)
-	reg.RegisterGauge(prefix+".setup.fail", a.setupFails.Load)
 }
 
 // Tick advances the state machine one step: Up → one heartbeat exchange;

@@ -10,6 +10,7 @@ package pktbuf
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 
 	"l25gc/internal/ring"
@@ -211,8 +212,16 @@ func (p *Pool) Get() (*Buf, error) {
 
 func (p *Pool) put(b *Buf) {
 	p.puts.Add(1)
-	if !p.free.Enqueue(b) {
-		panic("pktbuf: free ring overflow (foreign buffer?)")
+	for !p.free.Enqueue(b) {
+		// The ring also reports full while a Get that already claimed the
+		// slot at tail (head advanced) has not yet marked it free. Every
+		// legitimate put follows such a Get, so the ring then holds fewer
+		// than Cap elements and the slot frees within a few instructions;
+		// a ring holding Cap elements is a buffer released once too often.
+		if p.free.Len() >= p.free.Cap() {
+			panic("pktbuf: free ring overflow (foreign buffer?)")
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -147,6 +147,22 @@ func TestDoubleReleasePanics(t *testing.T) {
 	b.Release()
 }
 
+// A buffer that re-enters a free ring already holding every buffer is a
+// genuine over-release and must still panic (put only retries while the
+// ring is short of capacity).
+func TestOverReleasePanics(t *testing.T) {
+	p := NewPool(2, "t")
+	b, _ := p.Get()
+	b.Release()
+	b.Retain() // forge a reference on a free buffer
+	defer func() {
+		if recover() == nil {
+			t.Fatal("release into a full free ring should panic")
+		}
+	}()
+	b.Release()
+}
+
 func TestMetaResetOnGet(t *testing.T) {
 	p := NewPool(1, "t")
 	b, _ := p.Get()

@@ -87,9 +87,7 @@ func NewGNB(id uint32, addr pkt.Addr, n2Addr string, dp DataPlane) (*GNB, error)
 		conn.Close()
 		return nil, err
 	}
-	select {
-	case <-g.setupDone:
-	case <-time.After(3 * time.Second):
+	if !await(g.setupDone, 3*time.Second) {
 		conn.Close()
 		return nil, fmt.Errorf("ranue: NG setup timed out")
 	}

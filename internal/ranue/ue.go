@@ -109,8 +109,23 @@ func (u *UE) deliverData(ipPkt []byte) {
 	}
 }
 
+// await waits up to d for a value on ch. The timer is stopped on return:
+// under go 1.22 an un-stopped time.After timer stays on the heap until it
+// fires, and a churning UE population parks seconds' worth of them.
+func await[T any](ch <-chan T, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-t.C:
+		return false
+	}
+}
+
 func (u *UE) waitNAS(want nas.MsgType) (nas.Message, error) {
-	deadline := time.After(ueTimeout)
+	deadline := time.NewTimer(ueTimeout)
+	defer deadline.Stop()
 	for {
 		select {
 		case m := <-u.nasIn:
@@ -124,7 +139,7 @@ func (u *UE) waitNAS(want nas.MsgType) (nas.Message, error) {
 			}
 			// Out-of-order NAS for this simple UE is a protocol error.
 			return nil, fmt.Errorf("ranue: expected NAS %d, got %d", want, m.NASType())
-		case <-deadline:
+		case <-deadline.C:
 			return nil, fmt.Errorf("ranue: timed out waiting for NAS %d", want)
 		}
 	}
@@ -260,9 +275,7 @@ func (u *UE) GoIdle() error {
 	}); err != nil {
 		return err
 	}
-	select {
-	case <-u.releaseIn:
-	case <-time.After(ueTimeout):
+	if !await(u.releaseIn, ueTimeout) {
 		return fmt.Errorf("ranue: release timed out")
 	}
 	u.mu.Lock()
@@ -276,9 +289,7 @@ func (u *UE) GoIdle() error {
 // the service-request procedure (idle->active). It returns the paging
 // event time: from paging reception to the session being active again.
 func (u *UE) AwaitPagingAndReconnect(timeout time.Duration) (time.Duration, error) {
-	select {
-	case <-u.pagingIn:
-	case <-time.After(timeout):
+	if !await(u.pagingIn, timeout) {
 		return 0, fmt.Errorf("ranue: no paging within %v", timeout)
 	}
 	start := time.Now()
@@ -321,9 +332,7 @@ func (u *UE) Handover(target *GNB) (time.Duration, error) {
 	}); err != nil {
 		return 0, err
 	}
-	select {
-	case <-u.hoCmdIn:
-	case <-time.After(ueTimeout):
+	if !await(u.hoCmdIn, ueTimeout) {
 		return 0, fmt.Errorf("ranue: handover command timed out")
 	}
 	// UE detaches from the source cell and synchronizes with the target
@@ -340,9 +349,7 @@ func (u *UE) Handover(target *GNB) (time.Duration, error) {
 	src.uncamp(u)
 	// The handover is complete for the UE once the source context is
 	// released — which the AMF orders only after the UPF path switch.
-	select {
-	case <-u.releaseIn:
-	case <-time.After(ueTimeout):
+	if !await(u.releaseIn, ueTimeout) {
 		return 0, fmt.Errorf("ranue: source release timed out")
 	}
 	u.Times.Handover = time.Since(start)
@@ -363,9 +370,7 @@ func (u *UE) Deregister() error {
 	if err := g.conn.Send(&ngap.UplinkNASTransport{RanUeID: at.ranUeID, AmfUeID: at.amfUeID, NasPdu: pdu}); err != nil {
 		return err
 	}
-	select {
-	case <-u.releaseIn:
-	case <-time.After(ueTimeout):
+	if !await(u.releaseIn, ueTimeout) {
 		return fmt.Errorf("ranue: deregistration release timed out")
 	}
 	g.uncamp(u)

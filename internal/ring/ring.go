@@ -1,5 +1,5 @@
-// Package ring provides lock-free single-producer/single-consumer and
-// multi-producer/single-consumer descriptor rings.
+// Package ring provides lock-free multi-producer descriptor rings: MPSC
+// (one consumer), MPMC, and Sharded (MPSC shards with per-key FIFO).
 //
 // These rings are the core primitive of the shared-memory NFV platform
 // (internal/onvm): every network function owns an Rx ring and a Tx ring, and
@@ -19,25 +19,6 @@ import (
 // between the producer and consumer cursors.
 type pad [64]byte
 
-// SPSC is a bounded lock-free single-producer single-consumer ring.
-//
-// The zero value is not usable; construct with NewSPSC. Exactly one goroutine
-// may call Enqueue/EnqueueBulk and exactly one may call Dequeue/DequeueBulk.
-type SPSC[T any] struct {
-	mask uint64
-	buf  []slot[T]
-
-	_    pad
-	head atomic.Uint64 // next index to dequeue (consumer-owned)
-	_    pad
-	tail atomic.Uint64 // next index to enqueue (producer-owned)
-	_    pad
-}
-
-type slot[T any] struct {
-	v T
-}
-
 // ceilPow2 returns the smallest power of two >= n (and >= 2).
 func ceilPow2(n int) uint64 {
 	c := uint64(2)
@@ -45,85 +26,6 @@ func ceilPow2(n int) uint64 {
 		c <<= 1
 	}
 	return c
-}
-
-// NewSPSC returns an SPSC ring holding at least capacity elements.
-func NewSPSC[T any](capacity int) *SPSC[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c := ceilPow2(capacity)
-	return &SPSC[T]{mask: c - 1, buf: make([]slot[T], c)}
-}
-
-// Cap returns the ring capacity.
-func (r *SPSC[T]) Cap() int { return len(r.buf) }
-
-// Len returns the number of queued elements. It is approximate when called
-// concurrently with Enqueue/Dequeue but exact when the ring is quiescent.
-func (r *SPSC[T]) Len() int {
-	return int(r.tail.Load() - r.head.Load())
-}
-
-// Enqueue adds v to the ring. It returns false if the ring is full.
-func (r *SPSC[T]) Enqueue(v T) bool {
-	t := r.tail.Load()
-	h := r.head.Load()
-	if t-h >= uint64(len(r.buf)) {
-		return false
-	}
-	r.buf[t&r.mask].v = v
-	r.tail.Store(t + 1)
-	return true
-}
-
-// EnqueueBulk adds as many elements of vs as fit, returning the count added.
-func (r *SPSC[T]) EnqueueBulk(vs []T) int {
-	t := r.tail.Load()
-	h := r.head.Load()
-	free := uint64(len(r.buf)) - (t - h)
-	n := uint64(len(vs))
-	if n > free {
-		n = free
-	}
-	for i := uint64(0); i < n; i++ {
-		r.buf[(t+i)&r.mask].v = vs[i]
-	}
-	r.tail.Store(t + n)
-	return int(n)
-}
-
-// Dequeue removes and returns the oldest element. ok is false when empty.
-func (r *SPSC[T]) Dequeue() (v T, ok bool) {
-	h := r.head.Load()
-	t := r.tail.Load()
-	if h == t {
-		return v, false
-	}
-	v = r.buf[h&r.mask].v
-	var zero T
-	r.buf[h&r.mask].v = zero // release reference for GC
-	r.head.Store(h + 1)
-	return v, true
-}
-
-// DequeueBulk removes up to len(out) elements into out, returning the count.
-func (r *SPSC[T]) DequeueBulk(out []T) int {
-	h := r.head.Load()
-	t := r.tail.Load()
-	avail := t - h
-	n := uint64(len(out))
-	if n > avail {
-		n = avail
-	}
-	var zero T
-	for i := uint64(0); i < n; i++ {
-		idx := (h + i) & r.mask
-		out[i] = r.buf[idx].v
-		r.buf[idx].v = zero
-	}
-	r.head.Store(h + n)
-	return int(n)
 }
 
 // MPSC is a bounded lock-free multi-producer single-consumer ring.

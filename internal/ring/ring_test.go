@@ -1,113 +1,19 @@
 package ring
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func TestSPSCBasic(t *testing.T) {
-	r := NewSPSC[int](4)
-	if r.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", r.Cap())
-	}
-	if _, ok := r.Dequeue(); ok {
-		t.Fatal("Dequeue on empty ring should fail")
-	}
-	for i := 0; i < 4; i++ {
-		if !r.Enqueue(i) {
-			t.Fatalf("Enqueue(%d) failed on non-full ring", i)
-		}
-	}
-	if r.Enqueue(99) {
-		t.Fatal("Enqueue on full ring should fail")
-	}
-	for i := 0; i < 4; i++ {
-		v, ok := r.Dequeue()
-		if !ok || v != i {
-			t.Fatalf("Dequeue = %d,%v, want %d,true", v, ok, i)
-		}
-	}
-}
-
-func TestSPSCCapacityRounding(t *testing.T) {
+func TestCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 2}, {1, 2}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {1000, 1024},
 	} {
-		if got := NewSPSC[int](tc.in).Cap(); got != tc.want {
-			t.Errorf("NewSPSC(%d).Cap() = %d, want %d", tc.in, got, tc.want)
+		if got := NewMPSC[int](tc.in).Cap(); got != tc.want {
+			t.Errorf("NewMPSC(%d).Cap() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-}
-
-func TestSPSCWraparound(t *testing.T) {
-	r := NewSPSC[int](4)
-	for lap := 0; lap < 100; lap++ {
-		for i := 0; i < 3; i++ {
-			if !r.Enqueue(lap*10 + i) {
-				t.Fatalf("lap %d: enqueue failed", lap)
-			}
-		}
-		for i := 0; i < 3; i++ {
-			v, ok := r.Dequeue()
-			if !ok || v != lap*10+i {
-				t.Fatalf("lap %d: got %d,%v want %d", lap, v, ok, lap*10+i)
-			}
-		}
-	}
-}
-
-func TestSPSCBulk(t *testing.T) {
-	r := NewSPSC[int](8)
-	in := []int{1, 2, 3, 4, 5}
-	if n := r.EnqueueBulk(in); n != 5 {
-		t.Fatalf("EnqueueBulk = %d, want 5", n)
-	}
-	if n := r.EnqueueBulk([]int{6, 7, 8, 9}); n != 3 {
-		t.Fatalf("EnqueueBulk on nearly-full ring = %d, want 3", n)
-	}
-	out := make([]int, 16)
-	if n := r.DequeueBulk(out); n != 8 {
-		t.Fatalf("DequeueBulk = %d, want 8", n)
-	}
-	want := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	for i, w := range want {
-		if out[i] != w {
-			t.Fatalf("out[%d] = %d, want %d", i, out[i], w)
-		}
-	}
-}
-
-func TestSPSCConcurrentOrder(t *testing.T) {
-	const n = 20000
-	r := NewSPSC[int](256)
-	done := make(chan error, 1)
-	go func() {
-		next := 0
-		for next < n {
-			if v, ok := r.Dequeue(); ok {
-				if v != next {
-					done <- errf("got %d want %d", v, next)
-					return
-				}
-				next++
-			}
-		}
-		done <- nil
-	}()
-	for i := 0; i < n; {
-		if r.Enqueue(i) {
-			i++
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func errf(format string, args ...any) error {
-	return fmt.Errorf(format, args...)
 }
 
 func TestMPSCBasic(t *testing.T) {
@@ -188,32 +94,6 @@ func TestMPSCManyProducers(t *testing.T) {
 	}
 }
 
-// Property: any sequence of enqueues followed by dequeues is FIFO and
-// conserves elements, for arbitrary capacities and inputs.
-func TestSPSCFIFOProperty(t *testing.T) {
-	f := func(capRaw uint8, vals []int32) bool {
-		capacity := int(capRaw%64) + 1
-		r := NewSPSC[int32](capacity)
-		accepted := make([]int32, 0, len(vals))
-		for _, v := range vals {
-			if r.Enqueue(v) {
-				accepted = append(accepted, v)
-			}
-		}
-		for _, want := range accepted {
-			got, ok := r.Dequeue()
-			if !ok || got != want {
-				return false
-			}
-		}
-		_, ok := r.Dequeue()
-		return !ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMPSCFIFOProperty(t *testing.T) {
 	f := func(capRaw uint8, vals []int32) bool {
 		capacity := int(capRaw%64) + 1
@@ -235,15 +115,6 @@ func TestMPSCFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkSPSCEnqueueDequeue(b *testing.B) {
-	r := NewSPSC[int](1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Enqueue(i)
-		r.Dequeue()
 	}
 }
 

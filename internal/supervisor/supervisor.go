@@ -107,7 +107,8 @@ type UnitConfig struct {
 type RecoveryStats struct {
 	Gen      int           // generation that was promoted
 	Detect   time.Duration // probe start -> failure declared
-	Downtime time.Duration // Detect + promote + replay
+	Restore  time.Duration // promote + replay: checkpoint restored, log tail re-applied
+	Downtime time.Duration // Detect + Restore + standby resync (ingress is held until re-protected)
 	Replayed int           // messages replayed from the log
 	Errors   int           // replay deliveries that returned errors
 }
@@ -572,6 +573,7 @@ func (u *Unit) failover(detect time.Duration) {
 	}
 	replaySpan.Attr("messages", strconv.Itoa(len(replay)))
 	replaySpan.End()
+	restore := u.sup.clock() - start
 
 	// Swap: the standby is the new active.
 	retired := u.active
@@ -605,7 +607,7 @@ func (u *Unit) failover(detect time.Duration) {
 	}
 
 	stats := RecoveryStats{
-		Gen: u.gen, Detect: detect, Downtime: downtime,
+		Gen: u.gen, Detect: detect, Restore: restore, Downtime: downtime,
 		Replayed: len(replay), Errors: replayErrs,
 	}
 	u.lastMu.Lock()
@@ -613,10 +615,11 @@ func (u *Unit) failover(detect time.Duration) {
 	u.lastMu.Unlock()
 	u.detectHist.Observe(detect)
 	u.downtimeHist.Observe(downtime)
-	u.recoveries.Add(1)
 	if u.sup.onRecovery != nil {
 		u.sup.onRecovery(u.cfg.Name, stats)
 	}
+	// Counted last: AwaitRecovery returning means the hook has run too.
+	u.recoveries.Add(1)
 
 	root.Attr("promoted", u.cfg.Name+".g"+strconv.Itoa(u.gen))
 	root.End()

@@ -10,11 +10,13 @@ import (
 	"l25gc/internal/metrics"
 )
 
-// Sample is one time-series point: every registered registry metric,
-// the runtime resource levels, and the windowed per-stage quantiles from
-// the watched sketches, flattened into one name→value map. Histogram
-// and sketch readings use derived suffixes (".count", ".p50_us",
-// ".p99_us", ".mean_us") on their registered base names.
+// Sample is one time-series point: every registered registry counter,
+// the runtime resource levels, and every registered histogram (the
+// watched stages among them), flattened into one name→value map.
+// Histogram readings use derived suffixes (".count", ".p50_us",
+// ".p99_us", ".mean_us") on their registered base names and describe the
+// window since the previous sample; a histogram nothing was observed on
+// in that window is left out.
 type Sample struct {
 	Seq    uint64             `json:"seq"`
 	At     time.Duration      `json:"atNs"`
@@ -38,11 +40,6 @@ type SamplerConfig struct {
 	Registry *metrics.Registry
 }
 
-// derivedSuffixes are the suffixes the sampler appends to registered
-// histogram/sketch base names; the name-hygiene test strips them before
-// checking sampled keys against the LintNames table.
-var derivedSuffixes = []string{".count", ".p50_us", ".p99_us", ".mean_us"}
-
 // Built-in runtime probe names (registered in metrics.LintNames under
 // "telemetry.*").
 const (
@@ -53,29 +50,27 @@ const (
 	stagePrefix   = "telemetry.stage."
 )
 
-// Sampler periodically snapshots the registry, the Go runtime, and the
-// watched stage sketches into an append-only ring of samples. It runs
+// Sampler periodically snapshots the registry and the Go runtime into an
+// append-only ring of samples. It runs
 // one goroutine (only when Interval > 0) that stops with Stop — the
 // core registers Stop in its closers, so the sampler never outlives the
 // unit it observes.
 type Sampler struct {
-	cfg      SamplerConfig
-	clock    func() time.Duration
-	sketches map[string]*Sketch // watched stage name -> sketch (read-only)
+	cfg   SamplerConfig
+	clock func() time.Duration
 
 	mu   sync.Mutex
 	ring []Sample
 	seq  uint64
-	prev map[string]*SketchCounts // per-stage window baselines
+	prev map[string]*metrics.Window // per-histogram window baselines
 
 	loopMu sync.Mutex
 	stop   chan struct{}
 	done   chan struct{}
 }
 
-// NewSampler creates a sampler; sketches maps watched stage names to
-// the sketches the span observer feeds (nil is fine).
-func NewSampler(cfg SamplerConfig, sketches map[string]*Sketch) *Sampler {
+// NewSampler creates a sampler.
+func NewSampler(cfg SamplerConfig) *Sampler {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 4096
 	}
@@ -85,10 +80,9 @@ func NewSampler(cfg SamplerConfig, sketches map[string]*Sketch) *Sampler {
 		clock = func() time.Duration { return time.Since(base) }
 	}
 	return &Sampler{
-		cfg:      cfg,
-		clock:    clock,
-		sketches: sketches,
-		prev:     make(map[string]*SketchCounts),
+		cfg:   cfg,
+		clock: clock,
+		prev:  make(map[string]*metrics.Window),
 	}
 }
 
@@ -107,37 +101,28 @@ func (s *Sampler) SampleNow() Sample {
 	vals[nameGCPause] = float64(ms.PauseTotalNs)
 	vals[nameGCCount] = float64(ms.NumGC)
 
-	if s.cfg.Registry != nil {
-		snap := s.cfg.Registry.Snapshot()
-		for name, v := range snap.Counters {
-			vals[name] = float64(v)
-		}
-		us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-		for name, st := range snap.Histograms {
-			vals[name+".count"] = float64(st.Count)
-			vals[name+".p50_us"] = us(st.P50)
-			vals[name+".p99_us"] = us(st.P99)
-			vals[name+".mean_us"] = us(st.Mean)
-		}
+	for name, v := range s.cfg.Registry.Snapshot().Counters {
+		vals[name] = float64(v)
 	}
 
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	s.mu.Lock()
-	for name, sk := range s.sketches {
-		cur := sk.Counts()
-		var win SketchCounts
-		if prev := s.prev[name]; prev != nil {
-			win = cur.Sub(prev)
-		} else {
-			win = cur
+	for name, h := range s.cfg.Registry.Histograms() {
+		prev := s.prev[name]
+		if prev == nil {
+			prev = new(metrics.Window)
+			s.prev[name] = prev
 		}
-		s.prev[name] = &cur
-		if win.Total() == 0 {
+		cur := h.Window()
+		win := cur.Since(prev)
+		*prev = cur
+		if win.Count() == 0 {
 			continue
 		}
-		base := stagePrefix + name
-		vals[base+".count"] = float64(win.Total())
-		vals[base+".p50_us"] = float64(win.Quantile(0.50)) / float64(time.Microsecond)
-		vals[base+".p99_us"] = float64(win.Quantile(0.99)) / float64(time.Microsecond)
+		vals[name+".count"] = float64(win.Count())
+		vals[name+".p50_us"] = us(win.Percentile(50))
+		vals[name+".p99_us"] = us(win.Percentile(99))
+		vals[name+".mean_us"] = us(win.Mean())
 	}
 	smp := Sample{Seq: s.seq, At: at, Values: vals}
 	s.seq++

@@ -26,7 +26,7 @@ func TestSamplerSnapshotsRegistryAndRuntime(t *testing.T) {
 	reg.Counter("sbi.requests").Add(7)
 	reg.Histogram("paging.latency").Observe(3 * time.Millisecond)
 	clk := &testClock{now: 5 * time.Second}
-	s := NewSampler(SamplerConfig{Clock: clk.fn(), Registry: reg}, nil)
+	s := NewSampler(SamplerConfig{Clock: clk.fn(), Registry: reg})
 	smp := s.SampleNow()
 	if smp.At != 5*time.Second {
 		t.Fatalf("sample At = %v, want injected clock value", smp.At)
@@ -49,9 +49,10 @@ func TestSamplerSnapshotsRegistryAndRuntime(t *testing.T) {
 // recorded between them.
 func TestSamplerStageWindows(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	sk := &Sketch{}
+	reg := metrics.NewRegistry()
+	sk := reg.Histogram(stagePrefix + "onvm.deliver")
 	clk := &testClock{}
-	s := NewSampler(SamplerConfig{Clock: clk.fn()}, map[string]*Sketch{"onvm.deliver": sk})
+	s := NewSampler(SamplerConfig{Clock: clk.fn(), Registry: reg})
 	sk.Observe(time.Millisecond)
 	sk.Observe(time.Millisecond)
 	s1 := s.SampleNow()
@@ -76,7 +77,7 @@ func TestSamplerStageWindows(t *testing.T) {
 func TestSamplerRingBound(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	clk := &testClock{}
-	s := NewSampler(SamplerConfig{Capacity: 4, Clock: clk.fn()}, nil)
+	s := NewSampler(SamplerConfig{Capacity: 4, Clock: clk.fn()})
 	for i := 0; i < 10; i++ {
 		clk.now = time.Duration(i) * time.Second
 		s.SampleNow()
@@ -104,7 +105,7 @@ func TestSamplerWriteJSONL(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("sbi.requests").Add(3)
 	clk := &testClock{}
-	s := NewSampler(SamplerConfig{Clock: clk.fn(), Registry: reg}, nil)
+	s := NewSampler(SamplerConfig{Clock: clk.fn(), Registry: reg})
 	s.SampleNow()
 	clk.now = time.Second
 	s.SampleNow()
@@ -139,7 +140,7 @@ func TestSamplerWriteJSONL(t *testing.T) {
 // the leak check (first line) is the real assertion here.
 func TestSamplerPeriodicStartStop(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	s := NewSampler(SamplerConfig{Interval: time.Millisecond}, nil)
+	s := NewSampler(SamplerConfig{Interval: time.Millisecond})
 	s.Start()
 	s.Start() // idempotent
 	deadline := time.Now().Add(2 * time.Second)
@@ -167,13 +168,12 @@ func BenchmarkSampleNow(b *testing.B) {
 			h.Observe(time.Duration(j) * time.Microsecond)
 		}
 	}
-	sk := &Sketch{}
+	sk := reg.Histogram(stagePrefix + "onvm.deliver")
 	for i := 0; i < 4096; i++ {
 		sk.Observe(time.Duration(i))
 	}
 	clk := &testClock{}
-	s := NewSampler(SamplerConfig{Clock: clk.fn(), Registry: reg},
-		map[string]*Sketch{"onvm.deliver": sk})
+	s := NewSampler(SamplerConfig{Clock: clk.fn(), Registry: reg})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

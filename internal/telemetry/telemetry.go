@@ -1,8 +1,8 @@
 // Package telemetry is the continuous observability pipeline over the
 // single-point-in-time surfaces the tree already has: a time-series
 // sampler that snapshots metrics.Registry and the Go runtime into an
-// append-only ring (JSONL export), streaming quantile sketches over
-// watched trace stages, and an always-on flight recorder — a fixed-size
+// append-only ring (JSONL export), latency histograms over watched
+// trace stages, and an always-on flight recorder — a fixed-size
 // lock-free ring of recent spans and fault/overload/failover events,
 // dumped automatically when the supervisor promotes a replica or the
 // overload layer enters recovery mode, and on demand.
@@ -33,9 +33,9 @@ type Config struct {
 	SampleCapacity int
 	// FlightCapacity bounds the flight-recorder ring (default 4096).
 	FlightCapacity int
-	// WatchStages lists span names to run through streaming quantile
-	// sketches; each produces "telemetry.stage.<name>.{count,p50_us,p99_us}"
-	// series in the samples.
+	// WatchStages lists span names to observe into histograms registered
+	// as "telemetry.stage.<name>"; each shows up in the samples like any
+	// other registered histogram.
 	WatchStages []string
 	// Clock stamps samples and dumps; nil anchors a monotonic clock at
 	// construction. Inject the trace clock so all three timelines agree.
@@ -52,11 +52,11 @@ type Config struct {
 // triggers. A nil *Pipeline is a valid disabled pipeline at every
 // method, matching the registry/tracer idiom.
 type Pipeline struct {
-	cfg      Config
-	clock    func() time.Duration
-	Flight   *FlightRecorder
-	Sampler  *Sampler
-	sketches map[string]*Sketch
+	cfg     Config
+	clock   func() time.Duration
+	Flight  *FlightRecorder
+	Sampler *Sampler
+	stages  map[string]*metrics.Histogram // watched span name -> durations
 
 	tracer atomic.Pointer[trace.Tracer]
 	dumps  atomic.Uint64
@@ -77,26 +77,27 @@ func New(cfg Config) *Pipeline {
 		clock = func() time.Duration { return time.Since(base) }
 	}
 	p := &Pipeline{
-		cfg:      cfg,
-		clock:    clock,
-		Flight:   NewFlightRecorder(cfg.FlightCapacity),
-		sketches: make(map[string]*Sketch, len(cfg.WatchStages)),
+		cfg:    cfg,
+		clock:  clock,
+		Flight: NewFlightRecorder(cfg.FlightCapacity),
+		stages: make(map[string]*metrics.Histogram, len(cfg.WatchStages)),
 	}
 	for _, name := range cfg.WatchStages {
-		p.sketches[name] = &Sketch{}
+		p.stages[name] = metrics.NewHistogram()
 	}
 	p.Sampler = NewSampler(SamplerConfig{
 		Interval: cfg.SampleInterval,
 		Capacity: cfg.SampleCapacity,
 		Clock:    clock,
-	}, p.sketches)
+	})
 	return p
 }
 
 // Bind attaches the pipeline: it becomes tr's span observer (spans and
-// events stream into the flight ring and the watched sketches) and reg
-// becomes the sampler's snapshot source. The dump counter registers as
-// a gauge so dumps show up in the sample series themselves.
+// events stream into the flight ring and the watched-stage histograms)
+// and reg becomes the sampler's snapshot source — a private registry
+// when the unit runs without one. The stage histograms and the dump
+// counter register there, so both show up in the sample series.
 func (p *Pipeline) Bind(tr *trace.Tracer, reg *metrics.Registry) {
 	if p == nil {
 		return
@@ -105,10 +106,14 @@ func (p *Pipeline) Bind(tr *trace.Tracer, reg *metrics.Registry) {
 		p.tracer.Store(tr)
 		tr.SetObserver(p)
 	}
-	if reg != nil {
-		p.Sampler.cfg.Registry = reg
-		reg.RegisterGauge("telemetry.dumps", p.dumps.Load)
-		reg.RegisterGauge("telemetry.flight_recorded", p.Flight.Recorded)
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	p.Sampler.cfg.Registry = reg
+	reg.RegisterGauge("telemetry.dumps", p.dumps.Load)
+	reg.RegisterGauge("telemetry.flight_recorded", p.Flight.Recorded)
+	for name, h := range p.stages {
+		reg.RegisterHistogram(stagePrefix+name, h)
 	}
 }
 
@@ -134,12 +139,12 @@ func (p *Pipeline) Stop() {
 }
 
 // ObserveSpan implements trace.SpanObserver: every closed span lands in
-// the flight ring, and watched stages feed their quantile sketch.
+// the flight ring, and watched stages feed their histogram.
 // Allocation-free.
 func (p *Pipeline) ObserveSpan(track, name string, start, end time.Duration) {
 	p.Flight.RecordSpan(track, name, start, end)
-	if sk := p.sketches[name]; sk != nil {
-		sk.Observe(end - start)
+	if h := p.stages[name]; h != nil {
+		h.Observe(end - start)
 	}
 }
 

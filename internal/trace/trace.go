@@ -89,6 +89,7 @@ type Tracer struct {
 	obs atomic.Pointer[observerBox]
 
 	mu     sync.Mutex
+	gen    uint32 // bumped by Reset; a Span from an older generation is inert
 	spans  []spanRec
 	events []eventRec
 }
@@ -152,7 +153,8 @@ func (t *Tracer) observer() SpanObserver {
 // tracer can close spans without ever storing a record.
 type Span struct {
 	t     *Tracer
-	idx   int32 // index into t.spans; -1 on a streaming tracer
+	idx   int32  // index into t.spans; -1 on a streaming tracer
+	gen   uint32 // tracer generation idx belongs to
 	track string
 	name  string
 	start time.Duration
@@ -160,22 +162,35 @@ type Span struct {
 
 // Start opens a root span on track. Nil-safe.
 func (t *Tracer) Start(track, name string) Span {
-	return t.startSpan(track, name, -1)
+	return t.startSpan(track, name, Span{idx: -1})
 }
 
-func (t *Tracer) startSpan(track, name string, parent int32) Span {
+func (t *Tracer) startSpan(track, name string, parent Span) Span {
 	if t == nil {
 		return Span{}
 	}
 	now := t.clock()
-	idx := int32(-1)
+	s := Span{t: t, idx: -1, track: track, name: name, start: now}
 	if !t.streaming {
 		t.mu.Lock()
-		idx = int32(len(t.spans))
-		t.spans = append(t.spans, spanRec{track: track, name: name, parent: parent, start: now})
+		if parent.idx >= 0 && parent.gen != t.gen {
+			parent.idx = -1 // parent record was discarded by Reset
+		}
+		s.idx, s.gen = int32(len(t.spans)), t.gen
+		t.spans = append(t.spans, spanRec{track: track, name: name, parent: parent.idx, start: now})
 		t.mu.Unlock()
 	}
-	return Span{t: t, idx: idx, track: track, name: name, start: now}
+	return s
+}
+
+// rec returns the span's retained record, or nil when the tracer was
+// Reset since the span started (the index now belongs to nothing, or to
+// an unrelated span). Caller holds t.mu.
+func (s Span) rec() *spanRec {
+	if s.gen != s.t.gen {
+		return nil
+	}
+	return &s.t.spans[s.idx]
 }
 
 // Event records an instant event on track. Attrs are key/value pairs
@@ -206,7 +221,7 @@ func (s Span) Child(name string) Span {
 	if s.t == nil {
 		return Span{}
 	}
-	return s.t.startSpan(s.track, name, s.idx)
+	return s.t.startSpan(s.track, name, s)
 }
 
 // End closes the span at the current clock reading.
@@ -217,8 +232,8 @@ func (s Span) End() {
 	now := s.t.clock()
 	if s.idx >= 0 {
 		s.t.mu.Lock()
-		rec := &s.t.spans[s.idx]
-		if rec.done {
+		rec := s.rec()
+		if rec == nil || rec.done {
 			s.t.mu.Unlock()
 			return
 		}
@@ -239,8 +254,8 @@ func (s Span) Attr(k, v string) {
 		return
 	}
 	s.t.mu.Lock()
-	rec := &s.t.spans[s.idx]
-	if rec.nattrs < maxAttrs {
+	rec := s.rec()
+	if rec != nil && rec.nattrs < maxAttrs {
 		rec.attrs[rec.nattrs] = attr{k: k, v: v}
 		rec.nattrs++
 	}
@@ -310,12 +325,14 @@ func (t *Tracer) SpanCount() int {
 	return len(t.spans)
 }
 
-// Reset discards all recorded spans and events, keeping capacity.
+// Reset discards all recorded spans and events, keeping capacity. Spans
+// still open across the call become inert: their End and Attr do nothing.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	t.gen++
 	t.spans = t.spans[:0]
 	t.events = t.events[:0]
 	t.mu.Unlock()

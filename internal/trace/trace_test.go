@@ -300,6 +300,36 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// A span left open across Reset must not touch the truncated (or since
+// refilled) record slice: End/Attr/Child on it are inert and the tracer
+// stays usable.
+func TestResetWithOpenSpan(t *testing.T) {
+	tr := New()
+	old := tr.Start("t", "old")
+	tr.Reset()
+	old.Attr("k", "v") // index out of range at the parent commit
+	old.End()
+
+	fresh := tr.Start("t", "fresh") // reuses index 0
+	old.Attr("k", "v")
+	old.End()
+	orphan := old.Child("orphan")
+	orphan.End()
+	if bd := tr.Breakdown("fresh"); bd != nil {
+		t.Fatalf("stale End closed the fresh span: %+v", bd)
+	}
+	fresh.End()
+	if bd := tr.Breakdown("fresh"); bd == nil {
+		t.Fatal("fresh span not recorded after Reset")
+	}
+	if bd := tr.Breakdown("orphan"); bd == nil {
+		t.Fatal("child of a stale span must still record as a root")
+	}
+	if n := tr.SpanCount(); n != 2 {
+		t.Fatalf("SpanCount = %d, want 2 (fresh, orphan)", n)
+	}
+}
+
 // BenchmarkDisabledTrack measures the disabled-tracer fast path as the
 // instrumented hot loops see it: one atomic pointer load, a nil check, and
 // no-op span methods.

@@ -30,20 +30,18 @@ type RTTProbe struct {
 	Hist   *metrics.Histogram
 	Series *metrics.Series // RTT in milliseconds over time
 
-	next      atomic.Uint64
-	acked     atomic.Uint64
-	higher    atomic.Uint64
-	threshold time.Duration
+	next  atomic.Uint64
+	acked atomic.Uint64
 }
 
-// NewRTTProbe creates a probe; RTTs above threshold count as "packets
-// experiencing higher RTT" (the Tables 1 & 2 column).
-func NewRTTProbe(threshold time.Duration) *RTTProbe {
+// NewRTTProbe creates a probe. "Packets experiencing higher RTT" (the
+// Tables 1 & 2 column) is a question for Hist: CountAbove on the window
+// of interest.
+func NewRTTProbe() *RTTProbe {
 	return &RTTProbe{
-		sent:      make(map[uint64]time.Time),
-		Hist:      metrics.NewHistogram(),
-		Series:    metrics.NewSeries("rtt_ms"),
-		threshold: threshold,
+		sent:   make(map[uint64]time.Time),
+		Hist:   metrics.NewHistogram(),
+		Series: metrics.NewSeries("rtt_ms"),
 	}
 }
 
@@ -83,15 +81,12 @@ func (p *RTTProbe) Ack(payload []byte) (time.Duration, bool) {
 	p.Hist.Observe(rtt)
 	p.Series.Add(float64(rtt) / float64(time.Millisecond))
 	p.acked.Add(1)
-	if p.threshold > 0 && rtt > p.threshold {
-		p.higher.Add(1)
-	}
 	return rtt, true
 }
 
-// Stats reports sent/acked/higher-RTT counters.
-func (p *RTTProbe) Stats() (sent, acked, higher uint64) {
-	return p.next.Load(), p.acked.Load(), p.higher.Load()
+// Stats reports sent/acked counters.
+func (p *RTTProbe) Stats() (sent, acked uint64) {
+	return p.next.Load(), p.acked.Load()
 }
 
 // Outstanding reports stamps not yet acked (lost or still buffered).

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRTTProbeStampAck(t *testing.T) {
-	p := NewRTTProbe(10 * time.Millisecond)
+	p := NewRTTProbe()
 	payload := make([]byte, 32)
 	seq, err := p.Stamp(payload)
 	if err != nil || seq != 1 {
@@ -21,25 +21,24 @@ func TestRTTProbeStampAck(t *testing.T) {
 	if _, ok := p.Ack(payload); ok {
 		t.Fatal("duplicate ack should fail")
 	}
-	sent, acked, higher := p.Stats()
-	if sent != 1 || acked != 1 || higher != 0 {
-		t.Fatalf("stats %d/%d/%d", sent, acked, higher)
+	if sent, acked := p.Stats(); sent != 1 || acked != 1 {
+		t.Fatalf("stats %d/%d", sent, acked)
 	}
 }
 
 func TestRTTProbeHigherThreshold(t *testing.T) {
-	p := NewRTTProbe(time.Nanosecond) // everything counts as higher
+	p := NewRTTProbe()
 	payload := make([]byte, 16)
 	p.Stamp(payload)
 	time.Sleep(time.Millisecond)
 	p.Ack(payload)
-	if _, _, higher := p.Stats(); higher != 1 {
+	if higher := p.Hist.CountAbove(time.Microsecond); higher != 1 {
 		t.Fatalf("higher = %d", higher)
 	}
 }
 
 func TestRTTProbeShortPayload(t *testing.T) {
-	p := NewRTTProbe(0)
+	p := NewRTTProbe()
 	if _, err := p.Stamp(make([]byte, 8)); err != ErrShortPayload {
 		t.Fatalf("err = %v", err)
 	}
@@ -49,7 +48,7 @@ func TestRTTProbeShortPayload(t *testing.T) {
 }
 
 func TestRTTProbeOutstanding(t *testing.T) {
-	p := NewRTTProbe(0)
+	p := NewRTTProbe()
 	a, b := make([]byte, 16), make([]byte, 16)
 	p.Stamp(a)
 	p.Stamp(b)
