@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 # specific interleaving: make check CHAOS_SEEDS="12345"
 CHAOS_SEEDS ?= 1902 7 42
 
-.PHONY: all build test check bench-build lint staticcheck chaos trace-smoke recovery-smoke scale-smoke storm-smoke soak-smoke partition-smoke fuzz-smoke
+.PHONY: all build test check bench-build lint staticcheck chaos trace-smoke recovery-smoke scale-smoke fastpath-smoke storm-smoke soak-smoke partition-smoke fuzz-smoke
 
 all: build
 
@@ -36,6 +36,7 @@ check:
 		L25GC_CHAOS_SEED=$$seed $(GO) test -race -count=1 -run 'TestChaos' ./internal/faults || exit 1; \
 	done
 	$(MAKE) scale-smoke
+	$(MAKE) fastpath-smoke
 	$(MAKE) storm-smoke
 	$(MAKE) soak-smoke
 	$(MAKE) partition-smoke
@@ -151,3 +152,21 @@ scale-smoke:
 	$(GO) test -race -count=1 -run 'TestMultiWorkerUplinkPerFlowFIFO' ./internal/upf
 	$(GO) test -race -count=1 -run 'TestMultiWorkerPerFlowFIFO|TestDelayedEgressDoesNotStallOtherNFs|TestStrandedTxSweepRecovers' ./internal/onvm
 	$(GO) run ./cmd/bench5gc -exp scale
+
+# Burst fast-path gate (DESIGN §11): the allocation gates without the race
+# detector — one allocation per delivered packet end to end (the copy
+# out), none per switch hop, none in UPFU.Process, and the -benchmem rows
+# that say the same — then the bulk-ring, burst-switch and burst-UPF tests
+# three times under it: partial fits and wrap-around, four bulk producers
+# against the one consumer, a burst mixing destinations, an Rx ring
+# filling mid-burst, Stop during a burst, 10^5 lone packets against the
+# parked-flag wake-up protocol, a rollout while traffic flows, counters
+# batched but not lost, the session-buffer drain.
+fastpath-smoke:
+	$(GO) test -count=1 -run 'TestFastPathAllocs' ./internal/core
+	$(GO) test -count=1 -run 'TestHopAllocs' -bench 'BenchmarkDescriptorSwitch/tracer=off' -benchmem ./internal/onvm
+	$(GO) test -count=1 -run 'TestProcessAllocs' -bench 'BenchmarkUPFUProcess' -benchmem ./internal/upf
+	$(GO) test -race -count=3 -run 'Bulk' ./internal/ring ./internal/pktbuf
+	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestParkedFlag|TestSnapshotSeen|TestCountersBatched' ./internal/onvm
+	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSessionBurst' ./internal/upf
+	$(GO) test -race -count=3 -run 'TestSinksSwapWhileDownlinkFlows' ./internal/core

@@ -21,13 +21,10 @@ import (
 	"l25gc/internal/rules"
 )
 
-// Key is the per-packet lookup key extracted by the UPF fast path.
-type Key struct {
-	Tuple      pkt.FiveTuple
-	TOS        uint8
-	TEID       uint32
-	FromAccess bool
-}
+// Key is the per-packet lookup key extracted by the UPF fast path. It is
+// the key embedded in pkt.Parsed, so a fast path looks up with the one its
+// parse scratch already holds.
+type Key = pkt.FlowKey
 
 // Classifier finds the highest-priority (lowest precedence value) PDR
 // matching a packet.

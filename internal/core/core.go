@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"strings"
 	"sync"
@@ -191,9 +192,13 @@ type Core struct {
 	n4assoc atomic.Pointer[pfcp.Association]
 	n4smf   atomic.Pointer[smf.SMF]
 
-	mu       sync.Mutex
-	gnbSinks map[pkt.Addr]func(frame []byte)
-	n6Sink   func(ipPkt []byte)
+	// Egress sinks, read per packet without a lock: AttachGNB publishes a
+	// new copy of the gNB map (under mu, which serialises attachers),
+	// SetN6Sink swaps the pointer.
+	gnbSinks atomic.Pointer[map[pkt.Addr]func(frame []byte)]
+	n6Sink   atomic.Pointer[func(ipPkt []byte)]
+
+	mu sync.Mutex
 
 	// free5GC-mode sockets on the RAN/DN side.
 	gnbSocks map[pkt.Addr]*net.UDPConn
@@ -219,9 +224,9 @@ func New(cfg Config) (*Core, error) {
 	}
 	c := &Core{
 		cfg:      cfg,
-		gnbSinks: make(map[pkt.Addr]func([]byte)),
 		gnbSocks: make(map[pkt.Addr]*net.UDPConn),
 	}
+	c.gnbSinks.Store(&map[pkt.Addr]func([]byte){})
 	if err := c.start(); err != nil {
 		c.Stop()
 		return nil, err
@@ -713,7 +718,9 @@ func (c *Core) Supervisor() *supervisor.Supervisor { return c.sup }
 // AttachGNB registers a gNB's DL frame sink under its N3 address.
 func (c *Core) AttachGNB(addr pkt.Addr, sink func(frame []byte)) error {
 	c.mu.Lock()
-	c.gnbSinks[addr] = sink
+	sinks := maps.Clone(*c.gnbSinks.Load())
+	sinks[addr] = sink
+	c.gnbSinks.Store(&sinks)
 	c.mu.Unlock()
 	if c.cfg.Mode != ModeFree5GC {
 		return nil
@@ -787,31 +794,20 @@ func (c *Core) InjectDL(ipPkt []byte) error {
 
 // SetN6Sink installs the receiver for uplink packets leaving toward the
 // data network.
-func (c *Core) SetN6Sink(fn func(ipPkt []byte)) {
-	c.mu.Lock()
-	c.n6Sink = fn
-	c.mu.Unlock()
-}
+func (c *Core) SetN6Sink(fn func(ipPkt []byte)) { c.n6Sink.Store(&fn) }
 
 // n3Egress routes DL frames leaving the platform to the right gNB sink.
+// The copy is the one copy out: a sink owns the slice it is given.
 func (c *Core) n3Egress(frame []byte, meta pktbuf.Meta) {
-	c.mu.Lock()
-	sink := c.gnbSinks[pkt.Addr(meta.OuterIP)]
-	c.mu.Unlock()
-	if sink != nil {
-		cp := append([]byte(nil), frame...)
-		sink(cp)
+	if sink := (*c.gnbSinks.Load())[pkt.Addr(meta.OuterIP)]; sink != nil {
+		sink(append([]byte(nil), frame...))
 	}
 }
 
-// n6Egress delivers UL packets to the DN sink.
+// n6Egress delivers UL packets to the DN sink, which owns its copy.
 func (c *Core) n6Egress(frame []byte, meta pktbuf.Meta) {
-	c.mu.Lock()
-	sink := c.n6Sink
-	c.mu.Unlock()
-	if sink != nil {
-		cp := append([]byte(nil), frame...)
-		sink(cp)
+	if sink := c.n6Sink.Load(); sink != nil && *sink != nil {
+		(*sink)(append([]byte(nil), frame...))
 	}
 }
 
@@ -824,13 +820,7 @@ func (c *Core) dnReadLoop(dn *net.UDPConn) {
 		if err != nil {
 			return
 		}
-		c.mu.Lock()
-		sink := c.n6Sink
-		c.mu.Unlock()
-		if sink != nil {
-			cp := append([]byte(nil), buf[:n]...)
-			sink(cp)
-		}
+		c.n6Egress(buf[:n], pktbuf.Meta{})
 	}
 }
 

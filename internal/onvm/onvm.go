@@ -12,6 +12,13 @@
 // single drainer of the Tx rings it owns, so per-flow FIFO order is
 // preserved end-to-end while unrelated flows switch in parallel.
 //
+// Between the copy in (Inject) and the sink call out, descriptors move in
+// bursts: a burst is whatever a ring holds when its consumer looks, up to
+// drainBatch, and is never waited for. Ring operations, counters and
+// wake-ups are paid once per burst, the steering tables are an immutable
+// snapshot loaded once per burst, and nothing on that path takes a mutex
+// or allocates (DESIGN §11).
+//
 // The platform also carries the paper's deployment features: multiple
 // instances per service with canary-rollout traffic splitting (§4), RSS
 // hashing of flows across instances, and the security-domain pool prefix
@@ -19,14 +26,18 @@
 package onvm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"l25gc/internal/faults"
+	"l25gc/internal/gtp"
 	"l25gc/internal/metrics"
 	"l25gc/internal/pktbuf"
 	"l25gc/internal/ring"
@@ -39,10 +50,31 @@ type ServiceID = uint16
 // PortID identifies an external port (a "NIC" toward gNB or DN).
 type PortID = uint16
 
-// Handler processes one packet descriptor. It must either set buf.Meta and
-// return true to hand the descriptor back to the manager, or return false
-// if it took ownership (e.g. parked the buffer in a session queue).
+// BurstHandler processes one burst of descriptors, in order, on the
+// instance's own goroutine (its only caller, so a handler may keep state
+// between calls without locking). For every descriptor it either sets
+// buf.Meta and hands the descriptor back, or takes ownership of it (e.g.
+// parks the buffer in a session queue). It moves the descriptors it hands
+// back to the front of burst, keeping their order, and returns how many
+// there are.
+type BurstHandler func(burst []*pktbuf.Buf) int
+
+// Handler is a BurstHandler written for one descriptor at a time, for NFs
+// with nothing to amortise over a burst: it returns true to hand the
+// descriptor back with buf.Meta set, false if it took ownership.
 type Handler func(buf *pktbuf.Buf) bool
+
+// burst adapts h to the platform's handler type.
+func (h Handler) burst(burst []*pktbuf.Buf) int {
+	n := 0
+	for _, b := range burst {
+		if h(b) {
+			burst[n] = b
+			n++
+		}
+	}
+	return n
+}
 
 // PortSink receives frames leaving the platform via ActionToPort. The sink
 // borrows the buffer only for the duration of the call; the manager
@@ -61,27 +93,63 @@ var (
 	ErrBadPercent = errors.New("onvm: canary percent out of range")
 )
 
-// drainBatch bounds how many descriptors a worker or NF moves per wakeup.
+// drainBatch bounds a burst: how many descriptors a worker or NF takes
+// from a ring at once.
 const drainBatch = 64
 
-// txEnqueueSpins bounds how long an NF pushes back on its own full Tx ring
-// (cooperative yields, waking the home worker each spin) before counting
-// the descriptor as a tx-overflow drop.
+// txEnqueueSpins bounds how long a sender pushes back on a full Tx ring
+// without any slot coming free before it counts what is left of its burst
+// as tx-overflow drops. Each round wakes the home worker and sleeps a
+// microsecond longer than the last — about 2 ms in all, a live worker
+// empties the whole ring in a tenth of that — since a plain yield returns
+// at once when the worker runs on another thread.
 const txEnqueueSpins = 64
 
-// notifySpins bounds how often an NF retries a full work shard before
-// falling back to a bare bell ring (the worker's idle sweep then picks the
-// stranded Tx descriptors up).
-const notifySpins = 8
-
-// task is a work-shard entry: which NF's Tx ring has descriptors, an
-// inbound injection, or a fault-delayed egress frame re-entering the
-// switch on its home shard.
+// task is a work-shard entry: an inbound injection, or a fault-delayed
+// frame re-entering the switch on its flow's shard.
 type task struct {
-	nf     *Instance
-	buf    *pktbuf.Buf // inbound injection or delayed egress (nf == nil)
+	buf    *pktbuf.Buf
 	dst    ServiceID
 	egress bool // buf already passed the egress fault decision; emit it
+}
+
+// parker is the sleeping side of a ring consumer. The consumer publishes
+// that it is about to sleep, looks at its rings once more, and only then
+// blocks; a producer publishes its descriptors first and rings the bell
+// only if it then reads the flag set. Both sides use sequentially
+// consistent atomics, so either the consumer's second look sees the
+// descriptors or the producer sees the flag: no wake-up is lost, and a
+// producer feeding a running consumer does no channel operation.
+type parker struct {
+	parked atomic.Bool
+	bell   chan struct{} // capacity 1: wake-ups coalesce
+}
+
+// wake rings the bell if the consumer is parked. One of several concurrent
+// producers wins the flag and rings; the rest return.
+func (p *parker) wake() {
+	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
+		select {
+		case p.bell <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// park blocks until woken, unless pending reports work that arrived before
+// the flag went up. It returns true when stop closed instead. A bell left
+// over from an earlier round wakes the consumer once for nothing.
+func (p *parker) park(pending func() bool, stop <-chan struct{}) (stopped bool) {
+	p.parked.Store(true)
+	if !pending() {
+		select {
+		case <-p.bell:
+		case <-stop:
+			stopped = true
+		}
+	}
+	p.parked.Store(false)
+	return stopped
 }
 
 // Instance is one running NF instance attached to the platform.
@@ -93,14 +161,14 @@ type Instance struct {
 
 	// rx is multi-producer (any switch worker may deliver) and consumed
 	// only by the instance goroutine; tx is multi-producer (the instance
-	// goroutine plus Send callers such as session-buffer drains) and
+	// goroutine plus SendBurst callers such as session-buffer drains) and
 	// consumed only by the home worker.
 	rx     *ring.MPSC[*pktbuf.Buf]
-	rxBell chan struct{}
+	rxWait parker
 	tx     *ring.MPSC[*pktbuf.Buf]
 	shard  int // home worker: drains tx, preserving single-consumer order
 
-	handler Handler
+	handler BurstHandler
 	mgr     *Manager
 	stop    chan struct{}
 	done    chan struct{}
@@ -120,65 +188,70 @@ func (i *Instance) Stats() (rx, tx uint64) { return i.rxCount.Load(), i.txCount.
 // stayed full through the enqueue backoff window.
 func (i *Instance) TxDrops() uint64 { return i.txDrops.Load() }
 
-// enqueueTx places a processed descriptor on the instance's Tx ring,
-// yielding (and waking the home worker so it can drain) while the ring is
-// full. Returns false — after counting a tx-overflow drop — when the ring
-// stayed full through the backoff window; the caller still owns the buffer.
-func (i *Instance) enqueueTx(buf *pktbuf.Buf) bool {
-	if i.tx.Enqueue(buf) {
-		i.txCount.Add(1)
-		return true
-	}
-	for s := 0; s < txEnqueueSpins; s++ {
+// transmit places a burst of processed descriptors on the instance's Tx
+// ring in order and wakes the home worker once. While the ring is full it
+// backs off (waking the home worker so it can drain); when no slot came
+// free through the whole backoff window, what is left of the burst is
+// counted as tx-overflow drops. It returns how many descriptors went out:
+// the caller still owns burst[sent:].
+func (i *Instance) transmit(burst []*pktbuf.Buf) (sent int) {
+	for spins := 0; ; spins++ {
+		if k := i.tx.EnqueueBulk(burst[sent:]); k > 0 {
+			sent += k
+			spins = 0
+		}
+		if sent == len(burst) {
+			break
+		}
+		if spins >= txEnqueueSpins {
+			left := uint64(len(burst) - sent)
+			i.txDrops.Add(left)
+			i.mgr.txDrops.Add(left)
+			break
+		}
 		i.mgr.wake(i.shard)
-		runtime.Gosched()
-		if i.tx.Enqueue(buf) {
-			i.txCount.Add(1)
-			return true
-		}
+		time.Sleep(time.Duration(spins+1) * time.Microsecond)
 	}
-	i.txDrops.Add(1)
-	i.mgr.txDrops.Add(1)
-	return false
+	if sent > 0 {
+		i.txCount.Add(uint64(sent))
+		// The home worker looks at the Tx rings it owns every time round
+		// its loop and before it parks, so a wake-up is all it needs.
+		i.mgr.wake(i.shard)
+	}
+	return sent
 }
 
-// notifyHome tells the home worker this instance's Tx ring has work. A full
-// work shard can only mean the worker has a backlog, so after bounded
-// retries the instance falls back to a bare bell ring: the worker always
-// sweeps owned Tx rings before going idle, so the wakeup is never lost.
-func (i *Instance) notifyHome() {
-	for s := 0; ; s++ {
-		err := i.mgr.notify(task{nf: i})
-		if err != ErrRingFull || s >= notifySpins {
-			if err == ErrRingFull {
-				i.mgr.wake(i.shard)
-			}
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// Send hands a descriptor from the NF back to the manager via its Tx ring
-// (used by handlers that emit extra packets, e.g. draining a session
-// buffer after handover). The caller keeps ownership on error.
-func (i *Instance) Send(buf *pktbuf.Buf) error {
+// SendBurst hands descriptors from the NF back to the manager via its Tx
+// ring, in order (used by handlers that emit packets outside their burst,
+// e.g. draining a session buffer after handover). It returns how many were
+// accepted; the caller keeps ownership of burst[sent:], which the manager
+// has already counted as tx drops unless it is stopped.
+func (i *Instance) SendBurst(burst []*pktbuf.Buf) (sent int) {
 	if i.mgr.stopped.Load() {
-		return ErrStopped
+		return 0
 	}
-	if !i.enqueueTx(buf) {
-		return ErrRingFull
-	}
-	i.notifyHome()
-	return nil
+	return i.transmit(burst)
 }
 
 // serviceEntry groups the instances of one service with canary weights.
+// Entries are immutable once published in a tables snapshot.
 type serviceEntry struct {
 	instances []*Instance
 	// canaryPercent is the share of traffic (0-100) steered to the newest
 	// instance; the remainder goes to the oldest (stable) instance.
 	canaryPercent int
+}
+
+// tables is one immutable snapshot of everything the packet path looks up:
+// Register, RegisterPort, BindPortNF and SetCanary build a new one under
+// Manager.mu and publish it; the packet path loads the pointer once per
+// burst and never locks.
+type tables struct {
+	services  map[ServiceID]*serviceEntry
+	ports     map[PortID]PortSink
+	portNF    map[PortID]ServiceID // inbound steering: port -> first NF
+	instances []*Instance          // registration order
+	homed     [][]*Instance        // per worker: the instances whose Tx ring it drains
 }
 
 // injConf groups a fault injector with its point names, swapped in
@@ -189,16 +262,36 @@ type injConf struct {
 	egress  faults.Point
 }
 
+// stage collects the descriptors one burst sends to one instance.
+type stage struct {
+	inst *Instance
+	n    int
+	bufs [drainBatch]*pktbuf.Buf
+}
+
 // switchWorker is one shard of the descriptor switch: the single consumer
 // of its work ring and the single drainer of the Tx rings of the instances
 // homed on it.
 type switchWorker struct {
 	id   int
-	bell chan struct{}
+	wait parker
 	done chan struct{}
 
 	switched atomic.Uint64
 	dropped  atomic.Uint64
+
+	// State of the burst in hand, touched only by the worker goroutine:
+	// what begin loaded, the per-destination stages, the descriptors to
+	// give back to the pool and the drops to count when the burst ends.
+	tabs   *tables
+	fc     *injConf
+	tk     *trace.Track
+	svcID  ServiceID // service of svc (valid while svc != nil)
+	svc    *serviceEntry
+	stages []*stage
+	spent  [drainBatch]*pktbuf.Buf
+	nspent int
+	ndrop  uint64
 }
 
 // Manager is the ONVM NF manager: it owns the pool, the rings and the
@@ -206,12 +299,9 @@ type switchWorker struct {
 type Manager struct {
 	pool *pktbuf.Pool
 
-	mu        sync.RWMutex
-	services  map[ServiceID]*serviceEntry
-	ports     map[PortID]PortSink
-	portNF    map[PortID]ServiceID // inbound steering: port -> first NF
-	instances []*Instance          // registration order; sweep scans these
-	instSeq   int                  // round-robin home-shard assignment
+	mu      sync.Mutex // serialises writers of tabs
+	tabs    atomic.Pointer[tables]
+	instSeq int // round-robin home-shard assignment
 
 	shards   *ring.Sharded[task]
 	workers  []*switchWorker
@@ -286,20 +376,25 @@ func NewManager(cfg Config) *Manager {
 		cfg.SwitchWorkers = 1
 	}
 	m := &Manager{
-		pool:       pktbuf.NewPool(cfg.PoolSize, cfg.PoolPrefix),
-		services:   make(map[ServiceID]*serviceEntry),
-		ports:      make(map[PortID]PortSink),
-		portNF:     make(map[PortID]ServiceID),
-		shards:     ring.NewSharded[task](cfg.SwitchWorkers, cfg.PoolSize*2),
+		pool: pktbuf.NewPool(cfg.PoolSize, cfg.PoolPrefix),
+		// Every task holds a pool buffer, so no shard can be asked to
+		// hold more than the pool.
+		shards:     ring.NewSharded[task](cfg.SwitchWorkers, cfg.PoolSize),
 		nfRingSize: cfg.RingSize,
 		bpSpins:    cfg.BackpressureSpins,
 		ringDrops:  metrics.NewCounter(cfg.PoolPrefix + ".ring_overflow_drops"),
 	}
+	m.tabs.Store(&tables{
+		services: map[ServiceID]*serviceEntry{},
+		ports:    map[PortID]PortSink{},
+		portNF:   map[PortID]ServiceID{},
+		homed:    make([][]*Instance, cfg.SwitchWorkers),
+	})
 	m.workers = make([]*switchWorker, cfg.SwitchWorkers)
 	for i := range m.workers {
 		m.workers[i] = &switchWorker{
 			id:   i,
-			bell: make(chan struct{}, 1),
+			wait: parker{bell: make(chan struct{}, 1)},
 			done: make(chan struct{}),
 		}
 		go m.workerLoop(m.workers[i])
@@ -338,7 +433,7 @@ func (m *Manager) SetInjector(inj *faults.Injector, prefix string) {
 
 // SetTracer installs a trace track for descriptor-switch stage spans
 // ("onvm.deliver", "onvm.nf.<name>", "onvm.egress"); nil disables tracing.
-// The disabled path costs one atomic load per stage.
+// The disabled path costs one atomic load per burst.
 func (m *Manager) SetTracer(tk *trace.Track) { m.tracec.Store(tk) }
 
 // ExportMetrics registers the manager's switch counters under prefix: the
@@ -388,36 +483,67 @@ func (m *Manager) droppedTotal() uint64 {
 // ringSize returns the per-NF ring capacity.
 func (m *Manager) ringSize() int { return m.nfRingSize }
 
-// Register attaches an NF instance running handler h for service sid. The
-// instance is homed on a switch worker round-robin; that worker alone
-// drains its Tx ring.
-func (m *Manager) Register(sid ServiceID, name string, h Handler) (*Instance, error) {
+// update publishes a new tables snapshot: a copy of the current one with
+// fn applied. Writers are rare (registration, rollout) and serialised;
+// anything fn changes it must replace, not modify, since readers of the
+// old snapshot are still running.
+func (m *Manager) update(fn func(t *tables)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ent := m.services[sid]
-	if ent == nil {
-		ent = &serviceEntry{}
-		m.services[sid] = ent
+	old := m.tabs.Load()
+	t := &tables{
+		services:  maps.Clone(old.services),
+		ports:     maps.Clone(old.ports),
+		portNF:    maps.Clone(old.portNF),
+		instances: old.instances,
+		homed:     slices.Clone(old.homed),
 	}
+	fn(t)
+	m.tabs.Store(t)
+}
+
+// extend returns s with v appended in a new backing array, so a published
+// slice is never written to.
+func extend(s []*Instance, v *Instance) []*Instance {
+	return append(s[:len(s):len(s)], v)
+}
+
+// RegisterBurst attaches an NF instance running handler h for service sid.
+// The instance is homed on a switch worker round-robin; that worker alone
+// drains its Tx ring.
+func (m *Manager) RegisterBurst(sid ServiceID, name string, h BurstHandler) (*Instance, error) {
 	inst := &Instance{
-		Service:    sid,
-		InstanceID: uint16(len(ent.instances)),
-		name:       name,
-		spanName:   "onvm.nf." + name,
-		rx:         ring.NewMPSC[*pktbuf.Buf](m.ringSize()),
-		rxBell:     make(chan struct{}, 1),
-		tx:         ring.NewMPSC[*pktbuf.Buf](m.ringSize()),
-		shard:      m.instSeq % len(m.workers),
-		handler:    h,
-		mgr:        m,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		Service:  sid,
+		name:     name,
+		spanName: "onvm.nf." + name,
+		rx:       ring.NewMPSC[*pktbuf.Buf](m.ringSize()),
+		rxWait:   parker{bell: make(chan struct{}, 1)},
+		tx:       ring.NewMPSC[*pktbuf.Buf](m.ringSize()),
+		handler:  h,
+		mgr:      m,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	m.instSeq++
-	ent.instances = append(ent.instances, inst)
-	m.instances = append(m.instances, inst)
+	m.update(func(t *tables) {
+		ent := serviceEntry{}
+		if old := t.services[sid]; old != nil {
+			ent = *old
+		}
+		inst.InstanceID = uint16(len(ent.instances))
+		inst.shard = m.instSeq % len(m.workers)
+		m.instSeq++
+		ent.instances = extend(ent.instances, inst)
+		t.services[sid] = &ent
+		t.instances = extend(t.instances, inst)
+		t.homed[inst.shard] = extend(t.homed[inst.shard], inst)
+	})
 	go inst.run()
 	return inst, nil
+}
+
+// Register attaches an NF instance that handles one descriptor at a time.
+func (m *Manager) Register(sid ServiceID, name string, h Handler) (*Instance, error) {
+	return m.RegisterBurst(sid, name, h.burst)
 }
 
 // SetCanary steers percent of service sid's traffic to its newest instance
@@ -426,28 +552,24 @@ func (m *Manager) SetCanary(sid ServiceID, percent int) error {
 	if percent < 0 || percent > 100 {
 		return ErrBadPercent
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ent := m.services[sid]
-	if ent == nil {
-		return ErrNoService
-	}
-	ent.canaryPercent = percent
-	return nil
+	err := ErrNoService
+	m.update(func(t *tables) {
+		if old := t.services[sid]; old != nil {
+			t.services[sid] = &serviceEntry{instances: old.instances, canaryPercent: percent}
+			err = nil
+		}
+	})
+	return err
 }
 
 // RegisterPort installs an egress sink for a port.
 func (m *Manager) RegisterPort(pid PortID, sink PortSink) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ports[pid] = sink
+	m.update(func(t *tables) { t.ports[pid] = sink })
 }
 
 // BindPortNF steers packets arriving on pid to service sid.
 func (m *Manager) BindPortNF(pid PortID, sid ServiceID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.portNF[pid] = sid
+	m.update(func(t *tables) { t.portNF[pid] = sid })
 }
 
 // Inject delivers an external frame into the platform as if received on
@@ -456,9 +578,7 @@ func (m *Manager) Inject(pid PortID, data []byte, meta pktbuf.Meta) error {
 	if m.stopped.Load() {
 		return ErrStopped
 	}
-	m.mu.RLock()
-	sid, ok := m.portNF[pid]
-	m.mu.RUnlock()
+	sid, ok := m.tabs.Load().portNF[pid]
 	if !ok {
 		return ErrNoPort
 	}
@@ -479,15 +599,6 @@ func (m *Manager) Inject(pid PortID, data []byte, meta pktbuf.Meta) error {
 	return m.notify(task{buf: buf, dst: sid})
 }
 
-// InjectBuf delivers an already-allocated buffer (zero-copy edge for
-// in-process traffic generators).
-func (m *Manager) InjectBuf(buf *pktbuf.Buf, sid ServiceID) error {
-	if m.stopped.Load() {
-		return ErrStopped
-	}
-	return m.notify(task{buf: buf, dst: sid})
-}
-
 // flowKey derives the steering hash every sharding and instance-selection
 // decision uses. It must be a pure function of per-flow fields (never of
 // per-packet fields like Seq), or one flow's packets would spread across
@@ -496,53 +607,69 @@ func flowKey(meta *pktbuf.Meta) uint64 {
 	return meta.RSS ^ uint64(meta.TEID)*2654435761
 }
 
-// shardFor routes a task to its work shard: buffer tasks by flow key (so a
-// flow's descriptors stay on one worker), Tx-drain tasks to the instance's
-// home worker (so each Tx ring keeps a single consumer).
-func (m *Manager) shardFor(t task) int {
-	if t.nf != nil {
-		return t.nf.shard
-	}
-	return m.shards.ShardOf(flowKey(&t.buf.Meta))
-}
+// wake wakes a worker if it is parked.
+func (m *Manager) wake(shard int) { m.workers[shard].wait.wake() }
 
-// wake rings a worker's bell (coalescing, never blocking).
-func (m *Manager) wake(shard int) {
-	select {
-	case m.workers[shard].bell <- struct{}{}:
-	default:
-	}
-}
-
+// notify queues a descriptor on its flow's work shard, so that one worker
+// moves all of a flow's descriptors, in order.
 func (m *Manager) notify(t task) error {
 	// The inflight count brackets the stopped-check-to-enqueue window so
 	// Stop can wait out racing notifies before draining residual shards; a
 	// notify that starts after Stop flips stopped releases its own buffer.
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
-	if m.stopped.Load() {
-		if t.buf != nil {
-			t.buf.Release()
-			m.extraDropped.Add(1)
+	err := ErrStopped
+	if !m.stopped.Load() {
+		shard := m.shards.ShardOf(flowKey(&t.buf.Meta))
+		if m.shards.Enqueue(shard, t) {
+			m.wake(shard)
+			return nil
 		}
-		return ErrStopped
+		err = ErrRingFull
 	}
-	shard := m.shardFor(t)
-	if !m.shards.Enqueue(shard, t) {
-		if t.buf != nil {
-			t.buf.Release()
-			m.extraDropped.Add(1)
-		}
-		return ErrRingFull
-	}
-	m.wake(shard)
-	return nil
+	t.buf.Release()
+	m.extraDropped.Add(1)
+	return err
 }
 
-// rssHash is the ingress flow hash: FNV-1a over the frame's first 64
-// bytes, which cover the tunnel and inner 5-tuple fields a NIC's RSS
-// hashes (§4, Receive Side Scaling).
+// rssHash is the ingress flow hash (§4, Receive Side Scaling). Like a
+// NIC's RSS it covers flow fields only — on N3 the tunnel ID plus the
+// inner addresses, protocol and ports, on N6 the addresses, protocol and
+// ports — never the payload or a checksum, which differ between packets
+// of one flow and would spread it over shards, breaking its FIFO order.
+// A frame that parses as neither falls back to a hash of its first bytes.
 func rssHash(b []byte) uint64 {
+	var teid uint64
+	ip := b
+	if len(b) > 0 && b[0]>>4 != 4 { // not plain IPv4: a G-PDU carrying it?
+		var h gtp.Header
+		inner, err := h.Decode(b)
+		if err != nil || h.MsgType != gtp.MsgGPDU {
+			return prefixHash(b)
+		}
+		teid, ip = uint64(h.TEID), inner
+	}
+	if len(ip) < 20 || ip[0]>>4 != 4 {
+		return prefixHash(b)
+	}
+	ihl := int(ip[0]&0x0f) * 4
+	if ihl < 20 || len(ip) < ihl {
+		return prefixHash(b)
+	}
+	proto := ip[9]
+	var ports uint64
+	// Ports sit in the first four bytes of TCP and UDP; later fragments
+	// carry none.
+	frag := binary.BigEndian.Uint16(ip[6:8]) & 0x1fff
+	if (proto == 6 || proto == 17) && frag == 0 && len(ip) >= ihl+4 {
+		ports = uint64(binary.BigEndian.Uint32(ip[ihl : ihl+4]))
+	}
+	addrs := binary.BigEndian.Uint64(ip[12:20])
+	return ring.Fmix64(addrs ^ ring.Fmix64(teid<<40|uint64(proto)<<32|ports))
+}
+
+// prefixHash is FNV-1a over up to the first 64 bytes of a frame.
+func prefixHash(b []byte) uint64 {
 	if len(b) > 64 {
 		b = b[:64]
 	}
@@ -554,7 +681,7 @@ func rssHash(b []byte) uint64 {
 }
 
 // pickInstance applies RSS/canary steering for a service.
-func (m *Manager) pickInstance(ent *serviceEntry, rssHash uint64) *Instance {
+func pickInstance(ent *serviceEntry, rssHash uint64) *Instance {
 	n := len(ent.instances)
 	if n == 1 {
 		return ent.instances[0]
@@ -568,72 +695,147 @@ func (m *Manager) pickInstance(ent *serviceEntry, rssHash uint64) *Instance {
 	return ent.instances[rssHash%uint64(n)]
 }
 
-// deliver moves a descriptor into the target service's Rx ring.
+// begin loads what one burst reads many times: the tables snapshot, the
+// fault configuration and the trace track.
+func (m *Manager) begin(w *switchWorker) {
+	w.tabs, w.fc, w.tk = m.tabs.Load(), m.faultc.Load(), m.tracec.Load()
+	w.svc = nil
+}
+
+// end completes a burst: every stage goes to its instance's Rx ring with
+// one bulk enqueue, spent descriptors return to the pool together, and the
+// drop count is added once.
+func (m *Manager) end(w *switchWorker) {
+	for _, s := range w.stages {
+		if s.n > 0 {
+			m.flush(w, s)
+		}
+	}
+	m.releaseSpent(w)
+	if w.ndrop > 0 {
+		w.dropped.Add(w.ndrop)
+		w.ndrop = 0
+	}
+}
+
+// release queues a descriptor the switch is done with for the bulk put at
+// the end of the burst.
+func (m *Manager) release(w *switchWorker, buf *pktbuf.Buf) {
+	if w.nspent == len(w.spent) {
+		m.releaseSpent(w)
+	}
+	w.spent[w.nspent] = buf
+	w.nspent++
+}
+
+func (m *Manager) releaseSpent(w *switchWorker) {
+	if w.nspent > 0 {
+		m.pool.ReleaseBulk(w.spent[:w.nspent])
+		w.nspent = 0
+	}
+}
+
+// drop releases a descriptor and counts it dropped.
+func (m *Manager) drop(w *switchWorker, buf *pktbuf.Buf) {
+	m.release(w, buf)
+	w.ndrop++
+}
+
+// deliver stages a descriptor for the target service's Rx ring. The fault
+// decision and the span stay per descriptor; the ring operation, the
+// wake-up and the counters are paid per stage in flush.
 func (m *Manager) deliver(w *switchWorker, buf *pktbuf.Buf, sid ServiceID) {
-	sp := m.tracec.Load().Start("onvm.deliver")
-	defer sp.End()
-	if fc := m.faultc.Load(); fc != nil {
+	sp := w.tk.Start("onvm.deliver")
+	m.stageFor(w, buf, sid)
+	sp.End()
+}
+
+func (m *Manager) stageFor(w *switchWorker, buf *pktbuf.Buf, sid ServiceID) {
+	if fc := w.fc; fc != nil {
 		act := fc.inj.Decide(fc.deliver, buf.Bytes())
 		if act.Drop {
-			buf.Release()
-			w.dropped.Add(1)
+			m.drop(w, buf)
 			return
 		}
 		if act.Delay > 0 {
 			// Descriptors are single-owner, so a delayed delivery must
 			// re-enter via its home work shard: only that shard's worker
 			// may move it, and only there does it rejoin its flow's order.
-			dst := sid
 			time.AfterFunc(act.Delay, func() {
-				m.notify(task{buf: buf, dst: dst})
+				m.notify(task{buf: buf, dst: sid})
 			})
 			return
 		}
 	}
-	m.mu.RLock()
-	ent := m.services[sid]
-	m.mu.RUnlock()
-	if ent == nil || len(ent.instances) == 0 {
-		buf.Release()
-		w.dropped.Add(1)
+	if w.svc == nil || w.svcID != sid {
+		w.svc, w.svcID = w.tabs.services[sid], sid
+	}
+	if w.svc == nil {
+		m.drop(w, buf)
 		return
 	}
-	inst := m.pickInstance(ent, flowKey(&buf.Meta))
-	ok := inst.rx.Enqueue(buf)
-	// Backpressure: the Rx ring is full, so yield the worker's timeslice to
-	// let the NF drain before declaring overflow — bounded so a wedged NF
-	// cannot stall the other flows sharing this shard.
-	for spins := 0; !ok && spins < m.bpSpins; spins++ {
+	inst := pickInstance(w.svc, flowKey(&buf.Meta))
+	var s *stage
+	for _, c := range w.stages {
+		if c.inst == inst {
+			s = c
+			break
+		}
+	}
+	if s == nil {
+		// First descriptor this worker sends to inst: the stage stays for
+		// the life of the worker.
+		s = &stage{inst: inst}
+		w.stages = append(w.stages, s)
+	}
+	if s.n == len(s.bufs) {
+		m.flush(w, s)
+	}
+	s.bufs[s.n] = buf
+	s.n++
+}
+
+// flush moves one stage into its instance's Rx ring: one bulk enqueue, one
+// wake-up and one counter update for the descriptors that fit. While the
+// ring is full the worker yields its timeslice to let the NF drain — bounded
+// so a wedged NF cannot stall the other flows sharing this shard — and
+// what still does not fit is dropped and counted, descriptor for descriptor.
+func (m *Manager) flush(w *switchWorker, s *stage) {
+	inst, bufs := s.inst, s.bufs[:s.n]
+	s.n = 0
+	sent := 0
+	for spins := 0; ; spins++ {
+		if k := inst.rx.EnqueueBulk(bufs[sent:]); k > 0 {
+			sent += k
+			spins = 0
+			inst.rxWait.wake()
+		}
+		if sent == len(bufs) || spins >= m.bpSpins {
+			break
+		}
 		runtime.Gosched()
-		ok = inst.rx.Enqueue(buf)
 	}
-	if !ok {
-		buf.Release()
-		w.dropped.Add(1)
-		m.ringDrops.Inc()
-		return
+	if sent > 0 {
+		inst.rxCount.Add(uint64(sent))
+		w.switched.Add(uint64(sent))
 	}
-	inst.rxCount.Add(1)
-	select {
-	case inst.rxBell <- struct{}{}:
-	default:
+	if left := bufs[sent:]; len(left) > 0 {
+		w.ndrop += uint64(len(left))
+		m.ringDrops.Add(uint64(len(left)))
+		m.pool.ReleaseBulk(left)
 	}
-	w.switched.Add(1)
 }
 
 // emitPort transmits a frame out of its port and releases the descriptor.
 func (m *Manager) emitPort(w *switchWorker, buf *pktbuf.Buf) {
-	m.mu.RLock()
-	sink := m.ports[buf.Meta.Port]
-	m.mu.RUnlock()
-	if sink != nil {
-		sp := m.tracec.Load().Start("onvm.egress")
+	if sink := w.tabs.ports[buf.Meta.Port]; sink != nil {
+		sp := w.tk.Start("onvm.egress")
 		sink(buf.Bytes(), buf.Meta)
 		sp.End()
+		m.release(w, buf)
 	} else {
-		w.dropped.Add(1)
+		m.drop(w, buf)
 	}
-	buf.Release()
 }
 
 // process executes one descriptor action from an NF's Tx ring.
@@ -642,11 +844,10 @@ func (m *Manager) process(w *switchWorker, buf *pktbuf.Buf) {
 	case pktbuf.ActionToNF:
 		m.deliver(w, buf, buf.Meta.Dst)
 	case pktbuf.ActionToPort:
-		if fc := m.faultc.Load(); fc != nil {
+		if fc := w.fc; fc != nil {
 			act := fc.inj.Decide(fc.egress, buf.Bytes())
 			if act.Drop {
-				buf.Release()
-				w.dropped.Add(1)
+				m.drop(w, buf)
 				return
 			}
 			if act.Delay > 0 {
@@ -662,74 +863,90 @@ func (m *Manager) process(w *switchWorker, buf *pktbuf.Buf) {
 			}
 		}
 		m.emitPort(w, buf)
-	default: // Drop and Buffer-left-in-ring both release here
-		if buf.Meta.Action == pktbuf.ActionDrop {
-			w.dropped.Add(1)
-		}
-		buf.Release()
+	case pktbuf.ActionDrop:
+		m.drop(w, buf)
+	default: // Buffer-left-in-ring releases here
+		m.release(w, buf)
 	}
 }
 
-// drainTx empties one NF's Tx ring through the switch. Only the instance's
-// home worker (or Stop, after all workers exited) may call it.
+// drainTx empties one NF's Tx ring through the switch, a burst at a time.
+// Only the instance's home worker may call it.
 func (m *Manager) drainTx(w *switchWorker, nf *Instance, drain []*pktbuf.Buf) bool {
 	any := false
 	for {
 		n := nf.tx.DequeueBulk(drain)
-		for i := 0; i < n; i++ {
-			m.process(w, drain[i])
+		if n == 0 {
+			return any
 		}
-		any = any || n > 0
+		any = true
+		m.begin(w)
+		for _, buf := range drain[:n] {
+			m.process(w, buf)
+		}
+		m.end(w)
 		if n < len(drain) {
 			return any
 		}
 	}
 }
 
-// sweep scans the Tx rings of the instances homed on w and drains any that
-// hold descriptors. Run whenever the worker goes idle, it guarantees that
-// a descriptor whose work-shard notification was lost to a full ring is
-// still picked up — the liveness half of the lost-wakeup fix.
+// sweep drains the Tx rings of the instances homed on w that hold
+// descriptors. The worker runs it every time round its loop and once more
+// before it parks, so an NF only ever has to wake its home worker.
 func (m *Manager) sweep(w *switchWorker, drain []*pktbuf.Buf) bool {
-	m.mu.RLock()
-	insts := m.instances
-	m.mu.RUnlock()
 	any := false
-	for _, inst := range insts {
-		if inst.shard != w.id || inst.tx.Len() == 0 {
-			continue
-		}
-		if m.drainTx(w, inst, drain) {
+	for _, inst := range m.tabs.Load().homed[w.id] {
+		if inst.tx.Ready() && m.drainTx(w, inst, drain) {
 			any = true
 		}
 	}
 	return any
 }
 
-// workerLoop is one shard of the descriptor switch.
+// idle reports whether w has nothing to do: nothing published on its work
+// shard or its Tx rings, and no Stop to notice. A slot a producer has
+// reserved but not yet published does not count: that producer wakes the
+// worker once it has published.
+func (m *Manager) idle(w *switchWorker) bool {
+	if m.shards.Ready(w.id) || m.stopped.Load() {
+		return false
+	}
+	for _, inst := range m.tabs.Load().homed[w.id] {
+		if inst.tx.Ready() {
+			return false
+		}
+	}
+	return true
+}
+
+// workerLoop is one shard of the descriptor switch: a burst of tasks off
+// the work shard, then the Tx rings it owns, and only with both empty does
+// it park.
 func (m *Manager) workerLoop(w *switchWorker) {
 	defer close(w.done)
+	var tasks [drainBatch]task
 	var drain [drainBatch]*pktbuf.Buf
 	for {
-		t, ok := m.shards.Dequeue(w.id)
-		if !ok {
-			if m.stopped.Load() {
-				return
+		n := m.shards.DequeueBulk(w.id, tasks[:])
+		if n > 0 {
+			m.begin(w)
+			for i := range tasks[:n] {
+				if t := &tasks[i]; t.egress {
+					m.emitPort(w, t.buf)
+				} else {
+					m.deliver(w, t.buf, t.dst)
+				}
 			}
-			if m.sweep(w, drain[:]) {
-				continue
-			}
-			<-w.bell
+			m.end(w)
+		}
+		if m.sweep(w, drain[:]) || n > 0 {
 			continue
 		}
-		switch {
-		case t.nf != nil:
-			m.drainTx(w, t.nf, drain[:])
-		case t.egress:
-			m.emitPort(w, t.buf)
-		default:
-			m.deliver(w, t.buf, t.dst)
+		if m.stopped.Load() {
+			return
 		}
+		w.wait.park(func() bool { return !m.idle(w) }, nil)
 	}
 }
 
@@ -747,8 +964,8 @@ func (m *Manager) Stop() {
 	if !m.stopped.CompareAndSwap(false, true) {
 		return
 	}
-	// Workers first: each exits once its shard is empty (notify refuses new
-	// work after the stopped flip above).
+	// Workers first: each exits once its shard and Tx rings are empty
+	// (notify refuses new work after the stopped flip above).
 	for _, w := range m.workers {
 		m.wake(w.id)
 	}
@@ -757,9 +974,7 @@ func (m *Manager) Stop() {
 	}
 	// Then the NFs: each drains its remaining Rx backlog (no new deliveries
 	// can arrive) and exits.
-	m.mu.RLock()
-	insts := append([]*Instance(nil), m.instances...)
-	m.mu.RUnlock()
+	insts := m.tabs.Load().instances
 	for _, i := range insts {
 		close(i.stop)
 	}
@@ -774,63 +989,64 @@ func (m *Manager) Stop() {
 	}
 	// Everything is quiescent: release descriptors stranded in work shards
 	// (tasks enqueued before the stopped flip) and NF rings (Tx handbacks
-	// whose notification was refused).
+	// after the home worker left).
 	for shard := 0; shard < m.shards.Shards(); shard++ {
 		for {
 			t, ok := m.shards.Dequeue(shard)
 			if !ok {
 				break
 			}
-			if t.buf != nil {
-				t.buf.Release()
+			t.buf.Release()
+			m.extraDropped.Add(1)
+		}
+	}
+	for _, i := range insts {
+		for _, r := range []*ring.MPSC[*pktbuf.Buf]{i.tx, i.rx} {
+			for {
+				b, ok := r.Dequeue()
+				if !ok {
+					break
+				}
+				b.Release()
 				m.extraDropped.Add(1)
 			}
 		}
 	}
-	for _, i := range insts {
-		for {
-			b, ok := i.tx.Dequeue()
-			if !ok {
-				break
-			}
-			b.Release()
-			m.extraDropped.Add(1)
-		}
-		for {
-			b, ok := i.rx.Dequeue()
-			if !ok {
-				break
-			}
-			b.Release()
-			m.extraDropped.Add(1)
-		}
-	}
 }
 
+// run is the instance goroutine: a burst off the Rx ring to the handler,
+// what it hands back onto the Tx ring with one bulk enqueue and one wake-up
+// of the home worker.
 func (i *Instance) run() {
 	defer close(i.done)
 	var batch [drainBatch]*pktbuf.Buf
 	for {
 		n := i.rx.DequeueBulk(batch[:])
 		if n == 0 {
-			select {
-			case <-i.rxBell:
-				continue
-			case <-i.stop:
+			if i.rxWait.park(i.rx.Ready, i.stop) {
 				return
 			}
+			continue
 		}
-		for j := 0; j < n; j++ {
-			buf := batch[j]
-			sp := i.mgr.tracec.Load().Start(i.spanName)
-			done := i.handler(buf)
-			sp.End()
-			if done && !i.enqueueTx(buf) {
-				buf.Release()
+		burst := batch[:n]
+		if tk := i.mgr.tracec.Load(); tk == nil {
+			burst = burst[:i.handler(burst)]
+		} else {
+			// Traced, each descriptor is a burst of one inside its own span.
+			k := 0
+			for j := range burst {
+				sp := tk.Start(i.spanName)
+				if i.handler(burst[j:j+1]) == 1 {
+					burst[k] = burst[j]
+					k++
+				}
+				sp.End()
 			}
+			burst = burst[:k]
 		}
-		// Notify the manager once per batch.
-		i.notifyHome()
+		if sent := i.transmit(burst); sent < len(burst) {
+			i.mgr.pool.ReleaseBulk(burst[sent:])
+		}
 	}
 }
 

@@ -139,8 +139,8 @@ func TestHandlerKeepsOwnership(t *testing.T) {
 			delivered.Store(true)
 		}
 	})
-	if err := inst.Send(b); err != nil {
-		t.Fatal(err)
+	if sent := inst.SendBurst([]*pktbuf.Buf{b}); sent != 1 {
+		t.Fatalf("SendBurst accepted %d descriptors, want 1", sent)
 	}
 	waitFor(t, func() bool { return delivered.Load() }, "late delivery")
 	waitFor(t, func() bool { return m.Pool().Avail() == 8 }, "buffer recycled")

@@ -384,14 +384,26 @@ func (f FiveTuple) String() string {
 // header structs plus the flow tuple and payload slice. One Parsed per
 // worker goroutine is enough for the whole run (DecodingLayerParser style).
 type Parsed struct {
-	IP      IPv4
-	UDP     UDP
-	TCP     TCP
-	ICMP    ICMP
-	Tuple   FiveTuple
-	TOS     uint8
+	IP   IPv4
+	UDP  UDP
+	TCP  TCP
+	ICMP ICMP
+	FlowKey
 	Payload []byte
 	L4      uint8 // ProtoUDP, ProtoTCP, ProtoICMP, or 0 for other
+}
+
+// FlowKey is what one packet contributes to a rule lookup: the inner
+// 5-tuple and TOS, which ParseIPv4 fills, plus the tunnel it arrived on and
+// its direction, which the fast path adds. It is embedded in Parsed so that
+// whoever owns a Parsed owns the lookup key with it: classifiers are called
+// through an interface, and a key built on the stack for such a call is
+// moved to the heap once per packet.
+type FlowKey struct {
+	Tuple      FiveTuple
+	TOS        uint8
+	TEID       uint32
+	FromAccess bool
 }
 
 // ParseIPv4 decodes an IP packet (no Ethernet framing, as carried inside

@@ -163,14 +163,13 @@ var (
 
 // Pool is a fixed-size pool of packet buffers shared by all NFs of one
 // 5GC unit. The free list is a lock-free MPMC ring, so any NF goroutine
-// may allocate or release concurrently.
+// may allocate or release concurrently. The ring's own cursors are the
+// lifetime get/put counts: the pool keeps no counter of its own on the
+// packet path.
 type Pool struct {
 	free   *ring.MPMC[*Buf]
 	bufs   []Buf
 	prefix string // security-domain file prefix (DPDK --file-prefix analog)
-
-	gets atomic.Uint64
-	puts atomic.Uint64
 }
 
 // NewPool creates a pool of n buffers. prefix names the private memory
@@ -206,13 +205,22 @@ func (p *Pool) Get() (*Buf, error) {
 	}
 	b.Reset()
 	b.refcnt.Store(1)
-	p.gets.Add(1)
 	return b, nil
 }
 
 func (p *Pool) put(b *Buf) {
-	p.puts.Add(1)
-	for !p.free.Enqueue(b) {
+	one := [1]*Buf{b}
+	p.putBulk(one[:])
+}
+
+// putBulk returns buffers whose last reference is gone to the free ring,
+// one bulk enqueue per attempt.
+func (p *Pool) putBulk(bufs []*Buf) {
+	for {
+		bufs = bufs[p.free.EnqueueBulk(bufs):]
+		if len(bufs) == 0 {
+			return
+		}
 		// The ring also reports full while a Get that already claimed the
 		// slot at tail (head advanced) has not yet marked it free. Every
 		// legitimate put follows such a Get, so the ring then holds fewer
@@ -225,7 +233,29 @@ func (p *Pool) put(b *Buf) {
 	}
 }
 
+// ReleaseBulk drops one reference on every buffer of a burst and returns
+// those with none left to the free ring together. It reorders bufs; the
+// caller must not use the slice's contents afterwards. Buffers of another
+// pool (or of none) are released one by one.
+func (p *Pool) ReleaseBulk(bufs []*Buf) {
+	n := 0
+	for _, b := range bufs {
+		if b.pool != p {
+			b.Release()
+			continue
+		}
+		switch c := b.refcnt.Add(-1); {
+		case c == 0:
+			bufs[n] = b
+			n++
+		case c < 0:
+			panic("pktbuf: double release")
+		}
+	}
+	p.putBulk(bufs[:n])
+}
+
 // Stats reports lifetime get/put counts, useful for leak detection in tests.
 func (p *Pool) Stats() (gets, puts uint64) {
-	return p.gets.Load(), p.puts.Load()
+	return p.free.Dequeued(), p.free.Enqueued() - uint64(len(p.bufs))
 }

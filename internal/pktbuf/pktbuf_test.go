@@ -251,3 +251,49 @@ func BenchmarkPoolGetRelease(b *testing.B) {
 		buf.Release()
 	}
 }
+
+// TestReleaseBulk pins the burst release: one reference dropped per
+// buffer, only buffers with none left go back (together), a retained
+// buffer survives, a buffer of another pool goes home to its own, and the
+// lifetime counts stay exact.
+func TestReleaseBulk(t *testing.T) {
+	p, other := NewPool(8, "a"), NewPool(2, "b")
+	var bufs []*Buf
+	for i := 0; i < 6; i++ {
+		b, err := p.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs = append(bufs, b)
+	}
+	retained := bufs[2]
+	retained.Retain()
+	foreign, _ := other.Get()
+	bufs = append(bufs, foreign)
+
+	p.ReleaseBulk(bufs)
+	if got := p.Avail(); got != 7 {
+		t.Fatalf("Avail = %d, want 7 (6 taken, 5 returned, 1 retained)", got)
+	}
+	if other.Avail() != 2 {
+		t.Fatalf("foreign buffer not returned to its own pool: Avail = %d", other.Avail())
+	}
+	if gets, puts := p.Stats(); gets != 6 || puts != 5 {
+		t.Fatalf("Stats = %d,%d want 6,5", gets, puts)
+	}
+	retained.Release()
+	if p.Avail() != 8 {
+		t.Fatalf("Avail = %d after the last reference went, want 8", p.Avail())
+	}
+	p.ReleaseBulk(nil)
+
+	// One release too many is still caught.
+	b, _ := p.Get()
+	b.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("bulk release of a free buffer should panic")
+		}
+	}()
+	p.ReleaseBulk([]*Buf{b})
+}

@@ -42,7 +42,9 @@ type GNB struct {
 	conn *ngap.Conn
 	dp   DataPlane
 
-	mu        sync.Mutex
+	// mu is taken shared by the DL data path (one lookup in byDlTEID per
+	// frame) and exclusively by the N2 side that edits the maps.
+	mu        sync.RWMutex
 	byRanUeID map[uint64]*attachment
 	byAmfUeID map[uint64]*attachment
 	byDlTEID  map[uint32]*attachment
@@ -291,20 +293,23 @@ func (g *GNB) uncamp(ue *UE) {
 }
 
 // handleDLFrame decapsulates a DL GTP frame and delivers the inner IP
-// packet to the owning UE.
+// packet to the owning UE. The data plane hands over a frame the gNB
+// owns, so the UE gets the inner packet as a sub-slice of it, uncopied.
 func (g *GNB) handleDLFrame(frame []byte) {
 	var h gtp.Header
 	inner, err := h.Decode(frame)
 	if err != nil || h.MsgType != gtp.MsgGPDU {
 		return
 	}
-	g.mu.Lock()
-	at := g.byDlTEID[h.TEID]
-	g.mu.Unlock()
-	if at == nil || at.ue == nil {
-		return
+	var ue *UE
+	g.mu.RLock()
+	if at := g.byDlTEID[h.TEID]; at != nil {
+		ue = at.ue
 	}
-	at.ue.deliverData(inner)
+	g.mu.RUnlock()
+	if ue != nil {
+		ue.deliverData(inner)
+	}
 }
 
 // sendUL encapsulates and transmits one UL IP packet for an attachment.

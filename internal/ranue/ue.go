@@ -26,7 +26,7 @@ type UE struct {
 	K    []byte
 	Opc  []byte
 
-	mu   sync.Mutex
+	mu   sync.RWMutex // shared by the DL data path (one read of OnData per packet)
 	gnb  *GNB
 	at   *attachment
 	guti string
@@ -40,7 +40,11 @@ type UE struct {
 	hoCmdIn   chan uint32
 	releaseIn chan struct{}
 
-	// OnData receives decapsulated DL IP packets while connected.
+	// OnData receives decapsulated DL IP packets while connected; it owns
+	// the slice it is given. The delivering goroutine reads the field
+	// under a shared hold of the UE's lock, which orders the read after
+	// any UE call (SendUplink, ...) made since the field was set: set it
+	// before traffic flows, or from inside the hook.
 	OnData func(ipPkt []byte)
 
 	Times EventTimes
@@ -99,13 +103,13 @@ func (u *UE) deliverRelease() {
 	}
 }
 
+// deliverData hands the UE a DL packet the caller gives up ownership of.
 func (u *UE) deliverData(ipPkt []byte) {
-	u.mu.Lock()
+	u.mu.RLock()
 	fn := u.OnData
-	u.mu.Unlock()
+	u.mu.RUnlock()
 	if fn != nil {
-		cp := append([]byte(nil), ipPkt...)
-		fn(cp)
+		fn(ipPkt)
 	}
 }
 

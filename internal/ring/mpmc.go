@@ -80,3 +80,40 @@ func (r *MPMC[T]) Dequeue() (v T, ok bool) {
 		}
 	}
 }
+
+// EnqueueBulk adds as many leading elements of vs as fit, from any
+// goroutine, and returns how many were added. Concurrent consumers free
+// slots out of order, so the run is first checked slot by slot and then
+// reserved with one CAS on the tail cursor: a slot seen free at its
+// position stays free until that position's producer — this caller, once
+// the CAS succeeds — writes it.
+func (r *MPMC[T]) EnqueueBulk(vs []T) int {
+	for {
+		t := r.tail.Load()
+		n := uint64(0)
+		for n < uint64(len(vs)) && r.buf[(t+n)&r.mask].seq.Load() == t+n {
+			n++
+		}
+		if n == 0 {
+			if len(vs) == 0 || r.buf[t&r.mask].seq.Load() < t {
+				return 0 // nothing to add, or slot still occupied: ring full
+			}
+			continue // another producer won this slot; retry
+		}
+		if !r.tail.CompareAndSwap(t, t+n) {
+			continue
+		}
+		for i := uint64(0); i < n; i++ {
+			s := &r.buf[(t+i)&r.mask]
+			s.v = vs[i]
+			s.seq.Store(t + i + 1)
+		}
+		return int(n)
+	}
+}
+
+// Enqueued and Dequeued return how many elements were ever added to and
+// removed from the ring: the cursors themselves, so counting costs the
+// operations nothing. An operation in flight is already counted.
+func (r *MPMC[T]) Enqueued() uint64 { return r.tail.Load() }
+func (r *MPMC[T]) Dequeued() uint64 { return r.head.Load() }

@@ -75,6 +75,16 @@ func (r *MPSC[T]) Len() int {
 	return n
 }
 
+// Ready reports whether the oldest element is published, i.e. whether a
+// Dequeue would succeed. Unlike Len it does not count a slot a producer
+// has reserved but not yet published, so a consumer that parks on !Ready
+// and is woken by producers after they publish neither sleeps through an
+// element nor spins waiting for one. Single consumer only.
+func (r *MPSC[T]) Ready() bool {
+	h := r.head.Load()
+	return r.buf[h&r.mask].seq.Load() == h+1
+}
+
 // Enqueue adds v to the ring from any goroutine. Returns false when full.
 func (r *MPSC[T]) Enqueue(v T) bool {
 	for {
@@ -110,16 +120,63 @@ func (r *MPSC[T]) Dequeue() (v T, ok bool) {
 	return v, true
 }
 
-// DequeueBulk removes up to len(out) published elements into out.
+// EnqueueBulk adds as many leading elements of vs as fit, in order, from any
+// goroutine, and returns how many were added: one CAS on the tail cursor
+// reserves the whole run, then the slots are published front to back, so
+// the consumer sees a burst as a contiguous run of one producer's elements.
+// Free space is judged from the head cursor, which the consumer advances
+// only after it has marked the slots behind it free.
+func (r *MPSC[T]) EnqueueBulk(vs []T) int {
+	if len(vs) == 0 {
+		return 0
+	}
+	size := uint64(len(r.buf))
+	for {
+		// head before tail: head never passes tail, so used cannot underflow.
+		h := r.head.Load()
+		t := r.tail.Load()
+		used := t - h
+		if used > size { // stale head against a tail a full lap on; reload
+			continue
+		}
+		n := size - used
+		if n == 0 {
+			return 0
+		}
+		if n > uint64(len(vs)) {
+			n = uint64(len(vs))
+		}
+		if !r.tail.CompareAndSwap(t, t+n) {
+			continue
+		}
+		for i := uint64(0); i < n; i++ {
+			s := &r.buf[(t+i)&r.mask]
+			s.v = vs[i]
+			s.seq.Store(t + i + 1) // publish
+		}
+		return int(n)
+	}
+}
+
+// DequeueBulk removes up to len(out) published elements into out with one
+// scan of the slots and one store of the head cursor. It stops at the first
+// slot a producer has reserved but not yet published. Single consumer only.
 func (r *MPSC[T]) DequeueBulk(out []T) int {
-	n := 0
-	for n < len(out) {
-		v, ok := r.Dequeue()
-		if !ok {
+	h := r.head.Load()
+	size := uint64(len(r.buf))
+	var zero T
+	n := uint64(0)
+	for ; n < uint64(len(out)); n++ {
+		s := &r.buf[(h+n)&r.mask]
+		if s.seq.Load() != h+n+1 { // not yet published
 			break
 		}
-		out[n] = v
-		n++
+		out[n] = s.v
+		s.v = zero
+		s.seq.Store(h + n + size) // mark free for the next lap
 	}
-	return n
+	if n > 0 {
+		r.head.Store(h + n)
+	}
+	return int(n)
 }

@@ -71,6 +71,10 @@ func (s *Sharded[T]) DequeueBulk(shard int, out []T) int {
 	return s.shards[shard].DequeueBulk(out)
 }
 
+// Ready reports whether a Dequeue on the given shard would succeed. Only
+// the shard's single consumer may call this.
+func (s *Sharded[T]) Ready(shard int) bool { return s.shards[shard].Ready() }
+
 // ShardLen returns the approximate queue depth of one shard.
 func (s *Sharded[T]) ShardLen(shard int) int { return s.shards[shard].Len() }
 

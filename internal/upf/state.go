@@ -90,8 +90,12 @@ type SessCtx struct {
 	bufCap   int
 	nocpSent bool // one SessionReport per buffering episode
 
-	ulBucket tokenBucket
-	dlBucket tokenBucket
+	// Buckets are guarded by mu. The limited flags say whether a bucket has
+	// a rate at all; they are written with the rules (under rulesMu, where
+	// UPF-C installs the QER) and read with them, so a session without an
+	// MBR costs the fast path neither mu nor a clock read.
+	ulBucket, dlBucket   tokenBucket
+	ulLimited, dlLimited bool
 
 	// Counters (exported snapshots via Stats).
 	ulPkts, dlPkts atomic.Uint64
@@ -146,6 +150,32 @@ func (c *SessCtx) Drain() []*pktbuf.Buf {
 	c.nocpSent = false
 	c.releasedPkts.Add(uint64(len(out)))
 	return out
+}
+
+// setMBR installs a QER's maximum bit rates. The caller holds rulesMu.
+func (c *SessCtx) setMBR(ulKbps, dlKbps uint64) {
+	c.mu.Lock()
+	c.ulBucket.configure(ulKbps)
+	c.dlBucket.configure(dlKbps)
+	c.mu.Unlock()
+	c.ulLimited, c.dlLimited = ulKbps > 0, dlKbps > 0
+}
+
+// allow charges bits to the session's MBR in one direction, reading the
+// burst's clock only if that direction has a rate. The caller holds the
+// rules read lock.
+func (c *SessCtx) allow(ul bool, bits int, clock *burstClock) bool {
+	bucket, limited := &c.dlBucket, c.dlLimited
+	if ul {
+		bucket, limited = &c.ulBucket, c.ulLimited
+	}
+	if !limited {
+		return true
+	}
+	now := clock.now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return bucket.allow(bits, now)
 }
 
 // Match resolves a packet to its PDR and FAR under the rules read lock.
@@ -245,6 +275,27 @@ func (s *State) Session(cpSEID uint64) (*SessCtx, bool) {
 	defer s.mu.RUnlock()
 	c, ok := s.bySEID[cpSEID]
 	return c, ok
+}
+
+// resolve fills ctxs with the session of every key (nil for none) under
+// one hold of the read lock, looking a run of equal keys up once. The
+// tables stay mutable maps: a copy-on-write snapshot would make every
+// establishment cost O(sessions).
+func (s *State) resolve(keys []sessKey, ctxs []*SessCtx) {
+	s.mu.RLock()
+	for i, k := range keys {
+		switch {
+		case i > 0 && k == keys[i-1]:
+			ctxs[i] = ctxs[i-1]
+		case k.kind == keyTEID:
+			ctxs[i] = s.ul[k.teid]
+		case k.kind == keyUEIP:
+			ctxs[i] = s.dl[k.ip]
+		default:
+			ctxs[i] = nil
+		}
+	}
+	s.mu.RUnlock()
 }
 
 // ByTEID resolves an uplink session (N3 fast path).

@@ -228,7 +228,10 @@ func TestSmartBufferingEpisode(t *testing.T) {
 
 	// Collect drained packets via the emit hook.
 	var released []*pktbuf.Buf
-	u.SetEmit(func(b *pktbuf.Buf) { released = append(released, b) })
+	u.SetEmit(func(burst []*pktbuf.Buf) int {
+		released = append(released, burst...)
+		return len(burst)
+	})
 
 	// Complete handover: forward to the target gNB with a new TEID.
 	resp, err = c.Handle(100, &pfcp.SessionModificationRequest{

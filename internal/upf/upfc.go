@@ -180,8 +180,7 @@ func (c *UPFC) establish(m *pfcp.SessionEstablishmentRequest) (pfcp.Message, err
 	for _, qer := range m.CreateQERs {
 		q := *qer
 		ctx.Sess.QERs[q.ID] = &q
-		ctx.ulBucket.configure(q.ULMbrKbps)
-		ctx.dlBucket.configure(q.DLMbrKbps)
+		ctx.setMBR(q.ULMbrKbps, q.DLMbrKbps)
 	}
 	for _, bar := range m.CreateBARs {
 		b := *bar

@@ -1,11 +1,9 @@
 package upf
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"l25gc/internal/classifier"
 	"l25gc/internal/gtp"
 	"l25gc/internal/metrics"
 	"l25gc/internal/onvm"
@@ -37,10 +35,11 @@ type UPFU struct {
 	state *State
 	upfc  *UPFC
 
-	// emit re-injects drained packets into the egress path; installed when
-	// the UPF-U attaches to a platform (or a kernel-path loop). Atomic:
-	// canary instances re-install it while drains may be running.
-	emit atomic.Pointer[func(*pktbuf.Buf)]
+	// emit re-injects a burst of drained packets into the egress path and
+	// returns how many it took; installed when the UPF-U attaches to a
+	// platform. Atomic: canary instances re-install it while drains may be
+	// running.
+	emit atomic.Pointer[func([]*pktbuf.Buf) int]
 
 	nowNano func() int64
 	tracec  atomic.Pointer[trace.Track]
@@ -62,8 +61,10 @@ func NewUPFU(state *State, upfc *UPFC) *UPFU {
 	return u
 }
 
-// SetEmit installs the egress function used when draining session buffers.
-func (u *UPFU) SetEmit(fn func(*pktbuf.Buf)) { u.emit.Store(&fn) }
+// SetEmit installs the egress function used when draining session buffers:
+// it takes a burst in order and returns how many descriptors it accepted;
+// the rest stay with the caller.
+func (u *UPFU) SetEmit(fn func(burst []*pktbuf.Buf) int) { u.emit.Store(&fn) }
 
 // SetTracer installs a trace track for fast-path stage spans
 // ("upf.classify", "upf.buffer"); nil disables tracing.
@@ -88,111 +89,189 @@ func (u *UPFU) Stats() UStats {
 	}
 }
 
-// Process runs the fast path on one packet buffer. scratch is the caller's
-// reusable parse state (one per goroutine, zero allocation). The return
-// value reports whether the descriptor was handed back with Meta set
-// (true) or ownership was retained — parked in a session buffer (false).
-func (u *UPFU) Process(buf *pktbuf.Buf, scratch *pkt.Parsed) bool {
-	if buf.Meta.Uplink {
-		return u.uplink(buf, scratch)
-	}
-	return u.downlink(buf, scratch)
+// sessKey is what one descriptor's session is looked up by.
+type sessKey struct {
+	kind uint8 // keyNone, keyTEID or keyUEIP
+	teid uint32
+	ip   pkt.Addr
 }
 
-func (u *UPFU) uplink(buf *pktbuf.Buf, scratch *pkt.Parsed) bool {
-	hdr, err := gtp.Decap(buf)
-	if err != nil || hdr.MsgType != gtp.MsgGPDU {
-		return u.drop(buf)
-	}
-	cls := u.tracec.Load().Start("upf.classify")
-	ctx, ok := u.state.ByTEID(hdr.TEID)
-	if !ok {
-		cls.End()
-		return u.miss(buf)
-	}
-	if err := scratch.ParseIPv4(buf.Bytes()); err != nil {
-		cls.End()
-		return u.drop(buf)
-	}
-	key := classifier.Key{Tuple: scratch.Tuple, TOS: scratch.TOS, TEID: hdr.TEID, FromAccess: true}
-	pdr, far := ctx.Match(&key)
-	cls.End()
-	if pdr == nil {
-		return u.miss(buf)
-	}
-	if far == nil || far.Action&rules.FARForward == 0 {
-		return u.drop(buf)
-	}
-	ctx.mu.Lock()
-	allowed := ctx.ulBucket.allow(buf.Len()*8, u.nowNano())
-	ctx.mu.Unlock()
-	if !allowed {
-		u.rateDropped.Add(1)
-		buf.Meta.Action = pktbuf.ActionDrop
-		return true
-	}
-	ctx.ulPkts.Add(1)
-	u.ulFwd.Add(1)
-	// OuterHeaderRemoval already happened via Decap; forward plain IP to N6.
-	buf.Meta.Action = pktbuf.ActionToPort
-	buf.Meta.Port = uint16(PortN6)
-	return true
+const (
+	keyNone uint8 = iota // malformed: no key could be read
+	keyTEID              // uplink: the G-PDU's tunnel endpoint
+	keyUEIP              // downlink: the packet's destination address
+)
+
+// scratch is what one fast-path caller keeps from burst to burst beside
+// its pkt.Parsed: per descriptor of the burst in hand, the session key and
+// the session it resolved to. One goroutine at a time. (The Parsed is
+// passed on its own: it goes through the classifier interface, which the
+// compiler takes for an escape of everything stored with it.)
+type scratch struct {
+	keys []sessKey
+	ctxs []*SessCtx
 }
 
-func (u *UPFU) downlink(buf *pktbuf.Buf, scratch *pkt.Parsed) bool {
+// Process runs the fast path on one packet buffer: a burst of one. p is
+// the caller's reusable parse state (one per goroutine, zero allocation);
+// its embedded key is the classifier key, so none is built per packet.
+// The return value reports whether the descriptor was handed back with
+// Meta set (true) or ownership was retained — parked in a session buffer
+// (false).
+func (u *UPFU) Process(buf *pktbuf.Buf, p *pkt.Parsed) bool {
+	one := [1]*pktbuf.Buf{buf}
+	var key [1]sessKey
+	var ctx [1]*SessCtx
+	sc := scratch{keys: key[:], ctxs: ctx[:]}
+	return u.processBurst(one[:], p, &sc) == 1
+}
+
+// processBurst runs the fast path on a burst of descriptors, in order. It
+// moves the descriptors it hands back (Meta set) to the front of burst and
+// returns how many there are; the others were parked in session buffers.
+//
+// Three passes. The first reads every descriptor's session key (stripping
+// the GTP-U header of uplink ones). The second resolves the keys under one
+// read lock of the session tables, a run of equal keys with one map
+// lookup, and lets go of the lock: nothing below runs under it. The third
+// classifies and forwards, a run of descriptors of one session at a time.
+func (u *UPFU) processBurst(burst []*pktbuf.Buf, p *pkt.Parsed, sc *scratch) int {
+	n := len(burst)
+	if cap(sc.keys) < n {
+		sc.keys, sc.ctxs = make([]sessKey, n), make([]*SessCtx, n)
+	}
+	keys, ctxs := sc.keys[:n], sc.ctxs[:n]
+	for i, b := range burst {
+		keys[i] = sessKey{}
+		if b.Meta.Uplink {
+			if hdr, err := gtp.Decap(b); err == nil && hdr.MsgType == gtp.MsgGPDU {
+				keys[i] = sessKey{kind: keyTEID, teid: hdr.TEID}
+			}
+		} else if ip := b.Bytes(); len(ip) >= pkt.IPv4MinLen {
+			keys[i] = sessKey{kind: keyUEIP, ip: pkt.Addr(ip[16:20])}
+		}
+	}
+	u.state.resolve(keys, ctxs)
+
 	tk := u.tracec.Load()
-	cls := tk.Start("upf.classify")
-	if err := scratch.ParseIPv4(buf.Bytes()); err != nil {
-		cls.End()
-		return u.drop(buf)
-	}
-	ctx, ok := u.state.ByUEIP(scratch.IP.Dst)
-	if !ok {
-		cls.End()
-		return u.miss(buf)
-	}
-	key := classifier.Key{Tuple: scratch.Tuple, TOS: scratch.TOS, FromAccess: false}
-	pdr, far := ctx.Match(&key)
-	cls.End()
-	if pdr == nil {
-		return u.miss(buf)
-	}
-	if far == nil {
-		return u.drop(buf)
-	}
-	if far.Action&rules.FARBuffer != 0 {
-		sp := tk.Start("upf.buffer")
-		stored, first := ctx.Park(buf)
-		sp.End()
-		if first && far.Action&rules.FARNotifyCP != 0 && u.upfc != nil {
-			// Fire the paging trigger off the fast path.
-			go u.upfc.ReportDL(ctx, pdr.ID)
+	clock := burstClock{read: u.nowNano}
+	out := 0
+	for i := 0; i < n; {
+		ctx := ctxs[i]
+		j := i + 1
+		for j < n && ctxs[j] == ctx {
+			j++
 		}
-		if !stored {
+		if ctx == nil {
+			for k := i; k < j; k++ {
+				u.noSession(burst[k], keys[k].kind, p)
+				burst[out] = burst[k]
+				out++
+			}
+		} else {
+			out = u.forwardRun(ctx, burst, keys, i, j, out, p, tk, &clock)
+		}
+		i = j
+	}
+	return out
+}
+
+// burstClock reads the clock at most once per burst, and only if a
+// rate-limited session turns up in it.
+type burstClock struct {
+	read func() int64 // nil once nano holds the reading
+	nano int64
+}
+
+func (c *burstClock) now() int64 {
+	if c.read != nil {
+		c.nano, c.read = c.read(), nil
+	}
+	return c.nano
+}
+
+// noSession disposes of a descriptor that resolved to no session: dropped
+// if it is malformed, a miss otherwise.
+func (u *UPFU) noSession(buf *pktbuf.Buf, kind uint8, p *pkt.Parsed) {
+	buf.Meta.Action = pktbuf.ActionDrop
+	if kind == keyNone || (kind == keyUEIP && p.ParseIPv4(buf.Bytes()) != nil) {
+		u.dropped.Add(1)
+	} else {
+		u.misses.Add(1)
+	}
+}
+
+// forwardRun classifies and forwards burst[i:j], all of session ctx, under
+// one hold of the session's rules read lock, compacting the descriptors it
+// hands back to burst[out:] and returning the new out. The forwarded
+// counters are added once for the run.
+func (u *UPFU) forwardRun(ctx *SessCtx, burst []*pktbuf.Buf, keys []sessKey, i, j, out int,
+	p *pkt.Parsed, tk *trace.Track, clock *burstClock) int {
+	var ulN, dlN uint64
+	ctx.rulesMu.RLock()
+	for k := i; k < j; k++ {
+		buf := burst[k]
+		ul := keys[k].kind == keyTEID
+		cls := tk.Start("upf.classify")
+		var pdr *rules.PDR
+		var far *rules.FAR
+		err := p.ParseIPv4(buf.Bytes())
+		if err == nil {
+			p.TEID, p.FromAccess = keys[k].teid, ul
+			if pdr = ctx.Cls.Lookup(&p.FlowKey); pdr != nil {
+				far = ctx.Sess.FAR(pdr.FARID)
+			}
+		}
+		cls.End()
+		switch {
+		case err != nil:
+			u.drop(buf)
+		case pdr == nil:
+			u.miss(buf)
+		case far == nil:
+			u.drop(buf)
+		case !ul && far.Action&rules.FARBuffer != 0:
+			sp := tk.Start("upf.buffer")
+			stored, first := ctx.Park(buf)
+			sp.End()
+			if first && far.Action&rules.FARNotifyCP != 0 && u.upfc != nil {
+				// Fire the paging trigger off the fast path.
+				go u.upfc.ReportDL(ctx, pdr.ID)
+			}
+			if stored {
+				u.buffered.Add(1)
+				continue // ownership retained by the session buffer
+			}
+			u.drop(buf)
+		case far.Action&rules.FARForward == 0:
+			u.drop(buf)
+		case !ctx.allow(ul, buf.Len()*8, clock):
+			u.rateDropped.Add(1)
 			buf.Meta.Action = pktbuf.ActionDrop
-			u.dropped.Add(1)
-			return true
+		case ul:
+			// OuterHeaderRemoval already happened via Decap; forward plain
+			// IP to N6.
+			buf.Meta.Action = pktbuf.ActionToPort
+			buf.Meta.Port = uint16(PortN6)
+			ulN++
+		case u.encapTo(buf, pdr, far) != nil:
+			u.drop(buf)
+		default:
+			dlN++
 		}
-		u.buffered.Add(1)
-		return false // ownership retained by the session buffer
+		burst[out] = buf
+		out++
 	}
-	if far.Action&rules.FARForward == 0 {
-		return u.drop(buf)
+	ctx.rulesMu.RUnlock()
+	if ulN > 0 {
+		ctx.ulPkts.Add(ulN)
+		u.ulFwd.Add(ulN)
 	}
-	ctx.mu.Lock()
-	allowed := ctx.dlBucket.allow(buf.Len()*8, u.nowNano())
-	ctx.mu.Unlock()
-	if !allowed {
-		u.rateDropped.Add(1)
-		buf.Meta.Action = pktbuf.ActionDrop
-		return true
+	if dlN > 0 {
+		ctx.dlPkts.Add(dlN)
+		u.dlFwd.Add(dlN)
 	}
-	if err := u.encapTo(buf, pdr, far); err != nil {
-		return u.drop(buf)
-	}
-	ctx.dlPkts.Add(1)
-	u.dlFwd.Add(1)
-	return true
+	return out
 }
 
 // encapTo applies the FAR's outer header creation and targets N3.
@@ -215,70 +294,57 @@ func (u *UPFU) encapTo(buf *pktbuf.Buf, pdr *rules.PDR, far *rules.FAR) error {
 
 // DrainSession releases a session's parked packets in order through the
 // emit path, encapsulating each toward the session's *current* FAR target
-// (the target gNB after a handover). Installed as UPF-C's drain hook.
+// (the target gNB after a handover). Installed as UPF-C's drain hook. The
+// whole queue goes to the emit function as one burst, which pushes back
+// on a full ring rather than dropping.
 func (u *UPFU) DrainSession(ctx *SessCtx) {
+	parked := ctx.Drain()
 	emitp := u.emit.Load()
-	if emitp == nil {
-		for _, b := range ctx.Drain() {
-			b.Release()
+	var p pkt.Parsed
+	out := parked[:0]
+	for _, b := range parked {
+		if emitp != nil && p.ParseIPv4(b.Bytes()) == nil {
+			p.TEID, p.FromAccess = 0, false
+			pdr, far := ctx.Match(&p.FlowKey)
+			if pdr != nil && far != nil && far.Action&rules.FARForward != 0 && u.encapTo(b, pdr, far) == nil {
+				out = append(out, b)
+				continue
+			}
 		}
+		b.Release()
+	}
+	if len(out) == 0 {
 		return
 	}
-	emit := *emitp
-	var scratch pkt.Parsed
-	for _, b := range ctx.Drain() {
-		if err := scratch.ParseIPv4(b.Bytes()); err != nil {
-			b.Release()
-			continue
-		}
-		key := classifier.Key{Tuple: scratch.Tuple, TOS: scratch.TOS, FromAccess: false}
-		pdr, far := ctx.Match(&key)
-		if pdr == nil || far == nil || far.Action&rules.FARForward == 0 {
-			b.Release()
-			continue
-		}
-		if err := u.encapTo(b, pdr, far); err != nil {
-			b.Release()
-			continue
-		}
-		ctx.dlPkts.Add(1)
-		u.dlFwd.Add(1)
-		emit(b)
+	ctx.dlPkts.Add(uint64(len(out)))
+	u.dlFwd.Add(uint64(len(out)))
+	for _, b := range out[(*emitp)(out):] {
+		b.Release()
 	}
 }
 
-func (u *UPFU) drop(buf *pktbuf.Buf) bool {
+func (u *UPFU) drop(buf *pktbuf.Buf) {
 	u.dropped.Add(1)
 	buf.Meta.Action = pktbuf.ActionDrop
-	return true
 }
 
-func (u *UPFU) miss(buf *pktbuf.Buf) bool {
+func (u *UPFU) miss(buf *pktbuf.Buf) {
 	u.misses.Add(1)
 	buf.Meta.Action = pktbuf.ActionDrop
-	return true
 }
 
 // AttachONVM registers the UPF-U as an NF on the platform under service
 // sid, wiring the emit path through the instance's Tx ring.
 func (u *UPFU) AttachONVM(m *onvm.Manager, sid onvm.ServiceID) (*onvm.Instance, error) {
-	// Parse scratch is checked out per call, not shared by the closure: the
-	// sharded switch may drive handlers from concurrent platform goroutines,
-	// and sync.Pool keeps the steady state allocation-free per goroutine.
-	scratch := sync.Pool{New: func() any { return new(pkt.Parsed) }}
-	inst, err := m.Register(sid, "upf-u", func(b *pktbuf.Buf) bool {
-		s := scratch.Get().(*pkt.Parsed)
-		done := u.Process(b, s)
-		scratch.Put(s)
-		return done
+	// One parse state and scratch per instance: the instance goroutine is
+	// the handler's only caller.
+	p, sc := new(pkt.Parsed), new(scratch)
+	inst, err := m.RegisterBurst(sid, "upf-u", func(burst []*pktbuf.Buf) int {
+		return u.processBurst(burst, p, sc)
 	})
 	if err != nil {
 		return nil, err
 	}
-	u.SetEmit(func(b *pktbuf.Buf) {
-		if err := inst.Send(b); err != nil {
-			b.Release()
-		}
-	})
+	u.SetEmit(inst.SendBurst)
 	return inst, nil
 }
