@@ -115,6 +115,7 @@ func main() {
 	fmt.Println("gNB 1 and gNB 2 attached")
 
 	dn := pkt.AddrFrom(1, 1, 1, 1)
+	// The sink is lent ipPkt until it returns; it prints and keeps nothing.
 	c.SetN6Sink(func(ipPkt []byte) {
 		var p pkt.Parsed
 		if p.ParseIPv4(ipPkt) == nil {

@@ -55,7 +55,8 @@ func main() {
 	time.Sleep(30 * time.Millisecond)
 	fmt.Printf("UE %s attached at gNB 1\n", ue.IP())
 
-	// Count and sequence-check DL deliveries at the UE.
+	// Count and sequence-check DL deliveries at the UE, inside the hook:
+	// ipPkt is valid until it returns.
 	var received, outOfOrder atomic.Uint64
 	var lastSeq atomic.Int64
 	lastSeq.Store(-1)

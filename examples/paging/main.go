@@ -47,6 +47,8 @@ func main() {
 	}
 	time.Sleep(30 * time.Millisecond)
 
+	// ipPkt is valid until the hook returns: string() copies the payload
+	// out before it crosses the channel.
 	delivered := make(chan string, 16)
 	ue.OnData = func(ipPkt []byte) {
 		var p pkt.Parsed

@@ -35,7 +35,9 @@ func main() {
 	defer c.Stop()
 	fmt.Println("5GC unit running; AMF N2 at", c.N2Addr())
 
-	// 2. The data network echoes whatever it receives.
+	// 2. The data network echoes whatever it receives. A sink is lent the
+	//    packet: ipPkt is valid until the hook returns, so the echo is
+	//    built (a copy) and injected (another) before it does.
 	dn := pkt.AddrFrom(1, 1, 1, 1)
 	c.SetN6Sink(func(ipPkt []byte) {
 		var p pkt.Parsed
@@ -68,7 +70,8 @@ func main() {
 	time.Sleep(30 * time.Millisecond) // DL path activation settles
 	fmt.Printf("registered in %v, session up in %v, UE IP %s\n", regTime, sessTime, ue.IP())
 
-	// 4. Send uplink and watch the echo come back downlink.
+	// 4. Send uplink and watch the echo come back downlink (OnData borrows
+	//    its packet the same way: valid until the hook returns).
 	done := make(chan struct{})
 	ue.OnData = func(ipPkt []byte) {
 		var p pkt.Parsed

@@ -26,16 +26,17 @@ func newEchoHarness(mode core.Mode) (*echoHarness, func(), error) {
 		return nil, nil, err
 	}
 	e := &echoHarness{h: h, probe: traffic.NewRTTProbe()}
-	// UE echoes every DL payload back uplink.
+	// UE echoes every DL payload back uplink. The packet is only lent to
+	// the hook; SendUplink has copied the payload when it returns.
 	h.ue.OnData = func(ipPkt []byte) {
 		var p pkt.Parsed
 		if p.ParseIPv4(ipPkt) != nil {
 			return
 		}
-		payload := append([]byte(nil), p.Payload...)
-		h.ue.SendUplink(benchDN, p.UDP.DstPort, p.UDP.SrcPort, payload)
+		h.ue.SendUplink(benchDN, p.UDP.DstPort, p.UDP.SrcPort, p.Payload)
 	}
-	// The DN resolves echoes to RTT samples.
+	// The DN resolves echoes to RTT samples (Ack reads the stamp, keeps
+	// nothing).
 	h.core.SetN6Sink(func(ipPkt []byte) {
 		var p pkt.Parsed
 		if p.ParseIPv4(ipPkt) == nil {

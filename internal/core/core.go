@@ -12,7 +12,10 @@
 //
 // A Core exposes a transport-independent surface to the RAN side
 // (internal/ranue): AttachGNB for DL delivery, SendUL for N3 ingress,
-// InjectDL / SetN6Sink for the data-network side.
+// InjectDL / SetN6Sink for the data-network side. In every mode a frame is
+// copied once on the way in (SendUL and InjectDL return with the caller's
+// slice free to reuse) and not at all on the way out: a sink borrows the
+// bytes it is handed until it returns, and copies whatever it keeps.
 package core
 
 import (
@@ -328,7 +331,7 @@ func (c *Core) start() error {
 		c.mgr.BindPortNF(uint16(upf.PortN3), upfServiceID)
 		c.mgr.BindPortNF(uint16(upf.PortN6), upfServiceID)
 		c.mgr.RegisterPort(uint16(upf.PortN3), c.n3Egress)
-		c.mgr.RegisterPort(uint16(upf.PortN6), c.n6Egress)
+		c.mgr.RegisterPort(uint16(upf.PortN6), func(ipPkt []byte, _ pktbuf.Meta) { c.n6Egress(ipPkt) })
 	}
 
 	// --- control-plane NF mesh ---
@@ -629,7 +632,7 @@ func (c *Core) startDN() error {
 	if err := c.kupf.SetDN(dn.LocalAddr().String()); err != nil {
 		return err
 	}
-	go c.dnReadLoop(dn)
+	go readLoop(dn, c.n6Egress)
 	return nil
 }
 
@@ -715,7 +718,11 @@ func (c *Core) N2Addr() string {
 // was built with Config.Resilience).
 func (c *Core) Supervisor() *supervisor.Supervisor { return c.sup }
 
-// AttachGNB registers a gNB's DL frame sink under its N3 address.
+// AttachGNB registers a gNB's DL frame sink under its N3 address. The
+// sink borrows the frame: the bytes are valid until it returns (then the
+// packet buffer, or in free5GC mode the socket read buffer, is reused),
+// so a sink that keeps any of them copies what it keeps. Frames of one
+// flow arrive in order; sinks must be goroutine-safe.
 func (c *Core) AttachGNB(addr pkt.Addr, sink func(frame []byte)) error {
 	c.mu.Lock()
 	sinks := maps.Clone(*c.gnbSinks.Load())
@@ -739,17 +746,7 @@ func (c *Core) AttachGNB(addr pkt.Addr, sink func(frame []byte)) error {
 	if err := c.kupf.RegisterGNB(addr, sock.LocalAddr().String()); err != nil {
 		return err
 	}
-	go func() {
-		buf := make([]byte, 64*1024)
-		for {
-			n, _, err := sock.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			frame := append([]byte(nil), buf[:n]...)
-			sink(frame)
-		}
-	}()
+	go readLoop(sock, sink)
 	return nil
 }
 
@@ -793,34 +790,37 @@ func (c *Core) InjectDL(ipPkt []byte) error {
 }
 
 // SetN6Sink installs the receiver for uplink packets leaving toward the
-// data network.
+// data network. The sink borrows the packet exactly as an AttachGNB sink
+// borrows its frame: valid until it returns, copy what you keep.
 func (c *Core) SetN6Sink(fn func(ipPkt []byte)) { c.n6Sink.Store(&fn) }
 
-// n3Egress routes DL frames leaving the platform to the right gNB sink.
-// The copy is the one copy out: a sink owns the slice it is given.
+// n3Egress routes DL frames leaving the platform to the right gNB sink,
+// which borrows the pool buffer's bytes for the call.
 func (c *Core) n3Egress(frame []byte, meta pktbuf.Meta) {
 	if sink := (*c.gnbSinks.Load())[pkt.Addr(meta.OuterIP)]; sink != nil {
-		sink(append([]byte(nil), frame...))
+		sink(frame)
 	}
 }
 
-// n6Egress delivers UL packets to the DN sink, which owns its copy.
-func (c *Core) n6Egress(frame []byte, meta pktbuf.Meta) {
+// n6Egress lends UL packets to the DN sink.
+func (c *Core) n6Egress(ipPkt []byte) {
 	if sink := c.n6Sink.Load(); sink != nil && *sink != nil {
-		(*sink)(append([]byte(nil), frame...))
+		(*sink)(ipPkt)
 	}
 }
 
-// dnReadLoop (free5GC mode) forwards UL packets from the kernel UPF's N6
-// socket to the DN sink.
-func (c *Core) dnReadLoop(dn *net.UDPConn) {
+// readLoop (free5GC mode) lends every datagram arriving on a RAN- or
+// DN-side socket to sink, one read buffer for the socket's lifetime,
+// poisoned like a released pool buffer once sink has returned.
+func readLoop(sock *net.UDPConn, sink func([]byte)) {
 	buf := make([]byte, 64*1024)
 	for {
-		n, _, err := dn.ReadFromUDP(buf)
+		n, err := sock.Read(buf)
 		if err != nil {
 			return
 		}
-		c.n6Egress(buf[:n], pktbuf.Meta{})
+		sink(buf[:n])
+		pktbuf.Poison(buf[:n])
 	}
 }
 

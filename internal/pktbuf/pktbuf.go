@@ -81,6 +81,23 @@ type Buf struct {
 	refcnt atomic.Int32
 }
 
+// PoisonByte fills a released buffer in race-detector builds (race.go).
+const PoisonByte = 0xDB
+
+// Poison overwrites mem, bytes a sink was lent and must no longer read,
+// with PoisonByte in race-detector builds; otherwise it does nothing.
+func Poison(mem []byte) {
+	if !poisonOnFree || len(mem) == 0 {
+		return
+	}
+	// Doubling copies, not a byte loop: under the race detector every
+	// store of a loop is instrumented, a copy once.
+	mem[0] = PoisonByte
+	for n := 1; n < len(mem); n *= 2 {
+		copy(mem[n:], mem[:n])
+	}
+}
+
 // Bytes returns the valid frame bytes. The slice aliases pool memory and is
 // invalid after Release.
 func (b *Buf) Bytes() []byte { return b.mem[b.off : b.off+b.blen] }
@@ -216,6 +233,11 @@ func (p *Pool) put(b *Buf) {
 // putBulk returns buffers whose last reference is gone to the free ring,
 // one bulk enqueue per attempt.
 func (p *Pool) putBulk(bufs []*Buf) {
+	if poisonOnFree {
+		for _, b := range bufs {
+			Poison(b.mem[:])
+		}
+	}
 	for {
 		bufs = bufs[p.free.EnqueueBulk(bufs):]
 		if len(bufs) == 0 {

@@ -18,7 +18,9 @@ import (
 	"l25gc/internal/pkt"
 )
 
-// DataPlane is the core's N3 surface as seen by a gNB.
+// DataPlane is the core's N3 surface as seen by a gNB. Frames are lent in
+// both directions: SendUL has copied what it needs of frame when it
+// returns, and sink may use its frame only until it returns.
 type DataPlane interface {
 	SendUL(frame []byte) error
 	AttachGNB(addr pkt.Addr, sink func(frame []byte)) error
@@ -42,12 +44,14 @@ type GNB struct {
 	conn *ngap.Conn
 	dp   DataPlane
 
-	// mu is taken shared by the DL data path (one lookup in byDlTEID per
-	// frame) and exclusively by the N2 side that edits the maps.
-	mu        sync.RWMutex
+	// mu belongs to the N2 side, which edits the maps. The DL data path
+	// takes no lock: its one lookup per frame is in byDlTEID, a sync.Map
+	// (DL TEID -> *UE) whose reads are lock-free and whose writes touch
+	// one entry.
+	mu        sync.Mutex
 	byRanUeID map[uint64]*attachment
 	byAmfUeID map[uint64]*attachment
-	byDlTEID  map[uint32]*attachment
+	byDlTEID  sync.Map
 	camped    map[*UE]struct{} // idle/connected UEs in this cell (paging targets)
 
 	nextRanUeID atomic.Uint64
@@ -73,7 +77,6 @@ func NewGNB(id uint32, addr pkt.Addr, n2Addr string, dp DataPlane) (*GNB, error)
 		ID: id, Addr: addr, conn: conn, dp: dp,
 		byRanUeID: make(map[uint64]*attachment),
 		byAmfUeID: make(map[uint64]*attachment),
-		byDlTEID:  make(map[uint32]*attachment),
 		camped:    make(map[*UE]struct{}),
 		setupDone: make(chan struct{}),
 		BufferCap: 1300, // ~2MB of MTU packets (paper §2.3)
@@ -191,9 +194,7 @@ func (g *GNB) n2Loop() {
 			if at := g.byRanUeID[m.RanUeID]; at != nil {
 				delete(g.byRanUeID, m.RanUeID)
 				delete(g.byAmfUeID, at.amfUeID)
-				if at.dlTEID != 0 {
-					delete(g.byDlTEID, at.dlTEID)
-				}
+				g.byDlTEID.Delete(at.dlTEID)
 				// The UE stays camped on the cell for paging; it only
 				// leaves the camped set when it hands over away (uncamp).
 				// at.ue is nil when a release races a handover arrival
@@ -218,11 +219,14 @@ func (g *GNB) handleResourceSetup(m *ngap.PDUSessionResourceSetupRequest) {
 	}
 	at.amfUeID = m.AmfUeID
 	at.upfTEID = m.UpfTEID
-	at.dlTEID = g.nextTEID.Add(1)
 	at.active = true
 	g.mu.Lock()
 	g.byAmfUeID[m.AmfUeID] = at
-	g.byDlTEID[at.dlTEID] = at
+	g.byDlTEID.Delete(at.dlTEID) // a repeated setup replaces the tunnel
+	at.dlTEID = g.nextTEID.Add(1)
+	if at.ue != nil {
+		g.byDlTEID.Store(at.dlTEID, at.ue)
+	}
 	g.mu.Unlock()
 	g.conn.Send(&ngap.PDUSessionResourceSetupResponse{
 		RanUeID: m.RanUeID, PduSessionID: m.PduSessionID,
@@ -235,7 +239,8 @@ func (g *GNB) handleResourceSetup(m *ngap.PDUSessionResourceSetupRequest) {
 
 // handleHandoverRequest admits a UE handed over from another gNB.
 func (g *GNB) handleHandoverRequest(m *ngap.HandoverRequest) {
-	// The UE object is found when it arrives; pre-create the attachment.
+	// The UE object is found when it arrives (completeArrival, which also
+	// enters the DL tunnel into byDlTEID); pre-create the attachment.
 	at := &attachment{
 		ranUeID: g.nextRanUeID.Add(1),
 		amfUeID: m.AmfUeID,
@@ -245,7 +250,6 @@ func (g *GNB) handleHandoverRequest(m *ngap.HandoverRequest) {
 	g.mu.Lock()
 	g.byRanUeID[at.ranUeID] = at
 	g.byAmfUeID[m.AmfUeID] = at
-	g.byDlTEID[at.dlTEID] = at
 	g.mu.Unlock()
 	g.conn.Send(&ngap.HandoverRequestAck{
 		AmfUeID: m.AmfUeID, NewRanUeID: at.ranUeID,
@@ -262,6 +266,7 @@ func (g *GNB) completeArrival(ue *UE, amfUeID uint64) (*attachment, error) {
 		at.ue = ue
 		at.active = true
 		g.camped[ue] = struct{}{}
+		g.byDlTEID.Store(at.dlTEID, ue)
 	}
 	g.mu.Unlock()
 	if at == nil {
@@ -279,9 +284,7 @@ func (g *GNB) detach(at *attachment) {
 	if g.byAmfUeID[at.amfUeID] == at {
 		delete(g.byAmfUeID, at.amfUeID)
 	}
-	if at.dlTEID != 0 {
-		delete(g.byDlTEID, at.dlTEID)
-	}
+	g.byDlTEID.Delete(at.dlTEID)
 	g.mu.Unlock()
 }
 
@@ -293,33 +296,42 @@ func (g *GNB) uncamp(ue *UE) {
 }
 
 // handleDLFrame decapsulates a DL GTP frame and delivers the inner IP
-// packet to the owning UE. The data plane hands over a frame the gNB
-// owns, so the UE gets the inner packet as a sub-slice of it, uncopied.
+// packet to the owning UE. The frame is borrowed from the data plane for
+// the duration of the call: it is decapsulated in place and the UE is
+// lent the inner packet as a sub-slice of it, uncopied.
 func (g *GNB) handleDLFrame(frame []byte) {
 	var h gtp.Header
 	inner, err := h.Decode(frame)
 	if err != nil || h.MsgType != gtp.MsgGPDU {
 		return
 	}
-	var ue *UE
-	g.mu.RLock()
-	if at := g.byDlTEID[h.TEID]; at != nil {
-		ue = at.ue
-	}
-	g.mu.RUnlock()
-	if ue != nil {
-		ue.deliverData(inner)
+	if ue, ok := g.byDlTEID.Load(h.TEID); ok {
+		ue.(*UE).deliverData(inner)
 	}
 }
 
-// sendUL encapsulates and transmits one UL IP packet for an attachment.
-func (g *GNB) sendUL(at *attachment, ipPkt []byte) error {
-	frame := make([]byte, len(ipPkt)+32)
+// ulScratch holds the frames sendUL builds UL packets in.
+var ulScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// sendUL builds one UL IP/UDP packet for an attachment behind its GTP-U
+// header and transmits it. The frame is a pooled scratch slice: the data
+// plane has copied it by the time SendUL returns.
+func (g *GNB) sendUL(at *attachment, src, dst pkt.Addr, sport, dport uint16, payload []byte) error {
 	h := gtp.Header{MsgType: gtp.MsgGPDU, TEID: at.upfTEID, HasQFI: true, QFI: 9, PDUType: 1}
-	n, err := h.Encode(frame, len(ipPkt))
+	hn := h.HeaderSize()
+	need := hn + pkt.IPv4MinLen + pkt.UDPLen + len(payload)
+	bp := ulScratch.Get().(*[]byte)
+	defer ulScratch.Put(bp)
+	if cap(*bp) < need {
+		*bp = make([]byte, need)
+	}
+	frame := (*bp)[:need]
+	n, err := pkt.BuildUDPv4(frame[hn:], src, dst, sport, dport, 0, payload)
 	if err != nil {
 		return err
 	}
-	copy(frame[n:], ipPkt)
-	return g.dp.SendUL(frame[:n+len(ipPkt)])
+	if _, err := h.Encode(frame, n); err != nil {
+		return err
+	}
+	return g.dp.SendUL(frame[:hn+n])
 }

@@ -40,11 +40,12 @@ type UE struct {
 	hoCmdIn   chan uint32
 	releaseIn chan struct{}
 
-	// OnData receives decapsulated DL IP packets while connected; it owns
-	// the slice it is given. The delivering goroutine reads the field
-	// under a shared hold of the UE's lock, which orders the read after
-	// any UE call (SendUplink, ...) made since the field was set: set it
-	// before traffic flows, or from inside the hook.
+	// OnData receives decapsulated DL IP packets while connected. It
+	// borrows the slice — a piece of the data plane's packet buffer, valid
+	// until the hook returns — and copies what it keeps. The delivering
+	// goroutine reads the field under a shared hold of the UE's lock, which
+	// orders the read after any UE call (SendUplink, ...) made since the
+	// field was set: set it before traffic flows, or from inside the hook.
 	OnData func(ipPkt []byte)
 
 	Times EventTimes
@@ -103,7 +104,7 @@ func (u *UE) deliverRelease() {
 	}
 }
 
-// deliverData hands the UE a DL packet the caller gives up ownership of.
+// deliverData lends the UE a DL packet for the duration of its hook.
 func (u *UE) deliverData(ipPkt []byte) {
 	u.mu.RLock()
 	fn := u.OnData
@@ -257,12 +258,7 @@ func (u *UE) SendUplink(dst pkt.Addr, sport, dport uint16, payload []byte) error
 	if g == nil || at == nil || !at.active {
 		return fmt.Errorf("ranue: no active session")
 	}
-	buf := make([]byte, pkt.IPv4MinLen+pkt.UDPLen+len(payload))
-	n, err := pkt.BuildUDPv4(buf, ip, dst, sport, dport, 0, payload)
-	if err != nil {
-		return err
-	}
-	return g.sendUL(at, buf[:n])
+	return g.sendUL(at, ip, dst, sport, dport, payload)
 }
 
 // GoIdle releases the RAN connection (idle-active transition, battery
