@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 # specific interleaving: make check CHAOS_SEEDS="12345"
 CHAOS_SEEDS ?= 1902 7 42
 
-.PHONY: all build test check bench-build lint staticcheck chaos trace-smoke recovery-smoke scale-smoke fastpath-smoke storm-smoke soak-smoke partition-smoke fuzz-smoke
+.PHONY: all build test check bench-build lint staticcheck chaos trace-smoke recovery-smoke scale-smoke fastpath-smoke cp-smoke storm-smoke soak-smoke partition-smoke fuzz-smoke
 
 all: build
 
@@ -37,6 +37,7 @@ check:
 	done
 	$(MAKE) scale-smoke
 	$(MAKE) fastpath-smoke
+	$(MAKE) cp-smoke
 	$(MAKE) storm-smoke
 	$(MAKE) soak-smoke
 	$(MAKE) partition-smoke
@@ -188,3 +189,21 @@ fastpath-smoke:
 	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestParkedFlag|TestSnapshotSeen|TestCountersBatched' ./internal/onvm
 	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSessionBurst' ./internal/upf
 	$(GO) test -race -count=3 -run 'TestSinksSwapWhileDownlinkFlows|TestSinkRetentionGuard|TestModesDeliverIdenticalBytes' ./internal/core
+
+# Control-plane transport gate (DESIGN §17), and the local loop for
+# control-plane work: 2000 full UE cycles (register, session, handover,
+# idle, paged reconnect, deregister) on an L²5GC core from one and two
+# clients at -cpu 1,2, each step's median printed beside ns/op (add
+# -cpuprofile for the profile of cp_churn's event half), then under the
+# race detector three times: the mailbox's ownership protocol (exactly
+# once, in order, one handler at a time, nothing stranded at release, a
+# handler sending to its own ring, full, closed, Close with a handler in
+# flight), the reply table, who serves an shm invoke / N4 request and what
+# the deadline bounds, the endpoint lifecycle, the head-of-line scenario,
+# and the census of an idle core's goroutines.
+cp-smoke:
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkUECycle' -benchtime 2000x -cpu 1,2 ./internal/core
+	$(GO) test -race -count=3 ./internal/shm
+	$(GO) test -race -count=3 -run 'TestShmInvokeInlineAndQueued|TestShmConcurrentInvokes|TestShmInvokeRecoversFromInjectedLoss' ./internal/sbi
+	$(GO) test -race -count=3 -run 'TestEndpointCloseLifecycle|TestMemResponseBypassesBlockedReport|TestMemRequestServedInlineNeverWaits|TestMemRetransmissionAndDedup' ./internal/pfcp
+	$(GO) test -race -count=3 -run 'TestL25GCCoreHasNoTransportGoroutines' ./internal/core

@@ -76,7 +76,7 @@ func Fig6() (*Result, error) {
 		Notes: []string{
 			"paper: JSON is costliest; FlatBuffers/Protobuf reduce but do not remove the cost;",
 			"L25GC's shared memory removes serialization entirely (the shm row's 'total' is the",
-			"full round trip through the descriptor mailbox, including scheduling).",
+			"full round trip through the descriptor ring: enqueue, handler on the caller's goroutine, reply).",
 			fmt.Sprintf("shm round trip includes request+response delivery: %v", shm),
 		},
 	}, nil

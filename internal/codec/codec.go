@@ -115,25 +115,32 @@ var fieldScratch = sync.Pool{
 	},
 }
 
+// schemaOf returns m's fields: for a FieldAppender, scanned into a pooled
+// scratch slice (scratch non-nil, to be handed back with releaseSchema),
+// otherwise a fresh m.Schema().
+func schemaOf(m Message) (fields []Field, scratch *[]Field) {
+	fa, ok := m.(FieldAppender)
+	if !ok {
+		return m.Schema(), nil
+	}
+	scratch = fieldScratch.Get().(*[]Field)
+	return fa.AppendSchema((*scratch)[:0]), scratch
+}
+
+func releaseSchema(fields []Field, scratch *[]Field) {
+	if scratch != nil {
+		*scratch = fields[:0]
+		fieldScratch.Put(scratch)
+	}
+}
+
 // AppendMarshal encodes m appended to dst and returns the extended
 // slice — the allocation-free spelling hot paths use with pooled
 // buffers (Marshal is AppendMarshal into a fresh slice). Messages
 // implementing FieldAppender avoid even the schema-slice allocation.
 func (Proto) AppendMarshal(dst []byte, m Message) ([]byte, error) {
-	var (
-		fields  []Field
-		scratch *[]Field
-	)
-	if fa, ok := m.(FieldAppender); ok {
-		scratch = fieldScratch.Get().(*[]Field)
-		fields = fa.AppendSchema((*scratch)[:0])
-		defer func() {
-			*scratch = fields[:0]
-			fieldScratch.Put(scratch)
-		}()
-	} else {
-		fields = m.Schema()
-	}
+	fields, scratch := schemaOf(m)
+	defer releaseSchema(fields, scratch)
 	b := dst
 	for _, f := range fields {
 		switch f.Kind {
@@ -175,11 +182,14 @@ func appendKey(b []byte, tag uint32, wt uint8) []byte {
 }
 
 // Unmarshal implements Codec.
+//
+// A schema is a dozen fields that an encoder wrote in schema order, so the
+// field for a tag is found by scanning on from the previous match — no
+// per-call map, and for FieldAppender messages no per-call schema slice.
 func (Proto) Unmarshal(b []byte, m Message) error {
-	byTag := make(map[uint32]Field, 16)
-	for _, f := range m.Schema() {
-		byTag[f.Tag] = f
-	}
+	fields, scratch := schemaOf(m)
+	defer releaseSchema(fields, scratch)
+	next := 0 // index after the last matched field
 	for len(b) > 0 {
 		key, n := binary.Uvarint(b)
 		if n <= 0 {
@@ -188,7 +198,14 @@ func (Proto) Unmarshal(b []byte, m Message) error {
 		b = b[n:]
 		tag := uint32(key >> 3)
 		wt := uint8(key & 7)
-		f, known := byTag[tag]
+		var f Field
+		known := false
+		for i := range fields {
+			if j := (next + i) % len(fields); fields[j].Tag == tag {
+				f, known, next = fields[j], true, j+1
+				break
+			}
+		}
 		switch wt {
 		case wireVarint:
 			v, n := binary.Uvarint(b)

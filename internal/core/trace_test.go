@@ -126,6 +126,8 @@ func TestRegistryNameSet(t *testing.T) {
 			"onvm.switched", "onvm.dropped", "onvm.ring_overflow_drops",
 			"upf.ul_fwd", "upf.dl_fwd", "upf.buffered", "upf.dropped",
 			"upf.misses", "upf.rate_dropped",
+			"sbi.udm.served_inline", "sbi.udm.served_queued",
+			"pfcp.upf.served_inline", "pfcp.upf.served_queued",
 		}, common...)},
 		{ModeFree5GC, append([]string{
 			"kern.ul_fwd", "kern.dl_fwd", "kern.dropped", "kern.injected",
@@ -150,6 +152,14 @@ func TestRegistryNameSet(t *testing.T) {
 			// A traced attach must actually move the SBI and PFCP needles.
 			if snap.Counters["sbi.udm.invokes"] == 0 {
 				t.Error("sbi.udm.invokes is zero after a full attach")
+			}
+			// One UE, one gNB: nothing contends for an NF's ring, so every
+			// shm request is run by the goroutine that made it.
+			if tc.mode == ModeL25GC && (snap.Counters["sbi.udm.served_inline"] == 0 ||
+				snap.Counters["pfcp.upf.served_inline"] == 0 || snap.Counters["sbi.udm.served_queued"] != 0) {
+				t.Errorf("served inline/queued: sbi.udm %d/%d, pfcp.upf %d/%d",
+					snap.Counters["sbi.udm.served_inline"], snap.Counters["sbi.udm.served_queued"],
+					snap.Counters["pfcp.upf.served_inline"], snap.Counters["pfcp.upf.served_queued"])
 			}
 			if snap.Counters["upf.sessions"] != 1 {
 				t.Errorf("upf.sessions = %d, want 1", snap.Counters["upf.sessions"])

@@ -25,10 +25,16 @@ var LintNames = []string{
 	"sbi.*.pushback",
 	"sbi.*.breaker_trips",
 	"sbi.*.breaker_open",
+	// shm transport: requests whose handler ran on the requester's own
+	// goroutine vs. on another requester's (it found the ring busy).
+	"sbi.*.served_inline",
+	"sbi.*.served_queued",
 
 	// PFCP endpoint reliability counters ("pfcp.<peer>.*").
 	"pfcp.*.retransmits",
 	"pfcp.*.timeouts",
+	"pfcp.*.served_inline",
+	"pfcp.*.served_queued",
 
 	// N4 association lifecycle: state machine gauges, heartbeat/path
 	// outcomes, degraded-mode rejections, intent-journal depth and

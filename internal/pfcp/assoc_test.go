@@ -1,6 +1,7 @@
 package pfcp
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -329,50 +330,133 @@ func TestAssociationStartStopTicker(t *testing.T) {
 	a.Stop() // idempotent
 }
 
-// TestEndpointCloseJoinsDispatchWorker is the PR 9 shutdown fix: Close
-// must stop the reqQueue dispatch worker and cancel retransmit timers so
-// nothing outlives the endpoint (the leak check is the assertion).
-func TestEndpointCloseJoinsDispatchWorker(t *testing.T) {
+// TestEndpointCloseLifecycle pins what Close means on the shm transport,
+// which has no goroutine to join: the requester side's Close cancels every
+// parked Request at once (hour-long T1 or not), the responder side's Close
+// returns without waiting for a handler in flight and discards what is
+// queued behind it, no handler starts afterwards, the caller inside the
+// blocked handler returns when the handler does, and nothing is left
+// running (the leak check).
+func TestEndpointCloseLifecycle(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	smf, upf := NewMemPair(256)
-	block := make(chan struct{})
+	block, entered := make(chan struct{}), make(chan struct{})
 	var handled atomic.Int32
 	upf.SetHandler(func(seid uint64, req Message) (Message, error) {
-		handled.Add(1)
-		<-block
-		return &HeartbeatResponse{}, nil
+		if handled.Add(1) == 1 {
+			close(entered)
+			<-block
+		}
+		return &HeartbeatResponse{RecoveryTimestamp: 5}, nil
 	})
 	smf.SetRetry(RetryConfig{T1: time.Hour, N1: 0, Backoff: 1})
 
-	// Park one request in the handler and queue several more behind it.
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		go func() {
-			_, err := smf.Request(0, false, &HeartbeatRequest{})
-			errs <- err
-		}()
+	// One request is served inline and sits in the handler; seven more
+	// queue behind it and park.
+	type result struct {
+		resp Message
+		err  error
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for handled.Load() == 0 && time.Now().Before(deadline) {
+	request := func(out chan<- result) {
+		resp, err := smf.Request(0, false, &HeartbeatRequest{})
+		out <- result{resp, err}
+	}
+	inHandler, parked := make(chan result, 1), make(chan result, 7)
+	go request(inHandler)
+	<-entered
+	for i := 0; i < 7; i++ {
+		go request(parked)
+	}
+	for deadline := time.Now().Add(2 * time.Second); upf.in.Len() < 7; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 7 requests queued behind the blocked handler", upf.in.Len())
+		}
 		time.Sleep(time.Millisecond)
 	}
-	if handled.Load() == 0 {
-		t.Fatal("no request reached the handler")
-	}
 
-	// Closing the requester side cancels every in-flight Request (and its
-	// hour-long retransmit timer) immediately.
 	smf.Close()
-	for i := 0; i < 8; i++ {
-		if err := <-errs; err == nil {
-			t.Fatal("Request survived endpoint Close")
+	for i := 0; i < 7; i++ {
+		select {
+		case r := <-parked:
+			if r.err == nil {
+				t.Fatal("parked Request survived endpoint Close")
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Close cancelled %d of 7 parked Requests", i)
 		}
 	}
-	close(block) // release the parked handler; upf.Close joins its worker
-	upf.Close()
-	// Queued-but-undispatched requests must NOT run after Close returns.
-	if n := handled.Load(); n > 1 {
-		t.Fatalf("%d handlers ran; Close must drop still-queued requests", n)
+	select {
+	case r := <-inHandler:
+		t.Fatalf("Request returned (%v, %v) while its handler is still blocked", r.resp, r.err)
+	default:
+	}
+
+	upf.Close() // returns with the handler still in flight
+	close(block)
+	select {
+	case r := <-inHandler:
+		// The handler ran to completion and answered its own caller.
+		if r.err != nil || r.resp.(*HeartbeatResponse).RecoveryTimestamp != 5 {
+			t.Fatalf("caller inside the handler got (%v, %v)", r.resp, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("caller inside the blocked handler never returned")
+	}
+	if n := handled.Load(); n != 1 {
+		t.Fatalf("%d handlers ran; Close must discard still-queued requests", n)
+	}
+	if _, err := smf.Request(0, false, &HeartbeatRequest{}); err == nil {
+		t.Fatal("Request succeeded against a closed peer")
+	}
+	if n := handled.Load(); n != 1 {
+		t.Fatalf("a handler started after Close returned (%d ran)", n)
+	}
+	if n := smf.PendingRequests(); n != 0 {
+		t.Fatalf("pending table leaked %d entries", n)
+	}
+}
+
+// TestMemResponseBypassesBlockedReport is the PR 9 head-of-line scenario:
+// the requester holds a lock (its supervisor unit's) across Request while
+// the peer's unsolicited report, already being handled, waits for that
+// very lock. The response must not queue behind the report: the request
+// completes without a T1 expiry, and the report once the lock is free.
+func TestMemResponseBypassesBlockedReport(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	smf, upf := NewMemPair(64)
+	defer smf.Close()
+	defer upf.Close()
+	upf.SetHandler(echoHandler(t))
+	var unit sync.Mutex
+	reportEntered := make(chan struct{})
+	smf.SetHandler(func(seid uint64, req Message) (Message, error) {
+		close(reportEntered)
+		unit.Lock()
+		defer unit.Unlock()
+		return &SessionReportResponse{Cause: CauseAccepted}, nil
+	})
+	smf.SetRetry(RetryConfig{T1: 500 * time.Millisecond, N1: 0, Backoff: 1})
+
+	unit.Lock()
+	report := make(chan error, 1)
+	go func() {
+		_, err := upf.Request(1, true, &SessionReportRequest{ReportType: ReportDLDR, PDRID: 2})
+		report <- err
+	}()
+	<-reportEntered
+	resp, err := smf.Request(1, true, &SessionModificationRequest{})
+	unit.Unlock()
+	if err != nil {
+		t.Fatalf("modification behind a blocked report: %v", err)
+	}
+	if resp.(*SessionModificationResponse).Cause != CauseAccepted {
+		t.Fatalf("got %+v", resp)
+	}
+	if rtx, timeouts := smf.Stats(); rtx != 0 || timeouts != 0 {
+		t.Fatalf("retransmits = %d, timeouts = %d; the response waited behind the report", rtx, timeouts)
+	}
+	if err := <-report; err != nil {
+		t.Fatalf("report: %v", err)
 	}
 }
 

@@ -54,6 +54,127 @@ type injectorConf struct {
 	rx  faults.Point
 }
 
+// msgSpan opens a root span named prefix + the message type's name; with
+// tracing off it builds no name.
+func msgSpan(tk *trace.Track, prefix string, msgType uint8) trace.Span {
+	if tk == nil {
+		return trace.Span{}
+	}
+	return tk.Start(prefix + MsgName(msgType))
+}
+
+// endpoint is what the two transports share: the settings every Endpoint
+// accepts, and the request side — sequence numbers, the table of pending
+// calls, the T1/N1 loop and its counters.
+type endpoint struct {
+	handler atomic.Pointer[Handler]
+	seq     atomic.Uint32
+	retry   atomic.Pointer[RetryConfig]
+	faultc  atomic.Pointer[injectorConf]
+	tracec  atomic.Pointer[trace.Track]
+	calls   *shm.Calls[Message]
+
+	retransmits atomic.Uint64
+	timeouts    atomic.Uint64
+
+	done chan struct{} // closed by Close: every parked Request aborts
+}
+
+func newEndpoint() endpoint {
+	return endpoint{calls: shm.NewCalls[Message](), done: make(chan struct{})}
+}
+
+// SetHandler implements Endpoint.
+func (e *endpoint) SetHandler(h Handler) { e.handler.Store(&h) }
+
+// SetRetry implements Endpoint.
+func (e *endpoint) SetRetry(cfg RetryConfig) {
+	cfg = cfg.norm()
+	e.retry.Store(&cfg)
+}
+
+// SetInjector implements Endpoint. On the shm transport corruption does
+// not apply (descriptors carry struct pointers, not wire bytes);
+// drop/delay/duplicate/reorder do.
+func (e *endpoint) SetInjector(inj *faults.Injector, prefix string) {
+	e.faultc.Store(&injectorConf{
+		inj: inj,
+		tx:  faults.Point(prefix + ".tx"),
+		rx:  faults.Point(prefix + ".rx"),
+	})
+}
+
+// SetTracer implements Endpoint. The shm transport emits no
+// encode/syscall/decode spans — descriptors cross by pointer — so traced
+// breakdowns show those stages only on the kernel path. Its "pfcp.tx.shm"
+// covers the ring pass and, when the request is served inline, the peer's
+// "pfcp.handle.*" with it; "pfcp.wait" appears only when the requester
+// actually parked.
+func (e *endpoint) SetTracer(tk *trace.Track) { e.tracec.Store(tk) }
+
+// ExportMetrics implements Endpoint.
+func (e *endpoint) ExportMetrics(reg *metrics.Registry, prefix string) {
+	reg.RegisterGauge(prefix+".retransmits", e.retransmits.Load)
+	reg.RegisterGauge(prefix+".timeouts", e.timeouts.Load)
+}
+
+// Stats reports request retransmissions and per-attempt timeouts.
+func (e *endpoint) Stats() (retransmits, timeouts uint64) {
+	return e.retransmits.Load(), e.timeouts.Load()
+}
+
+// PendingRequests reports the number of in-flight request waiters
+// (diagnostics; abandoned requests must not linger here).
+func (e *endpoint) PendingRequests() int { return e.calls.Len() }
+
+// roundTrip is Request once the transport has built what it sends: it
+// transmits with send and waits T1 for the response, retransmitting with
+// the same sequence number up to N1 times with backoff. The pending call
+// is removed on every exit path. The response is looked for before the
+// wait: on the shm transport an idle peer's handler has run inside send,
+// and the requester neither parks nor arms a timer. T1 bounds what is
+// queued, dropped or delayed; a handler that blocks while being served
+// inline blocks the call past it.
+func (e *endpoint) roundTrip(root trace.Span, seq uint32, txSpan string, req Message, send func() error) (Message, error) {
+	w := e.calls.Begin(seq)
+	defer e.calls.End(seq, w)
+	cfg := DefaultRetry()
+	if c := e.retry.Load(); c != nil {
+		cfg = *c
+	}
+	t1 := cfg.T1
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			e.retransmits.Add(1)
+			root.Event("pfcp.retransmit")
+		}
+		tx := root.Child(txSpan)
+		err := send()
+		tx.End()
+		if err != nil {
+			return nil, err
+		}
+		if resp, ok := w.Poll(); ok {
+			return resp, nil
+		}
+		wait := root.Child("pfcp.wait")
+		resp, err := w.Wait(t1, e.done)
+		wait.End()
+		switch err {
+		case nil:
+			return resp, nil
+		case shm.ErrClosed:
+			return nil, net.ErrClosed
+		}
+		e.timeouts.Add(1)
+		if attempt >= cfg.N1 {
+			return nil, fmt.Errorf("pfcp: request %d timed out after %d attempts",
+				req.PFCPType(), attempt+1)
+		}
+		t1 = cfg.next(t1)
+	}
+}
+
 // reqQueue serializes inbound *request* dispatch on a dedicated worker
 // goroutine so the receive loop — which also completes pending Request
 // waiters — is never parked behind a handler. Without this split the
@@ -65,9 +186,9 @@ type injectorConf struct {
 // waiting for the very same lock, and the response sits behind it
 // unread until the retry budget burns out. Requests still run strictly
 // in arrival order; only their execution is decoupled from the reader.
-type reqQueue[T any] struct {
+type reqQueue struct {
 	mu      sync.Mutex
-	q       []T
+	q       []udpRequest
 	wake    chan struct{}
 	done    <-chan struct{}
 	stopped chan struct{}
@@ -77,8 +198,8 @@ type reqQueue[T any] struct {
 // entries remaining at close time are dropped — the peer's
 // retransmission loop covers them, exactly as for a datagram lost in
 // flight.
-func newReqQueue[T any](done <-chan struct{}, run func(T)) *reqQueue[T] {
-	rq := &reqQueue[T]{wake: make(chan struct{}, 1), done: done,
+func newReqQueue(done <-chan struct{}, run func(udpRequest)) *reqQueue {
+	rq := &reqQueue{wake: make(chan struct{}, 1), done: done,
 		stopped: make(chan struct{})}
 	go rq.loop(run)
 	return rq
@@ -87,11 +208,11 @@ func newReqQueue[T any](done <-chan struct{}, run func(T)) *reqQueue[T] {
 // join blocks until the worker goroutine has exited (i.e. done closed and
 // the in-flight handler, if any, returned). Endpoint Close calls this so
 // no queued handler outlives the endpoint.
-func (rq *reqQueue[T]) join() { <-rq.stopped }
+func (rq *reqQueue) join() { <-rq.stopped }
 
 // push enqueues one request; it never blocks and is safe from injector
 // timer goroutines.
-func (rq *reqQueue[T]) push(v T) {
+func (rq *reqQueue) push(v udpRequest) {
 	rq.mu.Lock()
 	rq.q = append(rq.q, v)
 	rq.mu.Unlock()
@@ -101,7 +222,7 @@ func (rq *reqQueue[T]) push(v T) {
 	}
 }
 
-func (rq *reqQueue[T]) loop(run func(T)) {
+func (rq *reqQueue) loop(run func(udpRequest)) {
 	defer close(rq.stopped)
 	for {
 		select {
@@ -135,25 +256,14 @@ func (rq *reqQueue[T]) loop(run func(T)) {
 
 // UDPEndpoint speaks PFCP over a kernel UDP socket.
 type UDPEndpoint struct {
-	conn    *net.UDPConn
-	peer    atomic.Pointer[net.UDPAddr]
-	handler atomic.Pointer[Handler]
-	seq     atomic.Uint32
-	retry   atomic.Pointer[RetryConfig]
-	faultc  atomic.Pointer[injectorConf]
-	tracec  atomic.Pointer[trace.Track]
-
-	mu      sync.Mutex
-	pending map[uint32]chan Message
+	endpoint
+	conn *net.UDPConn
+	peer atomic.Pointer[net.UDPAddr]
 
 	respCache *respCache[[]byte]
-	reqs      *reqQueue[udpRequest]
-
-	retransmits atomic.Uint64
-	timeouts    atomic.Uint64
+	reqs      *reqQueue
 
 	closed atomic.Bool
-	done   chan struct{}
 }
 
 // udpRequest is one parsed inbound request awaiting serial dispatch.
@@ -173,12 +283,7 @@ func NewUDPEndpoint(addr string) (*UDPEndpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &UDPEndpoint{
-		conn:      conn,
-		pending:   make(map[uint32]chan Message),
-		respCache: newRespCache[[]byte](),
-		done:      make(chan struct{}),
-	}
+	e := &UDPEndpoint{endpoint: newEndpoint(), conn: conn, respCache: newRespCache[[]byte]()}
 	e.reqs = newReqQueue(e.done, e.handleRequest)
 	go e.readLoop()
 	return e, nil
@@ -195,54 +300,6 @@ func (e *UDPEndpoint) Connect(addr string) error {
 	}
 	e.peer.Store(ua)
 	return nil
-}
-
-// SetHandler implements Endpoint.
-func (e *UDPEndpoint) SetHandler(h Handler) { e.handler.Store(&h) }
-
-// SetRetry implements Endpoint.
-func (e *UDPEndpoint) SetRetry(cfg RetryConfig) {
-	cfg = cfg.norm()
-	e.retry.Store(&cfg)
-}
-
-// SetInjector implements Endpoint.
-func (e *UDPEndpoint) SetInjector(inj *faults.Injector, prefix string) {
-	e.faultc.Store(&injectorConf{
-		inj: inj,
-		tx:  faults.Point(prefix + ".tx"),
-		rx:  faults.Point(prefix + ".rx"),
-	})
-}
-
-// SetTracer implements Endpoint.
-func (e *UDPEndpoint) SetTracer(tk *trace.Track) { e.tracec.Store(tk) }
-
-// ExportMetrics implements Endpoint.
-func (e *UDPEndpoint) ExportMetrics(reg *metrics.Registry, prefix string) {
-	reg.RegisterGauge(prefix+".retransmits", e.retransmits.Load)
-	reg.RegisterGauge(prefix+".timeouts", e.timeouts.Load)
-}
-
-// retryConfig returns the installed profile or the defaults.
-func (e *UDPEndpoint) retryConfig() RetryConfig {
-	if c := e.retry.Load(); c != nil {
-		return *c
-	}
-	return DefaultRetry()
-}
-
-// Stats reports request retransmissions and per-attempt timeouts.
-func (e *UDPEndpoint) Stats() (retransmits, timeouts uint64) {
-	return e.retransmits.Load(), e.timeouts.Load()
-}
-
-// PendingRequests reports the number of in-flight request waiters
-// (diagnostics; abandoned requests must not linger here).
-func (e *UDPEndpoint) PendingRequests() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.pending)
 }
 
 // send transmits wire to the peer through the injector, if any. The
@@ -263,70 +320,19 @@ func (e *UDPEndpoint) send(wire []byte, to *net.UDPAddr) error {
 	return werr
 }
 
-// Request implements Endpoint: it transmits the request and waits T1 for
-// the response, retransmitting with the same sequence number up to N1
-// times with backoff. The pending-map entry is removed on every exit path
-// so abandoned sequence numbers do not leak channels.
+// Request implements Endpoint.
 func (e *UDPEndpoint) Request(seid uint64, hasSEID bool, req Message) (Message, error) {
 	peer := e.peer.Load()
 	if peer == nil {
 		return nil, fmt.Errorf("pfcp: no peer configured")
 	}
 	seq := e.seq.Add(1) & 0xffffff
-	ch := make(chan Message, 1)
-	e.mu.Lock()
-	e.pending[seq] = ch
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.pending, seq)
-		e.mu.Unlock()
-	}()
-	root := e.tracec.Load().Start("pfcp.request." + MsgName(req.PFCPType()))
+	root := msgSpan(e.tracec.Load(), "pfcp.request.", req.PFCPType())
 	defer root.End()
 	enc := root.Child("pfcp.encode")
 	wire := Marshal(req, seid, hasSEID, seq)
 	enc.End()
-	cfg := e.retryConfig()
-	t1 := cfg.T1
-	timer := time.NewTimer(t1)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			e.retransmits.Add(1)
-			root.Event("pfcp.retransmit")
-		}
-		tx := root.Child("pfcp.tx.syscall")
-		err := e.send(wire, peer)
-		tx.End()
-		if err != nil {
-			return nil, err
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(t1)
-		wait := root.Child("pfcp.wait")
-		select {
-		case resp := <-ch:
-			wait.End()
-			return resp, nil
-		case <-timer.C:
-			wait.End()
-			e.timeouts.Add(1)
-			if attempt >= cfg.N1 {
-				return nil, fmt.Errorf("pfcp: request %d timed out after %d attempts",
-					req.PFCPType(), attempt+1)
-			}
-			t1 = cfg.next(t1)
-		case <-e.done:
-			wait.End()
-			return nil, net.ErrClosed
-		}
-	}
+	return e.roundTrip(root, seq, "pfcp.tx.syscall", req, func() error { return e.send(wire, peer) })
 }
 
 func (e *UDPEndpoint) readLoop() {
@@ -362,15 +368,7 @@ func (e *UDPEndpoint) handleDatagram(data []byte, from *net.UDPAddr) {
 		return
 	}
 	if isResponse(hdr.MsgType) {
-		e.mu.Lock()
-		ch := e.pending[hdr.Seq]
-		e.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- msg:
-			default: // duplicate response for an already-answered request
-			}
-		}
+		e.calls.Complete(hdr.Seq, msg) // false: duplicate, or nobody waits any more
 		return
 	}
 	e.reqs.push(udpRequest{hdr: hdr, msg: msg, from: from})
@@ -389,7 +387,7 @@ func (e *UDPEndpoint) handleRequest(r udpRequest) {
 		return
 	}
 	tk := e.tracec.Load()
-	hs := tk.Start("pfcp.handle." + MsgName(r.hdr.MsgType))
+	hs := msgSpan(tk, "pfcp.handle.", r.hdr.MsgType)
 	resp, err := (*hp)(r.hdr.SEID, r.msg)
 	hs.End()
 	if err != nil || resp == nil {
@@ -430,8 +428,8 @@ func isResponse(t uint8) bool {
 
 // --- shared-memory endpoint (L²5GC path) ---
 
-// memFrame is the descriptor passed through the mailbox: the message struct
-// travels by pointer, never serialized.
+// memFrame is the descriptor passed between the endpoints: the message
+// struct travels by pointer, never serialized.
 type memFrame struct {
 	seid   uint64
 	seq    uint32
@@ -439,205 +437,100 @@ type memFrame struct {
 	msg    Message
 }
 
-// MemEndpoint speaks PFCP over an in-process shared-memory mailbox pair.
+// MemEndpoint speaks PFCP with its peer in the same process. Requests
+// reach it through a shared-memory ring (shm.Mailbox) that its handler is
+// attached to and that has no goroutine of its own: a requester that finds
+// the ring idle runs the handler itself, one that finds it busy queues
+// behind the goroutine draining it. Responses never enter a ring — the
+// responder completes the requester's pending call directly — so a
+// response cannot wait behind a request whose handler is blocked (the
+// head-of-line deadlock reqQueue's comment describes).
 type MemEndpoint struct {
-	out     *shm.Mailbox[memFrame]
-	in      *shm.Mailbox[memFrame]
-	handler atomic.Pointer[Handler]
-	seq     atomic.Uint32
-	retry   atomic.Pointer[RetryConfig]
-	faultc  atomic.Pointer[injectorConf]
-	tracec  atomic.Pointer[trace.Track]
-
-	mu      sync.Mutex
-	pending map[uint32]chan Message
+	endpoint
+	peer *MemEndpoint
+	in   *shm.Mailbox[memFrame] // requests from peer, consumed by handleRequest
 
 	respCache *respCache[memFrame]
-	reqs      *reqQueue[memFrame]
-
-	retransmits atomic.Uint64
-	timeouts    atomic.Uint64
-
 	closeOnce sync.Once
-	done      chan struct{}
 }
 
 // NewMemPair creates two connected shared-memory endpoints (SMF side, UPF
-// side). ringSize bounds in-flight descriptors per direction.
+// side). ringSize bounds queued request descriptors per direction.
 func NewMemPair(ringSize int) (*MemEndpoint, *MemEndpoint) {
-	ab := shm.NewMailbox[memFrame](ringSize)
-	ba := shm.NewMailbox[memFrame](ringSize)
-	a := &MemEndpoint{out: ab, in: ba, pending: make(map[uint32]chan Message),
-		respCache: newRespCache[memFrame](), done: make(chan struct{})}
-	b := &MemEndpoint{out: ba, in: ab, pending: make(map[uint32]chan Message),
-		respCache: newRespCache[memFrame](), done: make(chan struct{})}
-	a.reqs = newReqQueue(a.done, a.handleRequest)
-	b.reqs = newReqQueue(b.done, b.handleRequest)
-	go a.recvLoop()
-	go b.recvLoop()
+	mk := func() *MemEndpoint {
+		e := &MemEndpoint{endpoint: newEndpoint(), respCache: newRespCache[memFrame]()}
+		e.in = shm.NewMailbox(ringSize, e.handleRequest)
+		return e
+	}
+	a, b := mk(), mk()
+	a.peer, b.peer = b, a
 	return a, b
 }
 
-// SetHandler implements Endpoint.
-func (e *MemEndpoint) SetHandler(h Handler) { e.handler.Store(&h) }
-
-// SetRetry implements Endpoint.
-func (e *MemEndpoint) SetRetry(cfg RetryConfig) {
-	cfg = cfg.norm()
-	e.retry.Store(&cfg)
-}
-
-// SetInjector implements Endpoint. Corruption does not apply to this
-// transport (descriptors carry struct pointers, not wire bytes);
-// drop/delay/duplicate/reorder do.
-func (e *MemEndpoint) SetInjector(inj *faults.Injector, prefix string) {
-	e.faultc.Store(&injectorConf{
-		inj: inj,
-		tx:  faults.Point(prefix + ".tx"),
-		rx:  faults.Point(prefix + ".rx"),
-	})
-}
-
-// SetTracer implements Endpoint. The shm transport emits no
-// encode/syscall/decode spans — descriptors cross by pointer — so traced
-// breakdowns show those stages only on the kernel path.
-func (e *MemEndpoint) SetTracer(tk *trace.Track) { e.tracec.Store(tk) }
-
-// ExportMetrics implements Endpoint.
+// ExportMetrics implements Endpoint. Besides the requester-side
+// retransmission counters, served_inline counts the requests this
+// endpoint's handler ran for on the requester's own goroutine,
+// served_queued those it ran for on another requester's.
 func (e *MemEndpoint) ExportMetrics(reg *metrics.Registry, prefix string) {
-	reg.RegisterGauge(prefix+".retransmits", e.retransmits.Load)
-	reg.RegisterGauge(prefix+".timeouts", e.timeouts.Load)
+	e.endpoint.ExportMetrics(reg, prefix)
+	reg.RegisterGauge(prefix+".served_inline", e.in.ServedInline)
+	reg.RegisterGauge(prefix+".served_queued", e.in.ServedQueued)
 }
 
-func (e *MemEndpoint) retryConfig() RetryConfig {
-	if c := e.retry.Load(); c != nil {
-		return *c
-	}
-	return DefaultRetry()
-}
-
-// Stats reports request retransmissions and per-attempt timeouts.
-func (e *MemEndpoint) Stats() (retransmits, timeouts uint64) {
-	return e.retransmits.Load(), e.timeouts.Load()
-}
-
-// PendingRequests reports in-flight request waiters (diagnostics).
-func (e *MemEndpoint) PendingRequests() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.pending)
-}
-
-// send pushes one frame through the injector into the outgoing mailbox.
+// send passes one frame through the tx fault point to the peer.
 func (e *MemEndpoint) send(f memFrame) error {
 	fc := e.faultc.Load()
 	if fc == nil {
-		return e.out.Send(f)
+		return e.peer.receive(f)
 	}
-	var serr error
+	var err error
 	fc.inj.TransmitMsg(fc.tx, func() {
-		if err := e.out.Send(f); err != nil {
-			serr = err
+		if rerr := e.peer.receive(f); rerr != nil {
+			err = rerr
 		}
 	})
-	return serr
+	return err
 }
 
-// Request implements Endpoint with the same T1/N1 retransmission loop as
-// the UDP transport; the pending entry is removed on every exit path.
+// receive takes one frame from the peer through the rx fault point: a
+// response completes the pending request (a duplicate finds the slot
+// taken, a late one finds nobody); a request enters the ring, which
+// serializes it behind whatever is being handled, whichever goroutine
+// brought it — the requester, or an injector timer for a delayed frame.
+func (e *MemEndpoint) receive(f memFrame) error {
+	fc := e.faultc.Load()
+	if fc == nil {
+		return e.deliver(f)
+	}
+	var err error
+	fc.inj.TransmitMsg(fc.rx, func() {
+		if derr := e.deliver(f); derr != nil {
+			err = derr
+		}
+	})
+	return err
+}
+
+func (e *MemEndpoint) deliver(f memFrame) error {
+	if f.isResp {
+		e.calls.Complete(f.seq, f.msg)
+		return nil
+	}
+	return e.in.Send(f)
+}
+
+// Request implements Endpoint.
 func (e *MemEndpoint) Request(seid uint64, hasSEID bool, req Message) (Message, error) {
 	seq := e.seq.Add(1)
-	ch := make(chan Message, 1)
-	e.mu.Lock()
-	e.pending[seq] = ch
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		delete(e.pending, seq)
-		e.mu.Unlock()
-	}()
 	frame := memFrame{seid: seid, seq: seq, msg: req}
-	root := e.tracec.Load().Start("pfcp.request." + MsgName(req.PFCPType()))
+	root := msgSpan(e.tracec.Load(), "pfcp.request.", req.PFCPType())
 	defer root.End()
-	cfg := e.retryConfig()
-	t1 := cfg.T1
-	timer := time.NewTimer(t1)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			e.retransmits.Add(1)
-			root.Event("pfcp.retransmit")
-		}
-		tx := root.Child("pfcp.tx.shm")
-		err := e.send(frame)
-		tx.End()
-		if err != nil {
-			return nil, err
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(t1)
-		wait := root.Child("pfcp.wait")
-		select {
-		case resp := <-ch:
-			wait.End()
-			return resp, nil
-		case <-timer.C:
-			wait.End()
-			e.timeouts.Add(1)
-			if attempt >= cfg.N1 {
-				return nil, fmt.Errorf("pfcp: shm request %d timed out after %d attempts",
-					req.PFCPType(), attempt+1)
-			}
-			t1 = cfg.next(t1)
-		case <-e.done:
-			wait.End()
-			return nil, net.ErrClosed
-		}
-	}
+	return e.roundTrip(root, seq, "pfcp.tx.shm", req, func() error { return e.send(frame) })
 }
 
-func (e *MemEndpoint) recvLoop() {
-	for {
-		f, ok := e.in.Recv()
-		if !ok {
-			return
-		}
-		fc := e.faultc.Load()
-		if fc == nil {
-			e.handleFrame(f)
-			continue
-		}
-		frame := f
-		fc.inj.TransmitMsg(fc.rx, func() { e.handleFrame(frame) })
-	}
-}
-
-// handleFrame dispatches one received descriptor: responses complete
-// pending requests inline — the receive loop must never wait on a
-// handler — while requests go to the serial dispatch worker.
-func (e *MemEndpoint) handleFrame(f memFrame) {
-	if f.isResp {
-		e.mu.Lock()
-		ch := e.pending[f.seq]
-		e.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- f.msg:
-			default: // duplicate response
-			}
-		}
-		return
-	}
-	e.reqs.push(f)
-}
-
-// handleRequest runs one inbound request on the dispatch worker,
-// deduplicating retransmissions through the response cache.
+// handleRequest runs one inbound request, deduplicating retransmissions
+// through the response cache. The ring serializes it: one request at a
+// time, in arrival order.
 func (e *MemEndpoint) handleRequest(f memFrame) {
 	if cached, ok := e.respCache.get(f.seq); ok {
 		e.send(cached)
@@ -647,7 +540,7 @@ func (e *MemEndpoint) handleRequest(f memFrame) {
 	if hp == nil {
 		return
 	}
-	hs := e.tracec.Load().Start("pfcp.handle." + MsgName(f.msg.PFCPType()))
+	hs := msgSpan(e.tracec.Load(), "pfcp.handle.", f.msg.PFCPType())
 	resp, err := (*hp)(f.seid, f.msg)
 	hs.End()
 	if err != nil || resp == nil {
@@ -658,14 +551,15 @@ func (e *MemEndpoint) handleRequest(f memFrame) {
 	e.send(rf)
 }
 
-// Close implements Endpoint: waiters abort via done, the inbound mailbox
-// unblocks the receive loop, and the dispatch worker is joined so no
-// queued handler outlives the endpoint.
+// Close implements Endpoint: every parked Request aborts via done at once,
+// and the inbound ring closes — requests still queued on it are discarded
+// (the peer's retransmission covers them, as for a datagram lost in
+// flight) and no handler starts afterwards. A handler already running
+// finishes on its requester's goroutine, which returns when it does.
 func (e *MemEndpoint) Close() error {
 	e.closeOnce.Do(func() {
 		close(e.done)
 		e.in.Close()
-		e.reqs.join()
 	})
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"l25gc/internal/faults"
+	"l25gc/internal/metrics"
+	"l25gc/internal/trace"
 )
 
 // countingHandler wraps echoHandler with an invocation counter, to prove
@@ -206,5 +208,55 @@ func TestRespCacheEviction(t *testing.T) {
 	c.put(respCacheSize+5, 99)
 	if v, _ := c.get(respCacheSize + 5); v != 99 {
 		t.Fatal("overwrite lost")
+	}
+}
+
+// TestMemRequestServedInlineNeverWaits pins what the shm transport shows of
+// itself: a request to an idle peer is handled on the requester's goroutine
+// (served_inline on the peer's side) and emits no "pfcp.wait" span, because
+// the requester never parked; one whose first transmission was dropped did
+// wait, and says so.
+func TestMemRequestServedInlineNeverWaits(t *testing.T) {
+	smf, upf := NewMemPair(64)
+	defer smf.Close()
+	defer upf.Close()
+	upf.SetHandler(echoHandler(t))
+	tr := trace.New()
+	smf.SetTracer(trace.NewTrack(tr, "pfcp.smf"))
+	upf.SetTracer(trace.NewTrack(tr, "pfcp.upf"))
+	reg := metrics.NewRegistry()
+	upf.ExportMetrics(reg, "pfcp.upf")
+	smf.SetRetry(RetryConfig{T1: 20 * time.Millisecond, N1: 2, Backoff: 1})
+
+	stages := func() map[string]int {
+		bd := tr.Breakdown("pfcp.request.heartbeat")
+		if bd == nil {
+			t.Fatal("no pfcp.request.heartbeat span")
+		}
+		out := map[string]int{}
+		for _, s := range bd.Stages {
+			out[s.Name] = s.Count
+		}
+		return out
+	}
+	if _, err := smf.Request(0, false, &HeartbeatRequest{RecoveryTimestamp: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if st := stages(); st["pfcp.tx.shm"] != 1 || st["pfcp.handle.heartbeat"] != 1 || st["pfcp.wait"] != 0 {
+		t.Fatalf("inline request stages = %v; want one pfcp.tx.shm around one pfcp.handle.heartbeat, no pfcp.wait", st)
+	}
+
+	inj := faults.New(9).Add(faults.Rule{Point: "pfcp.smf.tx", Kind: faults.Drop, Count: 1})
+	smf.SetInjector(inj, "pfcp.smf")
+	tr.Reset()
+	if _, err := smf.Request(0, false, &HeartbeatRequest{RecoveryTimestamp: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if st := stages(); st["pfcp.tx.shm"] != 2 || st["pfcp.wait"] != 1 {
+		t.Fatalf("retransmitted request stages = %v; want two pfcp.tx.shm and the one pfcp.wait between them", st)
+	}
+	snap := reg.Snapshot()
+	if in, q := snap.Counters["pfcp.upf.served_inline"], snap.Counters["pfcp.upf.served_queued"]; in != 2 || q != 0 {
+		t.Fatalf("pfcp.upf.served_inline = %d, served_queued = %d; want 2, 0", in, q)
 	}
 }

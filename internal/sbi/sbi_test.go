@@ -3,9 +3,12 @@ package sbi
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"l25gc/internal/codec"
+	"l25gc/internal/metrics"
 )
 
 // fillMessage sets deterministic non-zero values into every schema field.
@@ -198,6 +201,70 @@ func TestShmConcurrentInvokes(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestShmInvokeInlineAndQueued pins who runs the producer's handler and
+// what the deadline bounds. An idle producer's handler runs on the
+// invoker's goroutine (served_inline). A handler that blocks while being
+// served inline blocks its caller past the deadline, as a direct call
+// would; an invoke queued behind it does time out at the deadline, and its
+// request — still in the ring — is served by the first invoker's drain
+// (served_queued) once the handler returns, its reply finding nobody.
+func TestShmInvokeInlineAndQueued(t *testing.T) {
+	block, entered := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	conn, srv := NewShmPair(8, func(op OpID, req codec.Message) (codec.Message, error) {
+		if calls.Add(1) == 2 {
+			close(entered)
+			<-block
+		}
+		return &NFDiscoveryResponse{}, nil
+	})
+	defer srv.Close()
+	defer conn.Close()
+	reg := metrics.NewRegistry()
+	conn.ExportMetrics(reg, "sbi.nrf")
+	const deadline = 30 * time.Millisecond
+	conn.SetTimeout(deadline)
+	req := &NFDiscoveryRequest{TargetNfType: "UPF"}
+
+	if _, err := conn.Invoke(OpNFDiscover, req); err != nil {
+		t.Fatal(err)
+	}
+	inHandler := make(chan error, 1)
+	go func() {
+		_, err := conn.Invoke(OpNFDiscover, req)
+		inHandler <- err
+	}()
+	<-entered
+	start := time.Now()
+	if _, err := conn.Invoke(OpNFDiscover, req); err == nil {
+		t.Fatal("an invoke queued behind a blocked handler must time out")
+	}
+	if d := time.Since(start); d < deadline {
+		t.Fatalf("queued invoke gave up after %v, before its %v deadline", d, deadline)
+	}
+	select {
+	case err := <-inHandler:
+		t.Fatalf("invoke returned (%v) while its handler is still blocked", err)
+	default:
+	}
+	close(block)
+	if err := <-inHandler; err != nil {
+		t.Fatalf("invoke served inline: %v", err)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("handler ran %d times, want 3 (the timed-out request stays in the ring)", n)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"sbi.nrf.invokes": 3, "sbi.nrf.errors": 1,
+		"sbi.nrf.served_inline": 2, "sbi.nrf.served_queued": 1,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package sbi
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,10 +16,9 @@ import (
 // shmFrame is the descriptor passed through the mailbox: the message struct
 // travels by pointer, which is the zero-serialization SBI of L²5GC.
 type shmFrame struct {
-	op     OpID
-	seq    uint32
-	isResp bool
-	err    string
+	op  OpID
+	seq uint32
+	err string
 	// status/retryAfterMs carry a producer StatusError structurally, so
 	// overload pushback (503 + Retry-After) survives the descriptor
 	// transport just as it does the HTTP one.
@@ -29,12 +27,14 @@ type shmFrame struct {
 	msg          codec.Message
 }
 
-// ShmServer is the producer side of the shared-memory SBI.
+// ShmServer is the producer side of the shared-memory SBI. It has no
+// goroutine: its handler runs on whichever consumer goroutine is draining
+// the request ring (shm.Mailbox), and the reply is handed straight to the
+// waiting Invoke, never through a ring.
 type ShmServer struct {
 	handler Handler
 	in      *shm.Mailbox[shmFrame]
-	replyTo *shm.Mailbox[shmFrame]
-	once    sync.Once
+	replies *shm.Calls[shmFrame]
 
 	inj     *faults.Injector
 	txPoint faults.Point
@@ -43,7 +43,7 @@ type ShmServer struct {
 // ShmConn is the consumer side of the shared-memory SBI.
 type ShmConn struct {
 	out     *shm.Mailbox[shmFrame]
-	in      *shm.Mailbox[shmFrame]
+	replies *shm.Calls[shmFrame]
 	seq     atomic.Uint32
 	timeout atomic.Int64 // per-invoke deadline, ns
 
@@ -53,23 +53,15 @@ type ShmConn struct {
 	tracec  atomic.Pointer[trace.Track]
 	invokes atomic.Uint64
 	errs    atomic.Uint64
-
-	mu      sync.Mutex
-	pending map[uint32]chan shmFrame
-
-	once sync.Once
 }
 
-// NewShmPair wires a consumer connection to a producer server through two
-// descriptor mailboxes of the given capacity.
+// NewShmPair wires a consumer connection to a producer server through a
+// request ring of the given capacity.
 func NewShmPair(ringSize int, h Handler) (*ShmConn, *ShmServer) {
-	toSrv := shm.NewMailbox[shmFrame](ringSize)
-	toCli := shm.NewMailbox[shmFrame](ringSize)
-	srv := &ShmServer{handler: h, in: toSrv, replyTo: toCli}
-	cli := &ShmConn{out: toSrv, in: toCli, pending: make(map[uint32]chan shmFrame)}
+	srv := &ShmServer{handler: h, replies: shm.NewCalls[shmFrame]()}
+	srv.in = shm.NewMailbox(ringSize, srv.serve)
+	cli := &ShmConn{out: srv.in, replies: srv.replies}
 	cli.timeout.Store(int64(DefaultSBITimeout))
-	go srv.loop()
-	go cli.loop()
 	return cli, srv
 }
 
@@ -80,57 +72,33 @@ func (s *ShmServer) SetInjector(inj *faults.Injector, prefix string) {
 	s.txPoint = faults.Point(prefix + ".reply")
 }
 
-func (s *ShmServer) loop() {
-	for {
-		f, ok := s.in.Recv()
-		if !ok {
-			return
+// serve runs the handler for one request descriptor and completes the
+// caller waiting for it.
+func (s *ShmServer) serve(f shmFrame) {
+	resp, err := s.handler(f.op, f.msg)
+	rf := shmFrame{op: f.op, seq: f.seq, msg: resp}
+	if err != nil {
+		var se *StatusError
+		if errors.As(err, &se) {
+			rf.status = se.Code
+			rf.retryAfterMs = se.RetryAfter.Milliseconds()
+			rf.err = se.Reason
+		} else {
+			rf.err = err.Error()
 		}
-		resp, err := s.handler(f.op, f.msg)
-		rf := shmFrame{op: f.op, seq: f.seq, isResp: true, msg: resp}
-		if err != nil {
-			var se *StatusError
-			if errors.As(err, &se) {
-				rf.status = se.Code
-				rf.retryAfterMs = se.RetryAfter.Milliseconds()
-				rf.err = se.Reason
-			} else {
-				rf.err = err.Error()
-			}
-		}
-		if s.inj != nil {
-			s.inj.TransmitMsg(s.txPoint, func() { s.replyTo.Send(rf) })
-			continue
-		}
-		s.replyTo.Send(rf)
 	}
+	if s.inj != nil {
+		s.inj.TransmitMsg(s.txPoint, func() { s.replies.Complete(rf.seq, rf) })
+		return
+	}
+	s.replies.Complete(rf.seq, rf)
 }
 
-// Close shuts the producer down.
+// Close shuts the producer down: queued requests are discarded and later
+// Invokes fail with shm.ErrClosed.
 func (s *ShmServer) Close() error {
-	s.once.Do(func() {
-		s.in.Close()
-		s.replyTo.Close()
-	})
+	s.in.Close()
 	return nil
-}
-
-func (c *ShmConn) loop() {
-	for {
-		f, ok := c.in.Recv()
-		if !ok {
-			return
-		}
-		if !f.isResp {
-			continue
-		}
-		c.mu.Lock()
-		ch := c.pending[f.seq]
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- f
-		}
-	}
 }
 
 // SetTimeout bounds each Invoke round trip.
@@ -146,107 +114,78 @@ func (c *ShmConn) SetInjector(inj *faults.Injector, prefix string) {
 // SetTracer installs a trace track; Invoke emits an "sbi.invoke" root span
 // with a single "sbi.transfer.shm" child — no encode/decode stages exist
 // on this transport, which is the point of the descriptor-passing SBI.
+// The child covers the ring pass and, when the request is served inline,
+// the producer's handler with it.
 func (c *ShmConn) SetTracer(tk *trace.Track) { c.tracec.Store(tk) }
 
-// ExportMetrics registers the consumer counters under prefix.
+// ExportMetrics registers the consumer counters under prefix:
+// served_inline counts requests the producer's handler ran for on the
+// invoking goroutine, served_queued those another invoker's drain ran.
 func (c *ShmConn) ExportMetrics(reg *metrics.Registry, prefix string) {
 	reg.RegisterGauge(prefix+".invokes", c.invokes.Load)
 	reg.RegisterGauge(prefix+".errors", c.errs.Load)
+	reg.RegisterGauge(prefix+".served_inline", c.out.ServedInline)
+	reg.RegisterGauge(prefix+".served_queued", c.out.ServedQueued)
 }
 
-// waiter carries one in-flight Invoke's response channel and timeout
-// timer so the per-call hot path allocates neither. Recycled only after
-// a completed round trip: a timed-out Invoke abandons its waiter, since
-// a racing late response may still land in the channel — capacity 1
-// guarantees that delivery never blocks the consumer loop, and the
-// abandoned waiter simply falls to the GC instead of poisoning a reuse.
-type waiter struct {
-	ch    chan shmFrame
-	timer *time.Timer
-}
-
-var waiterPool = sync.Pool{
-	New: func() any {
-		w := &waiter{ch: make(chan shmFrame, 1), timer: time.NewTimer(time.Hour)}
-		if !w.timer.Stop() {
-			<-w.timer.C
+// send passes one request descriptor through the fault point into the ring.
+func (c *ShmConn) send(f shmFrame) error {
+	if c.inj == nil {
+		return c.out.Send(f)
+	}
+	var err error
+	c.inj.TransmitMsg(c.txPoint, func() {
+		if serr := c.out.Send(f); serr != nil {
+			err = serr
 		}
-		return w
-	},
+	})
+	return err
 }
 
-// Invoke implements Conn.
+// Invoke implements Conn. With the producer idle the handler runs right
+// here and the reply is in hand when the ring pass returns: no goroutine
+// parks, no timer is armed. The deadline bounds what is queued behind
+// another invoker, dropped or delayed; a handler that blocks while being
+// served inline blocks this call past it.
 func (c *ShmConn) Invoke(op OpID, req codec.Message) (codec.Message, error) {
 	c.invokes.Add(1)
 	root := c.tracec.Load().Start("sbi.invoke")
 	root.Attr("op", op.Name())
 	defer root.End()
 	seq := c.seq.Add(1)
-	w := waiterPool.Get().(*waiter)
-	c.mu.Lock()
-	c.pending[seq] = w.ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, seq)
-		c.mu.Unlock()
-	}()
-	frame := shmFrame{op: op, seq: seq, msg: req}
+	w := c.replies.Begin(seq)
+	defer c.replies.End(seq, w)
 	tx := root.Child("sbi.transfer.shm")
-	if c.inj != nil {
-		var serr error
-		c.inj.TransmitMsg(c.txPoint, func() {
-			if err := c.out.Send(frame); err != nil {
-				serr = err
-			}
-		})
-		if serr != nil {
-			tx.End()
-			c.errs.Add(1)
-			waiterPool.Put(w) // nothing was sent; no late delivery possible
-			return nil, serr
-		}
-	} else if err := c.out.Send(frame); err != nil {
-		tx.End()
+	err := c.send(shmFrame{op: op, seq: seq, msg: req})
+	tx.End()
+	if err != nil {
 		c.errs.Add(1)
-		waiterPool.Put(w)
 		return nil, err
 	}
-	tx.End()
-	w.timer.Reset(time.Duration(c.timeout.Load()))
-	select {
-	case f := <-w.ch:
-		if !w.timer.Stop() {
-			<-w.timer.C
-		}
-		if f.seq != seq {
-			// Defensive: a frame from an abandoned incarnation of this
-			// channel; treat as lost and drop the waiter with it.
+	f, ok := w.Poll()
+	if !ok {
+		if f, err = w.Wait(time.Duration(c.timeout.Load()), nil); err != nil {
 			c.errs.Add(1)
-			return nil, fmt.Errorf("sbi: shm invoke %s got stale response", op.Name())
+			return nil, fmt.Errorf("sbi: shm invoke %s timed out", op.Name())
 		}
-		waiterPool.Put(w)
-		if f.status != 0 {
-			c.errs.Add(1)
-			return nil, &StatusError{
-				Code:       f.status,
-				RetryAfter: time.Duration(f.retryAfterMs) * time.Millisecond,
-				Reason:     f.err,
-			}
-		}
-		if f.err != "" {
-			c.errs.Add(1)
-			return nil, fmt.Errorf("sbi: producer error: %s", f.err)
-		}
-		return f.msg, nil
-	case <-w.timer.C:
-		c.errs.Add(1)
-		return nil, fmt.Errorf("sbi: shm invoke %s timed out", op.Name())
 	}
+	if f.status != 0 {
+		c.errs.Add(1)
+		return nil, &StatusError{
+			Code:       f.status,
+			RetryAfter: time.Duration(f.retryAfterMs) * time.Millisecond,
+			Reason:     f.err,
+		}
+	}
+	if f.err != "" {
+		c.errs.Add(1)
+		return nil, fmt.Errorf("sbi: producer error: %s", f.err)
+	}
+	return f.msg, nil
 }
 
 // Close implements Conn.
 func (c *ShmConn) Close() error {
-	c.once.Do(func() { c.in.Close() })
+	c.out.Close()
 	return nil
 }

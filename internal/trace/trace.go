@@ -459,7 +459,9 @@ type Breakdown struct {
 // returns nil when no such span exists. Stages are every other span (on
 // any track) overlapping the root's window, clipped to it — cross-track
 // attribution needs no parent links, which matters because peer-side work
-// (the UPF's PFCP handler during the SMF's wait) runs on other goroutines.
+// opens its spans on the peer's track: the UPF's PFCP handler runs inside
+// the SMF's "pfcp.tx.shm" on the shm transport (on the requester's own
+// goroutine) and during its "pfcp.wait" on the socket one (on another).
 func (t *Tracer) Breakdown(root string) *Breakdown {
 	if t == nil {
 		return nil
