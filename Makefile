@@ -158,12 +158,14 @@ fuzz-smoke:
 	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/nas
 	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/ngap
 
-# Sharded-switch scaling gate: the multi-worker per-flow FIFO invariant
-# under the race detector, then the scale experiment end to end (every
-# frame delivered, zero per-flow reorders at 1/2/4 workers).
+# Sharded-switch scaling gate: the multi-shard per-flow FIFO invariant
+# under the race detector, a fault-delayed frame not stalling other NFs, a
+# Tx handback waiting for the ring's owner, Stop waiting out owners, then
+# the scale experiment end to end (every frame delivered, zero per-flow
+# reorders at 1/2/4 shards).
 scale-smoke:
 	$(GO) test -race -count=1 -run 'TestMultiWorkerUplinkPerFlowFIFO' ./internal/upf
-	$(GO) test -race -count=1 -run 'TestMultiWorkerPerFlowFIFO|TestDelayedEgressDoesNotStallOtherNFs|TestStrandedTxSweepRecovers' ./internal/onvm
+	$(GO) test -race -count=1 -run 'TestMultiWorkerPerFlowFIFO|TestDelayedEgressDoesNotStallOtherNFs|TestTxHandbackWaitsForOwner|TestStopWaitsOutOwnersAndReleasesQueued' ./internal/onvm
 	$(GO) run ./cmd/bench5gc -exp scale
 
 # Burst fast-path gate (DESIGN §11): the allocation gates without the race
@@ -171,22 +173,27 @@ scale-smoke:
 # direction (sinks borrow the pool buffer), none per frame in the free5GC
 # mode's socket read loops, none per switch hop, none in UPFU.Process, none
 # in the gNB's UL and DL edges, and the -benchmem rows that say the same —
-# then the bulk-ring, burst-switch and burst-UPF tests three times under
-# it: partial fits and wrap-around, four bulk producers against the one
-# consumer, a burst mixing destinations, an Rx ring filling mid-burst, Stop
-# during a burst, 10^5 lone packets against the parked-flag wake-up
-# protocol, a rollout while traffic flows, counters batched but not lost,
-# the session-buffer drain; and the borrow contract: a sink that keeps its
-# slice reads the poison (pool buffer or socket read buffer), one that
-# copies reads its packet, and the three modes deliver the same bytes in
-# the same order.
+# then, ten times under the race detector, the ring-ownership helper's
+# properties (10^5 lone sends from four producers, nothing stranded at
+# release, one consumer at a time, Hold waiting out the owner) and the
+# pool's hot-stash conservation and LIFO order; then the bulk-ring,
+# burst-switch and burst-UPF tests three times under it: partial fits and
+# wrap-around, four bulk producers against the one consumer, a burst mixing
+# destinations, an Rx ring filling mid-burst, Stop during a burst, 10^5
+# lone packets from four producers through the chain, a rollout while
+# traffic flows, counters batched but not lost, the session-buffer drain;
+# and the borrow contract: a sink that keeps its slice reads the poison
+# (pool buffer or socket read buffer), one that copies reads its packet,
+# and the three modes deliver the same bytes in the same order.
 fastpath-smoke:
 	$(GO) test -count=1 -run 'TestFastPathAllocs|TestSocketEdgesAllocateNothingPerFrame' ./internal/core
 	$(GO) test -count=1 -run 'TestHopAllocs' -bench 'BenchmarkDescriptorSwitch/tracer=off' -benchmem ./internal/onvm
 	$(GO) test -count=1 -run 'TestProcessAllocs' -bench 'BenchmarkUPFUProcess' -benchmem ./internal/upf
 	$(GO) test -count=1 -run 'TestNone' -bench 'BenchmarkSendUplink|BenchmarkHandleDLFrame' -benchmem -cpu 1,2 ./internal/ranue
+	$(GO) test -race -count=10 -run 'TestOwner' ./internal/ring
+	$(GO) test -race -count=10 -run 'TestStash' ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'Bulk' ./internal/ring ./internal/pktbuf
-	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestParkedFlag|TestSnapshotSeen|TestCountersBatched' ./internal/onvm
+	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestLonePackets|TestSnapshotSeen|TestCountersBatched' ./internal/onvm
 	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSessionBurst' ./internal/upf
 	$(GO) test -race -count=3 -run 'TestSinksSwapWhileDownlinkFlows|TestSinkRetentionGuard|TestModesDeliverIdenticalBytes' ./internal/core
 

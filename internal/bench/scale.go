@@ -167,8 +167,9 @@ func scaleRun(workers int) (scaleRow, error) {
 // Scale regenerates the sharded-switch scaling experiment: UL forwarding
 // rate vs switch-worker count with per-flow FIFO verification (§4, Receive
 // Side Scaling). Every configuration must deliver every frame with zero
-// per-flow reorders; throughput scales with worker count once GOMAXPROCS
-// provides the cores to run the workers in parallel.
+// per-flow reorders. The shards are switched on the producers' own
+// goroutines, so throughput can scale with the shard count only once
+// GOMAXPROCS provides a core per producer.
 func Scale() (*Result, error) {
 	tab := metrics.NewTable("workers", "UL pps", "reorders", "switched", "dropped", "speedup")
 	var base float64
@@ -194,7 +195,7 @@ func Scale() (*Result, error) {
 		Notes: []string{
 			fmt.Sprintf("%d flows x %d pkts through %d UPF-U instances; reorders counted per flow at the N6 sink.",
 				scaleFlows, scalePerFlow, scaleInstances),
-			fmt.Sprintf("GOMAXPROCS=%d: worker parallelism needs cores; on >=4 cores expect >=2x from 1 to 4 workers.",
+			fmt.Sprintf("GOMAXPROCS=%d: shards are switched on the producers' goroutines; parallelism needs a core per producer.",
 				runtime.GOMAXPROCS(0)),
 		},
 	}, nil

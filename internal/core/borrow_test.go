@@ -16,7 +16,7 @@ import (
 	"l25gc/internal/testutil"
 )
 
-// twoCellRig is a core with two switch workers and two gNBs, one UE with
+// twoCellRig is a core with two switch shards and two gNBs, one UE with
 // one session on each.
 type twoCellRig struct {
 	c   *Core
@@ -73,7 +73,7 @@ func udpPacket(t *testing.T, src, dst pkt.Addr, sport, dport uint16, payload []b
 // buffer when its last reference goes, so "kept the slice" is a byte
 // mismatch on the first packet, not a corruption that waits for the pool
 // to come round. A sink that copies inside the hook sees every packet
-// byte-exact, with both switch workers delivering.
+// byte-exact, with both switch shards delivering.
 func TestSinkRetentionGuard(t *testing.T) {
 	if !testutil.RaceEnabled {
 		t.Skip("released buffers are poisoned only in race-detector builds")

@@ -84,9 +84,9 @@ type Config struct {
 	BufferPkts  uint16 // UPF per-session DL buffer (default 3000)
 	Subscribers []udr.Subscriber
 	PoolPrefix  string // shared-memory security domain (default "l25gc")
-	// SwitchWorkers is the number of descriptor-switch workers in the ONVM
-	// manager. 0 picks min(GOMAXPROCS, 4); flows are sharded across workers
-	// with per-flow FIFO order preserved.
+	// SwitchWorkers is the number of descriptor-switch work shards in the
+	// ONVM manager. 0 picks min(GOMAXPROCS, 4); flows are sharded across
+	// them with per-flow FIFO order preserved.
 	SwitchWorkers int
 	// NFShards stripes the AMF and SMF UE/session state (maps, locks, ID
 	// allocators) across this many shards keyed by UE-ID hash. 0 means 1

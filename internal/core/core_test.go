@@ -271,12 +271,14 @@ func TestCanaryUPFRollout(t *testing.T) {
 	echoDN(t, c)
 	ue := fullAttach(t, c, g, "imsi-208930000000001")
 
+	sw0, _ := c.mgr.Stats()
 	inst, err := c.DeployUPFCanary(50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Push UL traffic with many distinct flow hashes; both instances
-	// must see packets.
+	// must see packets. Every descriptor the switch hands to a UPF-U
+	// instance counts, the echoed DL packets as well as the UL ones.
 	for i := 0; i < 400; i++ {
 		if err := ue.SendUplink(dnIP, uint16(1000+i), 9000, []byte("canary-probe")); err != nil {
 			t.Fatal(err)
@@ -285,14 +287,19 @@ func TestCanaryUPFRollout(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	waitCond(t, func() bool {
+	shares := func() (canary, all uint64) {
 		rx, _ := inst.Stats()
-		return rx > 0
-	}, "canary instance receiving traffic")
-	rx, _ := inst.Stats()
-	t.Logf("canary received %d of 400 packets", rx)
-	if rx == 400 {
-		t.Fatal("canary should not take all traffic at 50%")
+		sw, _ := c.mgr.Stats()
+		return rx, sw - sw0
+	}
+	waitCond(t, func() bool {
+		canary, all := shares()
+		return canary > 0 && all > canary
+	}, "both instances receiving traffic")
+	canary, all := shares()
+	t.Logf("canary received %d of %d descriptors", canary, all)
+	if canary == 0 || canary >= all {
+		t.Fatalf("canary share %d/%d, want strictly between 0 and 1 at 50%%", canary, all)
 	}
 }
 

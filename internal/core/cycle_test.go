@@ -172,10 +172,12 @@ func BenchmarkUECycle(b *testing.B) {
 	}
 }
 
-// TestL25GCCoreHasNoTransportGoroutines is the census behind the shm
-// transports' run-to-completion design: a started L²5GC core that has
-// served a full UE cycle has no goroutine belonging to an SBI producer, an
-// SBI reply demultiplexer or an N4 endpoint — the requester's goroutine
+// TestL25GCCoreHasNoTransportGoroutines is the census behind the
+// run-to-completion design of the shm transports and the packet path: a
+// started L²5GC core that has served a full UE cycle has no goroutine
+// belonging to an SBI producer, an SBI reply demultiplexer, an N4
+// endpoint, a descriptor-switch worker or an NF instance, and none left
+// inside a ring's ownership — the requester's or injector's goroutine
 // does that work.
 func TestL25GCCoreHasNoTransportGoroutines(t *testing.T) {
 	r := newCycleRig(t, 1)
@@ -191,6 +193,7 @@ func TestL25GCCoreHasNoTransportGoroutines(t *testing.T) {
 		stacks, found = string(buf[:runtime.Stack(buf, true)]), ""
 		for _, fn := range []string{
 			"sbi.(*ShmServer)", "sbi.(*ShmConn)", "pfcp.(*MemEndpoint)", "pfcp.(*reqQueue", "shm.(*Mailbox",
+			"onvm.(*Manager).workerLoop", "onvm.(*Instance).run", "ring.(*Owner)",
 		} {
 			if strings.Contains(stacks, fn) {
 				found = fn

@@ -57,15 +57,17 @@ var LintNames = []string{
 	"kern.dropped",
 	"kern.injected",
 
-	// ONVM shared-memory switch ("onvm.*"; per-worker rows are built
-	// with Sprintf and registered under onvm.worker<N>.*).
+	// ONVM shared-memory switch ("onvm.*"; per-shard rows are built
+	// with Sprintf and registered under onvm.shard<N>.*).
 	"onvm.switched",
 	"onvm.dropped",
 	"onvm.tx_drops",
 	"onvm.ring_overflow_drops",
-	"onvm.workers",
-	"onvm.worker*.switched",
-	"onvm.worker*.dropped",
+	"onvm.served_inline",
+	"onvm.served_queued",
+	"onvm.shards",
+	"onvm.shard*.switched",
+	"onvm.shard*.dropped",
 	"onvm.pool.size",
 	"onvm.pool.in_use",
 	// Packet-pool overflow drops carry the pool's security-domain

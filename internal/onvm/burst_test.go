@@ -2,6 +2,7 @@ package onvm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -111,9 +112,10 @@ func TestRSSHashCoversFlowFieldsOnly(t *testing.T) {
 
 // wedge registers service sid and a port whose sink blocks on its first
 // frame until the returned release function is called, and returns a
-// function that injects that frame and waits for the sink to hold the
-// worker the service's instance is homed on.
-func wedge(t *testing.T, m *Manager, sid ServiceID, port PortID) (hold, release func()) {
+// function that injects that frame with meta from a goroutine of its own
+// and waits for the sink to hold it: that goroutine then owns the frame's
+// work shard and the wedge instance's rings.
+func wedge(t *testing.T, m *Manager, sid ServiceID, port PortID) (hold func(meta pktbuf.Meta), release func()) {
 	t.Helper()
 	gate, held := make(chan struct{}), make(chan struct{})
 	var once sync.Once
@@ -130,14 +132,15 @@ func wedge(t *testing.T, m *Manager, sid ServiceID, port PortID) (hold, release 
 		t.Fatal(err)
 	}
 	m.BindPortNF(port, sid)
-	hold = func() {
+	hold = func(meta pktbuf.Meta) {
 		t.Helper()
-		if err := m.Inject(port, []byte("wedge"), pktbuf.Meta{}); err != nil {
-			t.Fatal(err)
-		}
+		go m.Inject(port, []byte("wedge"), meta)
 		<-held
 	}
-	return hold, func() { close(gate) }
+	var released sync.Once
+	release = func() { released.Do(func() { close(gate) }) }
+	t.Cleanup(release) // before a Stop registered earlier, which waits the wedge out
+	return hold, release
 }
 
 // TestBurstMixedDestinations drains one full Tx burst that mixes three
@@ -146,7 +149,7 @@ func wedge(t *testing.T, m *Manager, sid ServiceID, port PortID) (hold, release 
 // it, the counters add up and every buffer comes home.
 func TestBurstMixedDestinations(t *testing.T) {
 	m := NewManager(Config{PoolSize: 256, PoolPrefix: "t", SwitchWorkers: 1})
-	defer m.Stop()
+	t.Cleanup(m.Stop)
 	const (
 		fanSvc, outPort = 10, 9
 		n               = drainBatch
@@ -167,14 +170,15 @@ func TestBurstMixedDestinations(t *testing.T) {
 		})
 	}
 	m.RegisterPort(outPort, func(_ []byte, meta pktbuf.Meta) { record(outPort, meta.Seq) })
-	// The fan NF's Tx ring fills while the one worker is wedged in a sink,
-	// so the worker then finds all n descriptors in one burst.
+	// Another caller is wedged in a sink holding the one work shard: the
+	// fan NF's Tx ring is switched by SendBurst's caller all the same, all
+	// n descriptors as one burst.
 	hold, release := wedge(t, m, 20, 8)
 	fan, err := m.Register(fanSvc, "fan", func(b *pktbuf.Buf) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
-	hold()
+	hold(pktbuf.Meta{})
 	burst := make([]*pktbuf.Buf, n)
 	for i := range burst {
 		b, err := m.Pool().Get()
@@ -190,11 +194,10 @@ func TestBurstMixedDestinations(t *testing.T) {
 		}
 		burst[i] = b
 	}
+	sw0, _ := m.Stats()
 	if sent := fan.SendBurst(burst); sent != n {
 		t.Fatalf("SendBurst = %d, want %d", sent, n)
 	}
-	sw0, _ := m.Stats()
-	release()
 	waitFor(t, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -210,6 +213,7 @@ func TestBurstMixedDestinations(t *testing.T) {
 			}
 		}
 	}
+	release()
 	waitFor(t, func() bool { return m.Pool().Avail() == 256 }, "buffer return")
 	sw, dropped := m.Stats()
 	if sw-sw0 != 3*n/4 {
@@ -225,8 +229,8 @@ func TestBurstMixedDestinations(t *testing.T) {
 // counted as ring overflow descriptor for descriptor, and nothing leaks.
 func TestRxRingFillsMidBurst(t *testing.T) {
 	m := NewManager(Config{PoolSize: 128, RingSize: 4, PoolPrefix: "t",
-		SwitchWorkers: 1, BackpressureSpins: -1})
-	defer m.Stop()
+		SwitchWorkers: 2, BackpressureSpins: -1})
+	t.Cleanup(m.Stop)
 	const burst = 32
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var once sync.Once
@@ -242,16 +246,21 @@ func TestRxRingFillsMidBurst(t *testing.T) {
 	})
 	m.BindPortNF(1, 1)
 	hold, release := wedge(t, m, 2, 8)
+	shard0, shard1 := rssForShard(m, 0), rssForShard(m, 1)
 
-	// The NF takes one descriptor and blocks in its handler: its Rx ring
-	// (capacity 4) is empty again and stays undrained.
-	if err := m.Inject(1, []byte("primer"), pktbuf.Meta{}); err != nil {
-		t.Fatal(err)
-	}
+	// A goroutine injects a primer on shard 0 and blocks in the NF's
+	// handler: it owns the NF's Rx ring (capacity 4), empty again and
+	// undrained from here on.
+	go m.Inject(1, []byte("primer"), pktbuf.Meta{RSS: shard0})
 	<-entered
-	hold()
+	var opened sync.Once
+	open := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	// Another goroutine wedges in a sink holding shard 1, so the burst
+	// queues on that shard and is switched in one go when it lets go.
+	hold(pktbuf.Meta{RSS: shard1})
 	for i := 0; i < burst; i++ {
-		if err := m.Inject(1, []byte("pkt"), pktbuf.Meta{}); err != nil {
+		if err := m.Inject(1, []byte("pkt"), pktbuf.Meta{RSS: shard1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +273,10 @@ func TestRxRingFillsMidBurst(t *testing.T) {
 	if sw, dr := m.Stats(); sw != 1+1+4 || dr != burst-4 {
 		t.Fatalf("switched, dropped = %d, %d; want %d, %d", sw, dr, 1+1+4, burst-4)
 	}
-	close(gate)
+	if handled.Load() != 0 {
+		t.Fatalf("%d descriptors handled past the wedged handler", handled.Load())
+	}
+	open()
 	waitFor(t, func() bool { return handled.Load() == 1+4 }, "the delivered part handled")
 	waitFor(t, func() bool { return m.Pool().Avail() == 128 }, "buffer return")
 }
@@ -272,8 +284,8 @@ func TestRxRingFillsMidBurst(t *testing.T) {
 // TestSendBurstLargerThanTxRing hands an instance three Tx rings' worth of
 // descriptors in one SendBurst, the way a session-buffer drain does: the
 // call pushes back on the full ring instead of dropping, everything leaves
-// in order, and the work shards stay empty throughout — the home worker
-// needs a wake-up, not a task per descriptor.
+// in order, and the work shards stay empty throughout — the caller switches
+// the Tx ring itself, no task per descriptor.
 func TestSendBurstLargerThanTxRing(t *testing.T) {
 	m := NewManager(Config{PoolSize: 4096, RingSize: 1024, PoolPrefix: "t", SwitchWorkers: 2})
 	defer m.Stop()
@@ -375,53 +387,72 @@ func TestStopDuringBurst(t *testing.T) {
 	}
 }
 
-// TestParkedFlagLosesNoWakeup sends one packet at a time, with random gaps
-// around the time a consumer takes to park, through worker -> NF -> worker
-// -> sink. Every hop's consumer is idle, parking or parked when its
-// descriptor arrives; a lost wake-up leaves the packet in a ring until the
-// next one dislodges it, which this producer never sends.
-func TestParkedFlagLosesNoWakeup(t *testing.T) {
+// TestLonePacketsNotStranded sends one packet at a time from each of four
+// producers, with random gaps, through shard -> NF -> sink, and waits for
+// each to come out. Every ring on the way is idle, being let go of, or
+// owned by another producer when a descriptor arrives; one left in a ring
+// whose owner had already looked for the last time stays there until the
+// next packet dislodges it, which its producer never sends.
+func TestLonePacketsNotStranded(t *testing.T) {
+	const producers = 4
 	packets := 100000
 	if testutil.RaceEnabled {
 		packets = 20000
 	}
 	m := NewManager(Config{PoolSize: 16, PoolPrefix: "t", SwitchWorkers: 2})
 	defer m.Stop()
-	out := make(chan uint64, 1)
-	m.RegisterPort(9, func(_ []byte, meta pktbuf.Meta) { out <- meta.Seq })
+	var out [producers]chan uint64
+	for p := range out {
+		out[p] = make(chan uint64, 1)
+	}
+	m.RegisterPort(9, func(_ []byte, meta pktbuf.Meta) { out[meta.TEID] <- meta.Seq })
 	m.Register(1, "fwd", func(b *pktbuf.Buf) bool {
 		b.Meta.Action, b.Meta.Port = pktbuf.ActionToPort, 9
 		return true
 	})
 	m.BindPortNF(1, 1)
-	rng := rand.New(rand.NewSource(1))
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	for seq := uint64(1); seq <= uint64(packets); seq++ {
-		// Alternate flows so both workers' shards see traffic.
-		if err := m.Inject(1, []byte("one"), pktbuf.Meta{Seq: seq, RSS: seq%7 + 1}); err != nil {
+	errs := make(chan error, producers)
+	for p := 0; p < producers; p++ {
+		go func(p int) {
+			rng := rand.New(rand.NewSource(int64(p + 1)))
+			timer := time.NewTimer(time.Hour)
+			timer.Stop()
+			for seq := uint64(1); seq <= uint64(packets/producers); seq++ {
+				// Alternate flows so both shards see every producer.
+				meta := pktbuf.Meta{Seq: seq, TEID: uint32(p), RSS: seq%7 + 1}
+				for m.Inject(1, []byte("one"), meta) != nil { // pool momentarily empty
+					runtime.Gosched()
+				}
+				timer.Reset(100 * time.Millisecond)
+				select {
+				case got := <-out[p]:
+					if got != seq {
+						errs <- fmt.Errorf("producer %d: packet %d came out as %d", p, seq, got)
+						return
+					}
+				case <-timer.C:
+					errs <- fmt.Errorf("producer %d: packet %d not out within 100 ms: stranded in a ring", p, seq)
+					return
+				}
+				if !timer.Stop() {
+					<-timer.C // fired after the packet arrived
+				}
+				switch gap := rng.Intn(64); {
+				case gap < 24: // back to back: owners still letting go
+				case gap < 63: // around the time they take to let go
+					for spin := rng.Intn(200); spin > 0; spin-- {
+						runtime.Gosched()
+					}
+				default: // long enough that every ring is idle
+					time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
+				}
+			}
+			errs <- nil
+		}(p)
+	}
+	for p := 0; p < producers; p++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
-		}
-		timer.Reset(100 * time.Millisecond)
-		select {
-		case got := <-out:
-			if got != seq {
-				t.Fatalf("packet %d came out as %d", seq, got)
-			}
-		case <-timer.C:
-			t.Fatalf("packet %d of %d not out within 100 ms: lost wake-up", seq, packets)
-		}
-		if !timer.Stop() {
-			<-timer.C // fired after the packet arrived
-		}
-		switch gap := rng.Intn(64); {
-		case gap < 24: // back to back: consumers still on their way to park
-		case gap < 63: // around the time they take to get there
-			for spin := rng.Intn(200); spin > 0; spin-- {
-				runtime.Gosched()
-			}
-		default: // long enough that every consumer is parked
-			time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
 		}
 	}
 	waitFor(t, func() bool { return m.Pool().Avail() == 16 }, "buffer return")

@@ -6,18 +6,25 @@
 // it through their Tx ring. The manager moves descriptors between rings —
 // packets themselves never move or get serialized.
 //
-// The descriptor switch is sharded across SwitchWorkers worker goroutines
-// (§4, Receive Side Scaling): every descriptor is steered to a work shard
-// by its flow key, each worker is the single consumer of its shard and the
-// single drainer of the Tx rings it owns, so per-flow FIFO order is
-// preserved end-to-end while unrelated flows switch in parallel.
+// Nothing here runs on a goroutine of its own. Every ring — a work shard,
+// an NF's Rx ring, an NF's Tx ring — is consumed by whichever caller finds
+// it unowned (ring.Owner, the consumer-ownership rule shm.Mailbox uses):
+// Inject enqueues on the flow's work shard (§4, Receive Side Scaling) and
+// switches the shard if no caller is; a stage flushed into an idle Rx ring
+// runs the NF's handler on the flusher; descriptors handed back onto an
+// idle Tx ring are switched and emitted by the caller that handed them
+// back. Uncontended, one Inject carries its packet through the whole chain
+// to the sink with no goroutine hand-off, the way an ONVM NF polling its
+// ring would. Under contention a descriptor waits in its ring for the
+// current owner, and one owner per ring at a time keeps per-flow FIFO order
+// end-to-end while unrelated flows switch in parallel (DESIGN §11).
 //
 // Between the copy in (Inject) and the sink call out, descriptors move in
-// bursts: a burst is whatever a ring holds when its consumer looks, up to
-// drainBatch, and is never waited for. Ring operations, counters and
-// wake-ups are paid once per burst, the steering tables are an immutable
-// snapshot loaded once per burst, and nothing on that path takes a mutex
-// or allocates (DESIGN §11).
+// bursts: a burst is whatever a ring holds when its owner looks, up to
+// drainBatch, and is never waited for. Ring operations and counters are
+// paid once per burst, the steering tables are an immutable snapshot
+// loaded once per burst, and nothing on that path takes a mutex or
+// allocates (DESIGN §11).
 //
 // The platform also carries the paper's deployment features: multiple
 // instances per service with canary-rollout traffic splitting (§4), RSS
@@ -31,7 +38,6 @@ import (
 	"fmt"
 	"maps"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,13 +56,15 @@ type ServiceID = uint16
 // PortID identifies an external port (a "NIC" toward gNB or DN).
 type PortID = uint16
 
-// BurstHandler processes one burst of descriptors, in order, on the
-// instance's own goroutine (its only caller, so a handler may keep state
-// between calls without locking). For every descriptor it either sets
-// buf.Meta and hands the descriptor back, or takes ownership of it (e.g.
-// parks the buffer in a session queue). It moves the descriptors it hands
-// back to the front of burst, keeping their order, and returns how many
-// there are.
+// BurstHandler processes one burst of descriptors, in order, on the caller
+// that owns the instance's Rx ring: one caller at a time, so a handler may
+// keep state between calls without locking, though not always on the same
+// goroutine. For every descriptor it either sets buf.Meta and hands the
+// descriptor back, or takes ownership of it (e.g. parks the buffer in a
+// session queue). It moves the descriptors it hands back to the front of
+// burst, keeping their order, and returns how many there are. A handler
+// that blocks blocks the caller that delivered to it — for an idle chain,
+// the Inject at its head — and every descriptor queued behind it.
 type BurstHandler func(burst []*pktbuf.Buf) int
 
 // Handler is a BurstHandler written for one descriptor at a time, for NFs
@@ -78,9 +86,11 @@ func (h Handler) burst(burst []*pktbuf.Buf) int {
 
 // PortSink receives frames leaving the platform via ActionToPort. The sink
 // borrows the buffer only for the duration of the call; the manager
-// releases it afterwards. With more than one switch worker a sink may be
-// invoked concurrently for different flows (frames of one flow always
-// arrive from the same worker, in order), so sinks must be goroutine-safe.
+// releases it afterwards. A sink runs on the caller that switches the
+// frame's Tx ring — for an idle chain, the Inject or SendBurst that started
+// it — so it may be invoked concurrently for different flows (frames of one
+// flow arrive in order) and must be goroutine-safe; a sink that blocks
+// blocks that caller.
 type PortSink func(frame []byte, meta pktbuf.Meta)
 
 // Errors returned by the platform.
@@ -93,16 +103,17 @@ var (
 	ErrBadPercent = errors.New("onvm: canary percent out of range")
 )
 
-// drainBatch bounds a burst: how many descriptors a worker or NF takes
-// from a ring at once.
+// drainBatch bounds a burst: how many descriptors a ring's owner takes
+// from it at once.
 const drainBatch = 64
 
 // txEnqueueSpins bounds how long a sender pushes back on a full Tx ring
 // without any slot coming free before it counts what is left of its burst
-// as tx-overflow drops. Each round wakes the home worker and sleeps a
-// microsecond longer than the last — about 2 ms in all, a live worker
-// empties the whole ring in a tenth of that — since a plain yield returns
-// at once when the worker runs on another thread.
+// as tx-overflow drops. Each round switches the ring itself if its owner
+// has let go, and otherwise sleeps a microsecond longer than the last —
+// about 2 ms in all, an owner empties the whole ring in a tenth of that —
+// since a plain yield returns at once when the owner runs on another
+// thread.
 const txEnqueueSpins = 64
 
 // task is a work-shard entry: an inbound injection, or a fault-delayed
@@ -113,45 +124,6 @@ type task struct {
 	egress bool // buf already passed the egress fault decision; emit it
 }
 
-// parker is the sleeping side of a ring consumer. The consumer publishes
-// that it is about to sleep, looks at its rings once more, and only then
-// blocks; a producer publishes its descriptors first and rings the bell
-// only if it then reads the flag set. Both sides use sequentially
-// consistent atomics, so either the consumer's second look sees the
-// descriptors or the producer sees the flag: no wake-up is lost, and a
-// producer feeding a running consumer does no channel operation.
-type parker struct {
-	parked atomic.Bool
-	bell   chan struct{} // capacity 1: wake-ups coalesce
-}
-
-// wake rings the bell if the consumer is parked. One of several concurrent
-// producers wins the flag and rings; the rest return.
-func (p *parker) wake() {
-	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
-		select {
-		case p.bell <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// park blocks until woken, unless pending reports work that arrived before
-// the flag went up. It returns true when stop closed instead. A bell left
-// over from an earlier round wakes the consumer once for nothing.
-func (p *parker) park(pending func() bool, stop <-chan struct{}) (stopped bool) {
-	p.parked.Store(true)
-	if !pending() {
-		select {
-		case <-p.bell:
-		case <-stop:
-			stopped = true
-		}
-	}
-	p.parked.Store(false)
-	return stopped
-}
-
 // Instance is one running NF instance attached to the platform.
 type Instance struct {
 	Service    ServiceID
@@ -159,23 +131,89 @@ type Instance struct {
 	name       string
 	spanName   string // "onvm.nf."+name, precomputed off the hot path
 
-	// rx is multi-producer (any switch worker may deliver) and consumed
-	// only by the instance goroutine; tx is multi-producer (the instance
-	// goroutine plus SendBurst callers such as session-buffer drains) and
-	// consumed only by the home worker.
-	rx     *ring.MPSC[*pktbuf.Buf]
-	rxWait parker
-	tx     *ring.MPSC[*pktbuf.Buf]
-	shard  int // home worker: drains tx, preserving single-consumer order
+	// rx is fed by whoever switches a descriptor to the instance; its
+	// owner runs the handler. tx is fed by rx's owner and by SendBurst
+	// callers (session-buffer drains); its owner switches what it holds.
+	rx rxRing
+	tx txRing
 
 	handler BurstHandler
 	mgr     *Manager
-	stop    chan struct{}
-	done    chan struct{}
 
 	rxCount atomic.Uint64
 	txCount atomic.Uint64
 	txDrops atomic.Uint64
+	inline  atomic.Uint64 // handled on the caller that delivered them
+	queued  atomic.Uint64 // handled by another caller's ownership
+}
+
+// rxRing is an NF's Rx ring and the burst its owner hands the handler.
+type rxRing struct {
+	own   ring.Owner
+	r     *ring.MPSC[*pktbuf.Buf]
+	inst  *Instance
+	batch [drainBatch]*pktbuf.Buf
+}
+
+func (q *rxRing) Ready() bool { return q.r.Ready() }
+
+// Consume runs the handler on a burst at a time off the Rx ring until it is
+// empty, handing what comes back to the Tx ring with one bulk enqueue.
+func (q *rxRing) Consume() (n int) {
+	i := q.inst
+	for {
+		k := q.r.DequeueBulk(q.batch[:])
+		if k == 0 {
+			return n
+		}
+		n += k
+		burst := q.batch[:k]
+		if tk := i.mgr.tracec.Load(); tk == nil {
+			burst = burst[:i.handler(burst)]
+		} else {
+			// Traced, each descriptor is a burst of one inside its own span.
+			h := 0
+			for j := range burst {
+				sp := tk.Start(i.spanName)
+				if i.handler(burst[j:j+1]) == 1 {
+					burst[h] = burst[j]
+					h++
+				}
+				sp.End()
+			}
+			burst = burst[:h]
+		}
+		if sent := i.transmit(burst); sent < len(burst) {
+			i.mgr.pool.ReleaseBulk(burst[sent:])
+		}
+	}
+}
+
+// txRing is an NF's Tx ring and the switch state of its owner.
+type txRing struct {
+	own   ring.Owner
+	r     *ring.MPSC[*pktbuf.Buf]
+	sw    switcher
+	drain [drainBatch]*pktbuf.Buf
+}
+
+func (q *txRing) Ready() bool { return q.r.Ready() }
+
+// Consume switches the Tx ring's descriptors, a burst at a time, until it
+// is empty.
+func (q *txRing) Consume() (n int) {
+	for {
+		k := q.r.DequeueBulk(q.drain[:])
+		if k == 0 {
+			return n
+		}
+		n += k
+		q.sw.begin()
+		for _, buf := range q.drain[:k] {
+			q.sw.process(buf)
+		}
+		q.sw.end()
+	}
 }
 
 // Name returns the instance's diagnostic name.
@@ -188,15 +226,29 @@ func (i *Instance) Stats() (rx, tx uint64) { return i.rxCount.Load(), i.txCount.
 // stayed full through the enqueue backoff window.
 func (i *Instance) TxDrops() uint64 { return i.txDrops.Load() }
 
+// serve runs the instance's Rx ring if no caller owns it and books what
+// was handled: up to own descriptors — the ones this caller just put there
+// — as served inline, the rest as served for other callers.
+func (i *Instance) serve(own int) int {
+	n := i.rx.own.Drain(&i.rx)
+	if in := min(n, own); in > 0 {
+		i.inline.Add(uint64(in))
+	}
+	if n > own {
+		i.queued.Add(uint64(n - own))
+	}
+	return n
+}
+
 // transmit places a burst of processed descriptors on the instance's Tx
-// ring in order and wakes the home worker once. While the ring is full it
-// backs off (waking the home worker so it can drain); when no slot came
-// free through the whole backoff window, what is left of the burst is
-// counted as tx-overflow drops. It returns how many descriptors went out:
-// the caller still owns burst[sent:].
+// ring in order and switches the ring if no caller owns it. While the ring
+// is full it backs off, switching the ring itself when its owner lets go;
+// when no slot came free through the whole backoff window, what is left of
+// the burst is counted as tx-overflow drops. It returns how many
+// descriptors went out: the caller still owns burst[sent:].
 func (i *Instance) transmit(burst []*pktbuf.Buf) (sent int) {
 	for spins := 0; ; spins++ {
-		if k := i.tx.EnqueueBulk(burst[sent:]); k > 0 {
+		if k := i.tx.r.EnqueueBulk(burst[sent:]); k > 0 {
 			sent += k
 			spins = 0
 		}
@@ -209,25 +261,28 @@ func (i *Instance) transmit(burst []*pktbuf.Buf) (sent int) {
 			i.mgr.txDrops.Add(left)
 			break
 		}
-		i.mgr.wake(i.shard)
-		time.Sleep(time.Duration(spins+1) * time.Microsecond)
+		if i.tx.own.Drain(&i.tx) == 0 {
+			time.Sleep(time.Duration(spins+1) * time.Microsecond)
+		}
 	}
 	if sent > 0 {
 		i.txCount.Add(uint64(sent))
-		// The home worker looks at the Tx rings it owns every time round
-		// its loop and before it parks, so a wake-up is all it needs.
-		i.mgr.wake(i.shard)
+		i.tx.own.Drain(&i.tx)
 	}
 	return sent
 }
 
 // SendBurst hands descriptors from the NF back to the manager via its Tx
 // ring, in order (used by handlers that emit packets outside their burst,
-// e.g. draining a session buffer after handover). It returns how many were
+// e.g. draining a session buffer after handover); if no caller owns the
+// ring, this one switches and emits them. It returns how many were
 // accepted; the caller keeps ownership of burst[sent:], which the manager
 // has already counted as tx drops unless it is stopped.
 func (i *Instance) SendBurst(burst []*pktbuf.Buf) (sent int) {
-	if i.mgr.stopped.Load() {
+	m := i.mgr
+	m.inflight.Add(1)
+	defer m.inflight.Add(-1)
+	if m.stopped.Load() {
 		return 0
 	}
 	return i.transmit(burst)
@@ -251,11 +306,10 @@ type tables struct {
 	ports     map[PortID]PortSink
 	portNF    map[PortID]ServiceID // inbound steering: port -> first NF
 	instances []*Instance          // registration order
-	homed     [][]*Instance        // per worker: the instances whose Tx ring it drains
 }
 
 // injConf groups a fault injector with its point names, swapped in
-// atomically so the switch workers never race SetInjector.
+// atomically so the packet path never races SetInjector.
 type injConf struct {
 	inj     *faults.Injector
 	deliver faults.Point
@@ -269,29 +323,60 @@ type stage struct {
 	bufs [drainBatch]*pktbuf.Buf
 }
 
-// switchWorker is one shard of the descriptor switch: the single consumer
-// of its work ring and the single drainer of the Tx rings of the instances
-// homed on it.
-type switchWorker struct {
-	id   int
-	wait parker
-	done chan struct{}
+// switcher is the state of the descriptor switch for one ring whose
+// descriptors it moves — a work shard or an NF's Tx ring — touched only by
+// that ring's owner: what begin loaded, the last service and port looked
+// up in that tables snapshot, the per-destination stages, the descriptors
+// to give back to the pool and the drops to count when the burst ends.
+type switcher struct {
+	m *Manager
 
 	switched atomic.Uint64
 	dropped  atomic.Uint64
 
-	// State of the burst in hand, touched only by the worker goroutine:
-	// what begin loaded, the per-destination stages, the descriptors to
-	// give back to the pool and the drops to count when the burst ends.
-	tabs   *tables
-	fc     *injConf
-	tk     *trace.Track
-	svcID  ServiceID // service of svc (valid while svc != nil)
-	svc    *serviceEntry
-	stages []*stage
-	spent  [drainBatch]*pktbuf.Buf
-	nspent int
-	ndrop  uint64
+	tabs     *tables
+	fc       *injConf
+	tk       *trace.Track
+	svcID    ServiceID // service of svc (valid while svc != nil)
+	svc      *serviceEntry
+	sinkPort PortID // port of sink (valid while sink != nil)
+	sink     PortSink
+	stages   []*stage
+	spent    [drainBatch]*pktbuf.Buf
+	nspent   int
+	ndrop    uint64
+}
+
+// shard is one work shard of the descriptor switch: the flows steered to
+// it, consumed by whichever caller owns it.
+type shard struct {
+	id    int
+	own   ring.Owner
+	sw    switcher
+	tasks [drainBatch]task
+}
+
+func (s *shard) Ready() bool { return s.sw.m.shards.Ready(s.id) }
+
+// Consume switches the shard's tasks, a burst at a time, until it is empty.
+func (s *shard) Consume() (n int) {
+	w := &s.sw
+	for {
+		k := w.m.shards.DequeueBulk(s.id, s.tasks[:])
+		if k == 0 {
+			return n
+		}
+		n += k
+		w.begin()
+		for i := range s.tasks[:k] {
+			if t := &s.tasks[i]; t.egress {
+				w.emitPort(t.buf)
+			} else {
+				w.deliver(t.buf, t.dst)
+			}
+		}
+		w.end()
+	}
 }
 
 // Manager is the ONVM NF manager: it owns the pool, the rings and the
@@ -299,22 +384,21 @@ type switchWorker struct {
 type Manager struct {
 	pool *pktbuf.Pool
 
-	mu      sync.Mutex // serialises writers of tabs
-	tabs    atomic.Pointer[tables]
-	instSeq int // round-robin home-shard assignment
+	mu   sync.Mutex // serialises writers of tabs
+	tabs atomic.Pointer[tables]
 
 	shards   *ring.Sharded[task]
-	workers  []*switchWorker
+	shardv   []*shard
 	stopped  atomic.Bool
-	inflight atomic.Int64 // notifies between stopped-check and enqueue
+	inflight atomic.Int64 // Inject and SendBurst calls in progress
 
 	nfRingSize int
 	bpSpins    int
 	faultc     atomic.Pointer[injConf]
 	tracec     atomic.Pointer[trace.Track]
 
-	// extraDropped counts drops outside any worker context (pool
-	// exhaustion at Inject, work-shard overflow, teardown releases).
+	// extraDropped counts drops outside any switcher (pool exhaustion at
+	// Inject, work-shard overflow, teardown releases).
 	extraDropped atomic.Uint64
 	// txDrops counts descriptors NFs discarded on full Tx rings, folded
 	// into the dropped aggregate.
@@ -327,14 +411,14 @@ type Config struct {
 	PoolSize   int    // packet buffers in the shared pool
 	RingSize   int    // per-NF ring capacity
 	PoolPrefix string // security-domain prefix (unique per 5GC unit)
-	// BackpressureSpins bounds how long a switch worker pushes back on a
-	// full NF Rx ring (cooperative yields) before counting the descriptor
-	// as a ring-overflow drop. 0 = default (64); -1 disables backpressure.
+	// BackpressureSpins bounds how long a switcher pushes back on a full NF
+	// Rx ring (cooperative yields) before counting the descriptor as a
+	// ring-overflow drop. 0 = default (64); -1 disables backpressure.
 	BackpressureSpins int
-	// SwitchWorkers is the number of descriptor-switch workers. Descriptors
-	// are sharded across workers by flow key, so per-flow order is kept
-	// while flows switch in parallel. 0 = default min(GOMAXPROCS, 4);
-	// values < 1 are clamped to 1.
+	// SwitchWorkers is the number of work shards of the descriptor switch.
+	// Descriptors are sharded by flow key, so per-flow order is kept while
+	// flows on different shards switch in parallel on their callers.
+	// 0 = default min(GOMAXPROCS, 4); values < 1 are clamped to 1.
 	SwitchWorkers int
 }
 
@@ -343,7 +427,7 @@ func DefaultConfig() Config {
 	return Config{PoolSize: 8192, RingSize: 1024, PoolPrefix: "l25gc"}
 }
 
-// defaultSwitchWorkers picks the worker count when Config leaves it 0.
+// defaultSwitchWorkers picks the shard count when Config leaves it 0.
 func defaultSwitchWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 4 {
@@ -355,7 +439,7 @@ func defaultSwitchWorkers() int {
 	return n
 }
 
-// NewManager starts a platform manager and its switch workers.
+// NewManager creates a platform manager. It starts no goroutine.
 func NewManager(cfg Config) *Manager {
 	if cfg.PoolSize == 0 {
 		cfg = DefaultConfig()
@@ -388,16 +472,10 @@ func NewManager(cfg Config) *Manager {
 		services: map[ServiceID]*serviceEntry{},
 		ports:    map[PortID]PortSink{},
 		portNF:   map[PortID]ServiceID{},
-		homed:    make([][]*Instance, cfg.SwitchWorkers),
 	})
-	m.workers = make([]*switchWorker, cfg.SwitchWorkers)
-	for i := range m.workers {
-		m.workers[i] = &switchWorker{
-			id:   i,
-			wait: parker{bell: make(chan struct{}, 1)},
-			done: make(chan struct{}),
-		}
-		go m.workerLoop(m.workers[i])
+	m.shardv = make([]*shard, cfg.SwitchWorkers)
+	for i := range m.shardv {
+		m.shardv[i] = &shard{id: i, sw: switcher{m: m}}
 	}
 	return m
 }
@@ -406,8 +484,8 @@ func NewManager(cfg Config) *Manager {
 // from the same hugepage-analogue pool).
 func (m *Manager) Pool() *pktbuf.Pool { return m.pool }
 
-// Workers returns the number of switch workers.
-func (m *Manager) Workers() int { return len(m.workers) }
+// Shards returns the number of work shards.
+func (m *Manager) Shards() int { return len(m.shardv) }
 
 // RingDrops exposes the ring-overflow drop counter: descriptors the
 // manager discarded because an NF's Rx ring stayed full through the
@@ -437,19 +515,27 @@ func (m *Manager) SetInjector(inj *faults.Injector, prefix string) {
 func (m *Manager) SetTracer(tk *trace.Track) { m.tracec.Store(tk) }
 
 // ExportMetrics registers the manager's switch counters under prefix: the
-// switched/dropped aggregates, the overflow-drop breakdown, and per-worker
-// switched/dropped gauges for shard-balance diagnostics. The ring-drop
-// counter is re-registered under the prefix (not its pool-scoped name) so
-// the registry name set is stable across units.
+// switched/dropped aggregates, the overflow-drop breakdown, how many
+// descriptors NFs handled on the caller that delivered them and how many
+// on another caller's ownership, and per-shard switched/dropped gauges for
+// shard-balance diagnostics. The ring-drop counter is re-registered under
+// the prefix (not its pool-scoped name) so the registry name set is stable
+// across units.
 func (m *Manager) ExportMetrics(reg *metrics.Registry, prefix string) {
 	reg.RegisterGauge(prefix+".switched", m.switchedTotal)
 	reg.RegisterGauge(prefix+".dropped", m.droppedTotal)
 	reg.RegisterGauge(prefix+".tx_drops", m.txDrops.Load)
 	reg.RegisterGauge(prefix+".ring_overflow_drops", m.ringDrops.Load)
-	reg.RegisterGauge(prefix+".workers", func() uint64 { return uint64(len(m.workers)) })
-	for _, w := range m.workers {
-		reg.RegisterGauge(fmt.Sprintf("%s.worker%d.switched", prefix, w.id), w.switched.Load)
-		reg.RegisterGauge(fmt.Sprintf("%s.worker%d.dropped", prefix, w.id), w.dropped.Load)
+	reg.RegisterGauge(prefix+".served_inline", func() uint64 {
+		return m.sumInstances(func(i *Instance) uint64 { return i.inline.Load() })
+	})
+	reg.RegisterGauge(prefix+".served_queued", func() uint64 {
+		return m.sumInstances(func(i *Instance) uint64 { return i.queued.Load() })
+	})
+	reg.RegisterGauge(prefix+".shards", func() uint64 { return uint64(len(m.shardv)) })
+	for _, s := range m.shardv {
+		reg.RegisterGauge(fmt.Sprintf("%s.shard%d.switched", prefix, s.id), s.sw.switched.Load)
+		reg.RegisterGauge(fmt.Sprintf("%s.shard%d.dropped", prefix, s.id), s.sw.dropped.Load)
 	}
 	// Packet-pool occupancy levels: size is fixed, in_use = size - avail
 	// is the instantaneous occupancy the telemetry sampler tracks for the
@@ -464,18 +550,28 @@ func (m *Manager) ExportMetrics(reg *metrics.Registry, prefix string) {
 	})
 }
 
-func (m *Manager) switchedTotal() uint64 {
+// sumInstances adds f over every registered instance.
+func (m *Manager) sumInstances(f func(*Instance) uint64) uint64 {
 	var n uint64
-	for _, w := range m.workers {
-		n += w.switched.Load()
+	for _, i := range m.tabs.Load().instances {
+		n += f(i)
+	}
+	return n
+}
+
+func (m *Manager) switchedTotal() uint64 {
+	n := m.sumInstances(func(i *Instance) uint64 { return i.tx.sw.switched.Load() })
+	for _, s := range m.shardv {
+		n += s.sw.switched.Load()
 	}
 	return n
 }
 
 func (m *Manager) droppedTotal() uint64 {
 	n := m.extraDropped.Load() + m.txDrops.Load()
-	for _, w := range m.workers {
-		n += w.dropped.Load()
+	n += m.sumInstances(func(i *Instance) uint64 { return i.tx.sw.dropped.Load() })
+	for _, s := range m.shardv {
+		n += s.sw.dropped.Load()
 	}
 	return n
 }
@@ -496,7 +592,6 @@ func (m *Manager) update(fn func(t *tables)) {
 		ports:     maps.Clone(old.ports),
 		portNF:    maps.Clone(old.portNF),
 		instances: old.instances,
-		homed:     slices.Clone(old.homed),
 	}
 	fn(t)
 	m.tabs.Store(t)
@@ -509,35 +604,28 @@ func extend(s []*Instance, v *Instance) []*Instance {
 }
 
 // RegisterBurst attaches an NF instance running handler h for service sid.
-// The instance is homed on a switch worker round-robin; that worker alone
-// drains its Tx ring.
+// It starts no goroutine: the handler runs on the callers that deliver to
+// the instance.
 func (m *Manager) RegisterBurst(sid ServiceID, name string, h BurstHandler) (*Instance, error) {
 	inst := &Instance{
 		Service:  sid,
 		name:     name,
 		spanName: "onvm.nf." + name,
-		rx:       ring.NewMPSC[*pktbuf.Buf](m.ringSize()),
-		rxWait:   parker{bell: make(chan struct{}, 1)},
-		tx:       ring.NewMPSC[*pktbuf.Buf](m.ringSize()),
 		handler:  h,
 		mgr:      m,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
+	inst.rx.r, inst.rx.inst = ring.NewMPSC[*pktbuf.Buf](m.ringSize()), inst
+	inst.tx.r, inst.tx.sw.m = ring.NewMPSC[*pktbuf.Buf](m.ringSize()), m
 	m.update(func(t *tables) {
 		ent := serviceEntry{}
 		if old := t.services[sid]; old != nil {
 			ent = *old
 		}
 		inst.InstanceID = uint16(len(ent.instances))
-		inst.shard = m.instSeq % len(m.workers)
-		m.instSeq++
 		ent.instances = extend(ent.instances, inst)
 		t.services[sid] = &ent
 		t.instances = extend(t.instances, inst)
-		t.homed[inst.shard] = extend(t.homed[inst.shard], inst)
 	})
-	go inst.run()
 	return inst, nil
 }
 
@@ -573,7 +661,9 @@ func (m *Manager) BindPortNF(pid PortID, sid ServiceID) {
 }
 
 // Inject delivers an external frame into the platform as if received on
-// port pid. This is the single copy at the system edge.
+// port pid. This is the single copy at the system edge. If the chain is
+// idle the frame is carried through it, and out of its sink, before Inject
+// returns.
 func (m *Manager) Inject(pid PortID, data []byte, meta pktbuf.Meta) error {
 	if m.stopped.Load() {
 		return ErrStopped
@@ -607,22 +697,20 @@ func flowKey(meta *pktbuf.Meta) uint64 {
 	return meta.RSS ^ uint64(meta.TEID)*2654435761
 }
 
-// wake wakes a worker if it is parked.
-func (m *Manager) wake(shard int) { m.workers[shard].wait.wake() }
-
-// notify queues a descriptor on its flow's work shard, so that one worker
-// moves all of a flow's descriptors, in order.
+// notify queues a descriptor on its flow's work shard, so that one owner
+// at a time moves all of a flow's descriptors, in order, and switches the
+// shard if no caller owns it.
 func (m *Manager) notify(t task) error {
-	// The inflight count brackets the stopped-check-to-enqueue window so
-	// Stop can wait out racing notifies before draining residual shards; a
+	// The inflight count brackets the whole call, the switching included,
+	// so Stop can wait out every caller already past the stopped check; a
 	// notify that starts after Stop flips stopped releases its own buffer.
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
 	err := ErrStopped
 	if !m.stopped.Load() {
-		shard := m.shards.ShardOf(flowKey(&t.buf.Meta))
-		if m.shards.Enqueue(shard, t) {
-			m.wake(shard)
+		s := m.shardv[m.shards.ShardOf(flowKey(&t.buf.Meta))]
+		if m.shards.Enqueue(s.id, t) {
+			s.own.Drain(s)
 			return nil
 		}
 		err = ErrRingFull
@@ -696,22 +784,26 @@ func pickInstance(ent *serviceEntry, rssHash uint64) *Instance {
 }
 
 // begin loads what one burst reads many times: the tables snapshot, the
-// fault configuration and the trace track.
-func (m *Manager) begin(w *switchWorker) {
-	w.tabs, w.fc, w.tk = m.tabs.Load(), m.faultc.Load(), m.tracec.Load()
-	w.svc = nil
+// fault configuration and the trace track. Lookups made in the previous
+// burst stand as long as the snapshot is the same.
+func (w *switcher) begin() {
+	m := w.m
+	if t := m.tabs.Load(); t != w.tabs {
+		w.tabs, w.svc, w.sink = t, nil, nil
+	}
+	w.fc, w.tk = m.faultc.Load(), m.tracec.Load()
 }
 
 // end completes a burst: every stage goes to its instance's Rx ring with
 // one bulk enqueue, spent descriptors return to the pool together, and the
 // drop count is added once.
-func (m *Manager) end(w *switchWorker) {
+func (w *switcher) end() {
 	for _, s := range w.stages {
 		if s.n > 0 {
-			m.flush(w, s)
+			w.flush(s)
 		}
 	}
-	m.releaseSpent(w)
+	w.releaseSpent()
 	if w.ndrop > 0 {
 		w.dropped.Add(w.ndrop)
 		w.ndrop = 0
@@ -720,49 +812,49 @@ func (m *Manager) end(w *switchWorker) {
 
 // release queues a descriptor the switch is done with for the bulk put at
 // the end of the burst.
-func (m *Manager) release(w *switchWorker, buf *pktbuf.Buf) {
+func (w *switcher) release(buf *pktbuf.Buf) {
 	if w.nspent == len(w.spent) {
-		m.releaseSpent(w)
+		w.releaseSpent()
 	}
 	w.spent[w.nspent] = buf
 	w.nspent++
 }
 
-func (m *Manager) releaseSpent(w *switchWorker) {
+func (w *switcher) releaseSpent() {
 	if w.nspent > 0 {
-		m.pool.ReleaseBulk(w.spent[:w.nspent])
+		w.m.pool.ReleaseBulk(w.spent[:w.nspent])
 		w.nspent = 0
 	}
 }
 
 // drop releases a descriptor and counts it dropped.
-func (m *Manager) drop(w *switchWorker, buf *pktbuf.Buf) {
-	m.release(w, buf)
+func (w *switcher) drop(buf *pktbuf.Buf) {
+	w.release(buf)
 	w.ndrop++
 }
 
 // deliver stages a descriptor for the target service's Rx ring. The fault
-// decision and the span stay per descriptor; the ring operation, the
-// wake-up and the counters are paid per stage in flush.
-func (m *Manager) deliver(w *switchWorker, buf *pktbuf.Buf, sid ServiceID) {
+// decision and the span stay per descriptor; the ring operation and the
+// counters are paid per stage in flush.
+func (w *switcher) deliver(buf *pktbuf.Buf, sid ServiceID) {
 	sp := w.tk.Start("onvm.deliver")
-	m.stageFor(w, buf, sid)
+	w.stageFor(buf, sid)
 	sp.End()
 }
 
-func (m *Manager) stageFor(w *switchWorker, buf *pktbuf.Buf, sid ServiceID) {
+func (w *switcher) stageFor(buf *pktbuf.Buf, sid ServiceID) {
 	if fc := w.fc; fc != nil {
 		act := fc.inj.Decide(fc.deliver, buf.Bytes())
 		if act.Drop {
-			m.drop(w, buf)
+			w.drop(buf)
 			return
 		}
 		if act.Delay > 0 {
 			// Descriptors are single-owner, so a delayed delivery must
-			// re-enter via its home work shard: only that shard's worker
-			// may move it, and only there does it rejoin its flow's order.
+			// re-enter via its flow's work shard: only there does it
+			// rejoin its flow's order.
 			time.AfterFunc(act.Delay, func() {
-				m.notify(task{buf: buf, dst: sid})
+				w.m.notify(task{buf: buf, dst: sid})
 			})
 			return
 		}
@@ -771,7 +863,7 @@ func (m *Manager) stageFor(w *switchWorker, buf *pktbuf.Buf, sid ServiceID) {
 		w.svc, w.svcID = w.tabs.services[sid], sid
 	}
 	if w.svc == nil {
-		m.drop(w, buf)
+		w.drop(buf)
 		return
 	}
 	inst := pickInstance(w.svc, flowKey(&buf.Meta))
@@ -783,170 +875,100 @@ func (m *Manager) stageFor(w *switchWorker, buf *pktbuf.Buf, sid ServiceID) {
 		}
 	}
 	if s == nil {
-		// First descriptor this worker sends to inst: the stage stays for
-		// the life of the worker.
+		// First descriptor this switcher sends to inst: the stage stays
+		// for the life of the switcher.
 		s = &stage{inst: inst}
 		w.stages = append(w.stages, s)
 	}
 	if s.n == len(s.bufs) {
-		m.flush(w, s)
+		w.flush(s)
 	}
 	s.bufs[s.n] = buf
 	s.n++
 }
 
-// flush moves one stage into its instance's Rx ring: one bulk enqueue, one
-// wake-up and one counter update for the descriptors that fit. While the
-// ring is full the worker yields its timeslice to let the NF drain — bounded
-// so a wedged NF cannot stall the other flows sharing this shard — and
-// what still does not fit is dropped and counted, descriptor for descriptor.
-func (m *Manager) flush(w *switchWorker, s *stage) {
+// flush moves one stage into its instance's Rx ring — one bulk enqueue and
+// one counter update for the descriptors that fit — and runs the instance's
+// handler on them here if no caller owns the ring. While the ring is full
+// the switcher runs it itself if its owner has let go, or yields its
+// timeslice to the owner — bounded, so a wedged NF cannot stall the other
+// flows sharing this shard — and what still does not fit is dropped and
+// counted, descriptor for descriptor.
+func (w *switcher) flush(s *stage) {
 	inst, bufs := s.inst, s.bufs[:s.n]
 	s.n = 0
-	sent := 0
+	sent, mine := 0, 0 // mine: enqueued here and not yet seen handled
 	for spins := 0; ; spins++ {
-		if k := inst.rx.EnqueueBulk(bufs[sent:]); k > 0 {
+		if k := inst.rx.r.EnqueueBulk(bufs[sent:]); k > 0 {
 			sent += k
+			mine += k
 			spins = 0
-			inst.rxWait.wake()
+			inst.rxCount.Add(uint64(k))
+			w.switched.Add(uint64(k))
 		}
-		if sent == len(bufs) || spins >= m.bpSpins {
+		if sent == len(bufs) || spins >= w.m.bpSpins {
 			break
 		}
-		runtime.Gosched()
-	}
-	if sent > 0 {
-		inst.rxCount.Add(uint64(sent))
-		w.switched.Add(uint64(sent))
+		if n := inst.serve(mine); n > 0 {
+			mine -= min(n, mine)
+		} else {
+			runtime.Gosched()
+		}
 	}
 	if left := bufs[sent:]; len(left) > 0 {
 		w.ndrop += uint64(len(left))
-		m.ringDrops.Add(uint64(len(left)))
-		m.pool.ReleaseBulk(left)
+		w.m.ringDrops.Add(uint64(len(left)))
+		w.m.pool.ReleaseBulk(left)
+	}
+	if mine > 0 {
+		inst.serve(mine)
 	}
 }
 
 // emitPort transmits a frame out of its port and releases the descriptor.
-func (m *Manager) emitPort(w *switchWorker, buf *pktbuf.Buf) {
-	if sink := w.tabs.ports[buf.Meta.Port]; sink != nil {
+func (w *switcher) emitPort(buf *pktbuf.Buf) {
+	if w.sink == nil || w.sinkPort != buf.Meta.Port {
+		w.sink, w.sinkPort = w.tabs.ports[buf.Meta.Port], buf.Meta.Port
+	}
+	if sink := w.sink; sink != nil {
 		sp := w.tk.Start("onvm.egress")
 		sink(buf.Bytes(), buf.Meta)
 		sp.End()
-		m.release(w, buf)
+		w.release(buf)
 	} else {
-		m.drop(w, buf)
+		w.drop(buf)
 	}
 }
 
 // process executes one descriptor action from an NF's Tx ring.
-func (m *Manager) process(w *switchWorker, buf *pktbuf.Buf) {
+func (w *switcher) process(buf *pktbuf.Buf) {
 	switch buf.Meta.Action {
 	case pktbuf.ActionToNF:
-		m.deliver(w, buf, buf.Meta.Dst)
+		w.deliver(buf, buf.Meta.Dst)
 	case pktbuf.ActionToPort:
 		if fc := w.fc; fc != nil {
 			act := fc.inj.Decide(fc.egress, buf.Bytes())
 			if act.Drop {
-				m.drop(w, buf)
+				w.drop(buf)
 				return
 			}
 			if act.Delay > 0 {
-				// Re-enqueue on the flow's home shard after the delay
-				// instead of sleeping in the worker: a fault-delayed frame
-				// must never stall every other flow behind the switch. The
+				// Re-enqueue on the flow's work shard after the delay
+				// instead of sleeping here: a fault-delayed frame must
+				// never stall every other flow behind this ring. The
 				// egress decision is already made, so the re-entering task
 				// bypasses a second Decide.
 				time.AfterFunc(act.Delay, func() {
-					m.notify(task{buf: buf, egress: true})
+					w.m.notify(task{buf: buf, egress: true})
 				})
 				return
 			}
 		}
-		m.emitPort(w, buf)
+		w.emitPort(buf)
 	case pktbuf.ActionDrop:
-		m.drop(w, buf)
+		w.drop(buf)
 	default: // Buffer-left-in-ring releases here
-		m.release(w, buf)
-	}
-}
-
-// drainTx empties one NF's Tx ring through the switch, a burst at a time.
-// Only the instance's home worker may call it.
-func (m *Manager) drainTx(w *switchWorker, nf *Instance, drain []*pktbuf.Buf) bool {
-	any := false
-	for {
-		n := nf.tx.DequeueBulk(drain)
-		if n == 0 {
-			return any
-		}
-		any = true
-		m.begin(w)
-		for _, buf := range drain[:n] {
-			m.process(w, buf)
-		}
-		m.end(w)
-		if n < len(drain) {
-			return any
-		}
-	}
-}
-
-// sweep drains the Tx rings of the instances homed on w that hold
-// descriptors. The worker runs it every time round its loop and once more
-// before it parks, so an NF only ever has to wake its home worker.
-func (m *Manager) sweep(w *switchWorker, drain []*pktbuf.Buf) bool {
-	any := false
-	for _, inst := range m.tabs.Load().homed[w.id] {
-		if inst.tx.Ready() && m.drainTx(w, inst, drain) {
-			any = true
-		}
-	}
-	return any
-}
-
-// idle reports whether w has nothing to do: nothing published on its work
-// shard or its Tx rings, and no Stop to notice. A slot a producer has
-// reserved but not yet published does not count: that producer wakes the
-// worker once it has published.
-func (m *Manager) idle(w *switchWorker) bool {
-	if m.shards.Ready(w.id) || m.stopped.Load() {
-		return false
-	}
-	for _, inst := range m.tabs.Load().homed[w.id] {
-		if inst.tx.Ready() {
-			return false
-		}
-	}
-	return true
-}
-
-// workerLoop is one shard of the descriptor switch: a burst of tasks off
-// the work shard, then the Tx rings it owns, and only with both empty does
-// it park.
-func (m *Manager) workerLoop(w *switchWorker) {
-	defer close(w.done)
-	var tasks [drainBatch]task
-	var drain [drainBatch]*pktbuf.Buf
-	for {
-		n := m.shards.DequeueBulk(w.id, tasks[:])
-		if n > 0 {
-			m.begin(w)
-			for i := range tasks[:n] {
-				if t := &tasks[i]; t.egress {
-					m.emitPort(w, t.buf)
-				} else {
-					m.deliver(w, t.buf, t.dst)
-				}
-			}
-			m.end(w)
-		}
-		if m.sweep(w, drain[:]) || n > 0 {
-			continue
-		}
-		if m.stopped.Load() {
-			return
-		}
-		w.wait.park(func() bool { return !m.idle(w) }, nil)
+		w.release(buf)
 	}
 }
 
@@ -956,43 +978,21 @@ func (m *Manager) Stats() (switched, dropped uint64) {
 	return m.switchedTotal(), m.droppedTotal()
 }
 
-// Stop halts the switch workers and all registered NF instances, joining
-// every goroutine before returning so teardown cannot race in-flight
-// switching, then releases any descriptors still queued in work shards or
-// NF rings.
+// Stop refuses new work, waits out every caller already inside Inject or
+// SendBurst — an owner runs its rings until they are empty — then takes
+// every ring for good and releases the descriptors still queued in work
+// shards or NF rings, so teardown cannot race in-flight switching.
 func (m *Manager) Stop() {
 	if !m.stopped.CompareAndSwap(false, true) {
 		return
 	}
-	// Workers first: each exits once its shard and Tx rings are empty
-	// (notify refuses new work after the stopped flip above).
-	for _, w := range m.workers {
-		m.wake(w.id)
-	}
-	for _, w := range m.workers {
-		<-w.done
-	}
-	// Then the NFs: each drains its remaining Rx backlog (no new deliveries
-	// can arrive) and exits.
-	insts := m.tabs.Load().instances
-	for _, i := range insts {
-		close(i.stop)
-	}
-	for _, i := range insts {
-		<-i.done
-	}
-	// Wait out notifies that raced the stopped flip (they either enqueued
-	// already or will release their own buffer), so the residual drain
-	// below observes every stranded descriptor.
 	for m.inflight.Load() != 0 {
 		runtime.Gosched()
 	}
-	// Everything is quiescent: release descriptors stranded in work shards
-	// (tasks enqueued before the stopped flip) and NF rings (Tx handbacks
-	// after the home worker left).
-	for shard := 0; shard < m.shards.Shards(); shard++ {
+	for _, s := range m.shardv {
+		s.own.Hold()
 		for {
-			t, ok := m.shards.Dequeue(shard)
+			t, ok := m.shards.Dequeue(s.id)
 			if !ok {
 				break
 			}
@@ -1000,8 +1000,10 @@ func (m *Manager) Stop() {
 			m.extraDropped.Add(1)
 		}
 	}
-	for _, i := range insts {
-		for _, r := range []*ring.MPSC[*pktbuf.Buf]{i.tx, i.rx} {
+	for _, i := range m.tabs.Load().instances {
+		i.rx.own.Hold()
+		i.tx.own.Hold()
+		for _, r := range []*ring.MPSC[*pktbuf.Buf]{i.rx.r, i.tx.r} {
 			for {
 				b, ok := r.Dequeue()
 				if !ok {
@@ -1014,45 +1016,9 @@ func (m *Manager) Stop() {
 	}
 }
 
-// run is the instance goroutine: a burst off the Rx ring to the handler,
-// what it hands back onto the Tx ring with one bulk enqueue and one wake-up
-// of the home worker.
-func (i *Instance) run() {
-	defer close(i.done)
-	var batch [drainBatch]*pktbuf.Buf
-	for {
-		n := i.rx.DequeueBulk(batch[:])
-		if n == 0 {
-			if i.rxWait.park(i.rx.Ready, i.stop) {
-				return
-			}
-			continue
-		}
-		burst := batch[:n]
-		if tk := i.mgr.tracec.Load(); tk == nil {
-			burst = burst[:i.handler(burst)]
-		} else {
-			// Traced, each descriptor is a burst of one inside its own span.
-			k := 0
-			for j := range burst {
-				sp := tk.Start(i.spanName)
-				if i.handler(burst[j:j+1]) == 1 {
-					burst[k] = burst[j]
-					k++
-				}
-				sp.End()
-			}
-			burst = burst[:k]
-		}
-		if sent := i.transmit(burst); sent < len(burst) {
-			i.mgr.pool.ReleaseBulk(burst[sent:])
-		}
-	}
-}
-
 // String renders manager state for diagnostics.
 func (m *Manager) String() string {
 	sw, dr := m.Stats()
-	return fmt.Sprintf("onvm.Manager{workers: %d, switched: %d, dropped: %d, pool: %d/%d}",
-		len(m.workers), sw, dr, m.pool.Avail(), m.pool.Size())
+	return fmt.Sprintf("onvm.Manager{shards: %d, switched: %d, dropped: %d, pool: %d/%d}",
+		len(m.shardv), sw, dr, m.pool.Avail(), m.pool.Size())
 }

@@ -178,15 +178,33 @@ var (
 	ErrPoolEmpty     = errors.New("pktbuf: pool exhausted")
 )
 
+// stashSize bounds the pool's hot stash: about one burst of buffers.
+const stashSize = 64
+
 // Pool is a fixed-size pool of packet buffers shared by all NFs of one
-// 5GC unit. The free list is a lock-free MPMC ring, so any NF goroutine
-// may allocate or release concurrently. The ring's own cursors are the
+// 5GC unit. The free list is a lock-free MPMC ring, so any goroutine may
+// allocate or release concurrently. The ring's own cursors are the
 // lifetime get/put counts: the pool keeps no counter of its own on the
-// packet path.
+// ring path.
+//
+// In front of the ring sits a stash of the last freed buffers, handed out
+// again first (LIFO). A FIFO ring hands out the buffer freed longest ago —
+// with 8192 buffers, one whose 1.6 KB are cold in every cache — while a
+// packet carried through the whole chain on one core frees a buffer that
+// core has just touched. The stash is guarded by a CAS flag that nobody
+// waits for: a Get or put that finds it taken goes to the ring, except a
+// Get that finds the ring empty, for which the stash is the last place to
+// look.
 type Pool struct {
 	free   *ring.MPMC[*Buf]
 	bufs   []Buf
 	prefix string // security-domain file prefix (DPDK --file-prefix analog)
+
+	stashMu   atomic.Bool // held for a few instructions; never waited on by put
+	nstash    int
+	stash     [stashSize]*Buf
+	stashGets uint64 // lifetime counts of the stash, under stashMu
+	stashPuts uint64
 }
 
 // NewPool creates a pool of n buffers. prefix names the private memory
@@ -211,18 +229,55 @@ func (p *Pool) Prefix() string { return p.prefix }
 // Size returns the total number of buffers owned by the pool.
 func (p *Pool) Size() int { return len(p.bufs) }
 
+// lockStash takes the stash flag, waiting for the holder.
+func (p *Pool) lockStash() {
+	for !p.stashMu.CompareAndSwap(false, true) {
+		runtime.Gosched()
+	}
+}
+
+func (p *Pool) unlockStash() { p.stashMu.Store(false) }
+
 // Avail returns the approximate number of free buffers.
-func (p *Pool) Avail() int { return p.free.Len() }
+func (p *Pool) Avail() int {
+	p.lockStash()
+	n := p.free.Len() + p.nstash
+	p.unlockStash()
+	return n
+}
 
 // Get allocates a buffer, or returns ErrPoolEmpty when exhausted.
 func (p *Pool) Get() (*Buf, error) {
-	b, ok := p.free.Dequeue()
-	if !ok {
-		return nil, ErrPoolEmpty
+	var b *Buf
+	if p.stashMu.CompareAndSwap(false, true) {
+		b = p.popStash()
+		p.unlockStash()
+	}
+	if b == nil {
+		var ok bool
+		if b, ok = p.free.Dequeue(); !ok {
+			p.lockStash()
+			b = p.popStash()
+			p.unlockStash()
+			if b == nil {
+				return nil, ErrPoolEmpty
+			}
+		}
 	}
 	b.Reset()
 	b.refcnt.Store(1)
 	return b, nil
+}
+
+// popStash takes the most recently freed buffer, or returns nil if the
+// stash is empty. The caller holds the stash flag.
+func (p *Pool) popStash() (b *Buf) {
+	if p.nstash > 0 {
+		p.nstash--
+		b = p.stash[p.nstash]
+		p.stashGets++
+	}
+	return b
 }
 
 func (p *Pool) put(b *Buf) {
@@ -230,15 +285,30 @@ func (p *Pool) put(b *Buf) {
 	p.putBulk(one[:])
 }
 
-// putBulk returns buffers whose last reference is gone to the free ring,
-// one bulk enqueue per attempt.
+// putBulk returns buffers whose last reference is gone: the last ones freed
+// to the stash as far as it has room, the rest to the free ring, one bulk
+// enqueue per attempt.
 func (p *Pool) putBulk(bufs []*Buf) {
 	if poisonOnFree {
 		for _, b := range bufs {
 			Poison(b.mem[:])
 		}
 	}
-	for {
+	if len(bufs) > 0 && p.stashMu.CompareAndSwap(false, true) {
+		// The ring's length never counts more than it holds (tail is read
+		// before head), so more free buffers than the pool owns is a
+		// buffer released once too often.
+		if p.free.Len()+p.nstash+len(bufs) > len(p.bufs) {
+			p.unlockStash()
+			panic("pktbuf: over-release: more buffers free than the pool holds (foreign buffer?)")
+		}
+		k := min(len(bufs), stashSize-p.nstash)
+		p.nstash += copy(p.stash[p.nstash:], bufs[len(bufs)-k:])
+		p.stashPuts += uint64(k)
+		p.unlockStash()
+		bufs = bufs[:len(bufs)-k]
+	}
+	for len(bufs) > 0 {
 		bufs = bufs[p.free.EnqueueBulk(bufs):]
 		if len(bufs) == 0 {
 			return
@@ -256,9 +326,9 @@ func (p *Pool) putBulk(bufs []*Buf) {
 }
 
 // ReleaseBulk drops one reference on every buffer of a burst and returns
-// those with none left to the free ring together. It reorders bufs; the
-// caller must not use the slice's contents afterwards. Buffers of another
-// pool (or of none) are released one by one.
+// those with none left to the pool together. It reorders bufs; the caller
+// must not use the slice's contents afterwards. Buffers of another pool (or
+// of none) are released one by one.
 func (p *Pool) ReleaseBulk(bufs []*Buf) {
 	n := 0
 	for _, b := range bufs {
@@ -279,5 +349,8 @@ func (p *Pool) ReleaseBulk(bufs []*Buf) {
 
 // Stats reports lifetime get/put counts, useful for leak detection in tests.
 func (p *Pool) Stats() (gets, puts uint64) {
-	return p.free.Dequeued(), p.free.Enqueued() - uint64(len(p.bufs))
+	p.lockStash()
+	gets, puts = p.stashGets, p.stashPuts
+	p.unlockStash()
+	return gets + p.free.Dequeued(), puts + p.free.Enqueued() - uint64(len(p.bufs))
 }

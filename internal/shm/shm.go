@@ -35,22 +35,41 @@ var ErrFull = errors.New("shm: ring full")
 var ErrTimeout = errors.New("shm: reply timed out")
 
 // Mailbox is a multi-producer descriptor ring with the consumer's handler
-// attached. The ring has one consumer at a time: the Send call holding the
-// ownership flag.
+// attached. The ring has one consumer at a time: the Send call holding its
+// ring.Owner flag (the same ownership helper the packet path's rings use).
 type Mailbox[T any] struct {
-	r      *ring.MPSC[T]
-	handle func(T)
-	owned  atomic.Bool // a Send call is draining r
-	closed atomic.Bool
+	own ring.Owner
+	q   queue[T]
 
 	inline atomic.Uint64
 	queued atomic.Uint64
 }
 
+// queue is the consuming side of a Mailbox, run by its current owner.
+type queue[T any] struct {
+	r      *ring.MPSC[T]
+	handle func(T)
+	closed atomic.Bool
+}
+
+// Consume handles (after Close: discards) every published descriptor and
+// returns how many it handled.
+func (q *queue[T]) Consume() (n int) {
+	for v, ok := q.r.Dequeue(); ok; v, ok = q.r.Dequeue() {
+		if !q.closed.Load() {
+			q.handle(v)
+			n++
+		}
+	}
+	return n
+}
+
+func (q *queue[T]) Ready() bool { return q.r.Ready() }
+
 // NewMailbox creates a mailbox with ring capacity n whose descriptors are
 // consumed by handle, one at a time and in arrival order.
 func NewMailbox[T any](n int, handle func(T)) *Mailbox[T] {
-	return &Mailbox[T]{r: ring.NewMPSC[T](n), handle: handle}
+	return &Mailbox[T]{q: queue[T]{r: ring.NewMPSC[T](n), handle: handle}}
 }
 
 // Send enqueues v and, when no other Send is draining the ring, drains it:
@@ -61,13 +80,13 @@ func NewMailbox[T any](n int, handle func(T)) *Mailbox[T] {
 // handled after it returns. A handler that blocks keeps its Send from
 // returning, and every descriptor behind it waiting.
 func (m *Mailbox[T]) Send(v T) error {
-	if m.closed.Load() {
+	if m.q.closed.Load() {
 		return ErrClosed
 	}
-	if !m.r.Enqueue(v) {
+	if !m.q.r.Enqueue(v) {
 		return ErrFull
 	}
-	if n := m.drain(); n > 0 {
+	if n := m.own.Drain(&m.q); n > 0 {
 		m.inline.Add(1)
 		if n > 1 {
 			m.queued.Add(uint64(n - 1))
@@ -76,31 +95,8 @@ func (m *Mailbox[T]) Send(v T) error {
 	return nil
 }
 
-// drain takes ownership of the ring if it is free, handles (after Close:
-// discards) every published descriptor, releases, and looks again: a
-// descriptor published after the last Dequeue came up empty either sees
-// the flag free in its own drain or is seen by this re-check — the flag
-// store and the slot's publication are both sequentially consistent, so
-// one of the two loads observes the other side's store and nothing is
-// stranded. It returns how many descriptors it handled.
-func (m *Mailbox[T]) drain() (n int) {
-	for m.owned.CompareAndSwap(false, true) {
-		for v, ok := m.r.Dequeue(); ok; v, ok = m.r.Dequeue() {
-			if !m.closed.Load() {
-				m.handle(v)
-				n++
-			}
-		}
-		m.owned.Store(false)
-		if !m.r.Ready() {
-			break
-		}
-	}
-	return n
-}
-
 // Len reports the approximate number of queued descriptors.
-func (m *Mailbox[T]) Len() int { return m.r.Len() }
+func (m *Mailbox[T]) Len() int { return m.q.r.Len() }
 
 // ServedInline reports how many descriptors were handled by the Send call
 // that enqueued them: no goroutine was parked or woken for the request. A
@@ -115,8 +111,8 @@ func (m *Mailbox[T]) ServedQueued() uint64 { return m.queued.Load() }
 // Close refuses further Sends and discards what is queued. A handler in
 // flight finishes; the descriptors behind it are discarded by its drainer.
 func (m *Mailbox[T]) Close() {
-	if m.closed.CompareAndSwap(false, true) {
-		m.drain()
+	if m.q.closed.CompareAndSwap(false, true) {
+		m.own.Drain(&m.q)
 	}
 }
 

@@ -34,8 +34,8 @@ func TestMultiWorkerUplinkPerFlowFIFO(t *testing.T) {
 	// rings cannot overflow: every injected frame must reach the sink.
 	mgr := onvm.NewManager(onvm.Config{PoolSize: 512, PoolPrefix: "t", SwitchWorkers: 4})
 	defer mgr.Stop()
-	if mgr.Workers() != 4 {
-		t.Fatalf("Workers() = %d, want 4", mgr.Workers())
+	if mgr.Shards() != 4 {
+		t.Fatalf("Shards() = %d, want 4", mgr.Shards())
 	}
 	insts := make([]*onvm.Instance, 3)
 	for i := range insts {

@@ -12,7 +12,9 @@
 package upf
 
 import (
+	"encoding/binary"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,6 +86,10 @@ type SessCtx struct {
 	Cls       classifier.Classifier
 	LocalTEID uint32 // UL F-TEID this UPF allocated
 	UPSEID    uint64
+
+	// teids lists the UL TEIDs bound to the session, so deleting it
+	// touches its own index entries only. Guarded by State.mu.
+	teids []uint32
 
 	// Smart buffering state.
 	buffer   []*pktbuf.Buf
@@ -199,12 +205,15 @@ func (c *SessCtx) UpdateRules(fn func()) {
 
 // State is the UPF session store shared by UPF-C and UPF-U. The two hash
 // tables mirror the paper's design: UL traffic resolves sessions by TEID,
-// DL traffic by UE IP (§3.2, "zero cost state update").
+// DL traffic by UE IP (§3.2, "zero cost state update"). The fast path
+// reads them without a lock (sync.Map: UPF-U runs on whichever caller
+// injected the packet and never parks, so a per-packet read lock would
+// keep UPF-C's writers waiting); UPF-C's writes are serialised by mu.
 type State struct {
-	mu     sync.RWMutex
-	ul     map[uint32]*SessCtx   // TEID -> session
-	dl     map[pkt.Addr]*SessCtx // UE IP -> session
-	bySEID map[uint64]*SessCtx   // CP SEID -> session
+	mu     sync.RWMutex        // serialises writers; guards bySEID and SessCtx.teids
+	ul     sync.Map            // TEID (uint32) -> *SessCtx
+	dl     sync.Map            // UE IP (ipKey) -> *SessCtx
+	bySEID map[uint64]*SessCtx // CP SEID -> session
 
 	clsAlgo  string
 	bufCap   int
@@ -219,8 +228,6 @@ func NewState(clsAlgo string, bufCap int) *State {
 		bufCap = DefaultBufferCap
 	}
 	s := &State{
-		ul:      make(map[uint32]*SessCtx),
-		dl:      make(map[pkt.Addr]*SessCtx),
 		bySEID:  make(map[uint64]*SessCtx),
 		clsAlgo: clsAlgo,
 		bufCap:  bufCap,
@@ -248,7 +255,7 @@ func (s *State) CreateSession(cpSEID uint64, ueIP pkt.Addr) (*SessCtx, error) {
 	}
 	s.bySEID[cpSEID] = ctx
 	if ueIP != (pkt.Addr{}) {
-		s.dl[ueIP] = ctx
+		s.dl.Store(ipKey(ueIP), ctx)
 	}
 	return ctx, nil
 }
@@ -259,7 +266,10 @@ func (s *State) CreateSession(cpSEID uint64, ueIP pkt.Addr) (*SessCtx, error) {
 // never hand the same TEID out again.
 func (s *State) BindTEID(teid uint32, ctx *SessCtx) {
 	s.mu.Lock()
-	s.ul[teid] = ctx
+	s.ul.Store(teid, ctx)
+	if !slices.Contains(ctx.teids, teid) {
+		ctx.teids = append(ctx.teids, teid)
+	}
 	s.mu.Unlock()
 	for {
 		cur := s.teidNext.Load()
@@ -277,44 +287,48 @@ func (s *State) Session(cpSEID uint64) (*SessCtx, bool) {
 	return c, ok
 }
 
-// resolve fills ctxs with the session of every key (nil for none) under
-// one hold of the read lock, looking a run of equal keys up once. The
-// tables stay mutable maps: a copy-on-write snapshot would make every
-// establishment cost O(sessions).
+// resolve fills ctxs with the session of every key (nil for none), taking
+// no lock and looking a run of equal keys up once.
 func (s *State) resolve(keys []sessKey, ctxs []*SessCtx) {
-	s.mu.RLock()
 	for i, k := range keys {
 		switch {
 		case i > 0 && k == keys[i-1]:
 			ctxs[i] = ctxs[i-1]
 		case k.kind == keyTEID:
-			ctxs[i] = s.ul[k.teid]
+			ctxs[i], _ = s.ByTEID(k.teid)
 		case k.kind == keyUEIP:
-			ctxs[i] = s.dl[k.ip]
+			ctxs[i], _ = s.ByUEIP(k.ip)
 		default:
 			ctxs[i] = nil
 		}
 	}
-	s.mu.RUnlock()
 }
 
 // ByTEID resolves an uplink session (N3 fast path).
 func (s *State) ByTEID(teid uint32) (*SessCtx, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c, ok := s.ul[teid]
-	return c, ok
+	c, ok := s.ul.Load(teid)
+	if !ok {
+		return nil, false
+	}
+	return c.(*SessCtx), true
 }
+
+// ipKey is the UE-IP index key: the address as one word, which hashes
+// faster than the array.
+func ipKey(ip pkt.Addr) uint32 { return binary.BigEndian.Uint32(ip[:]) }
 
 // ByUEIP resolves a downlink session (N6 fast path).
 func (s *State) ByUEIP(ip pkt.Addr) (*SessCtx, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c, ok := s.dl[ip]
-	return c, ok
+	c, ok := s.dl.Load(ipKey(ip))
+	if !ok {
+		return nil, false
+	}
+	return c.(*SessCtx), true
 }
 
-// DeleteSession removes a session and all its indexes.
+// DeleteSession removes a session and its index entries: the ones that
+// still point at it, found from the session itself, so the cost does not
+// grow with the number of sessions installed.
 func (s *State) DeleteSession(cpSEID uint64) (*SessCtx, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -324,12 +338,10 @@ func (s *State) DeleteSession(cpSEID uint64) (*SessCtx, error) {
 	}
 	delete(s.bySEID, cpSEID)
 	if ctx.Sess.UEIP != (pkt.Addr{}) {
-		delete(s.dl, ctx.Sess.UEIP)
+		s.dl.CompareAndDelete(ipKey(ctx.Sess.UEIP), ctx)
 	}
-	for teid, c := range s.ul {
-		if c == ctx {
-			delete(s.ul, teid)
-		}
+	for _, teid := range ctx.teids {
+		s.ul.CompareAndDelete(teid, ctx)
 	}
 	return ctx, nil
 }
@@ -420,8 +432,12 @@ func (s *State) Reset() {
 		ctxs = append(ctxs, c)
 	}
 	s.bySEID = make(map[uint64]*SessCtx)
-	s.ul = make(map[uint32]*SessCtx)
-	s.dl = make(map[pkt.Addr]*SessCtx)
+	for _, idx := range []*sync.Map{&s.ul, &s.dl} {
+		idx.Range(func(k, _ any) bool {
+			idx.Delete(k)
+			return true
+		})
+	}
 	s.mu.Unlock()
 	for _, c := range ctxs {
 		for _, b := range c.Drain() {

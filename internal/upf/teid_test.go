@@ -68,3 +68,65 @@ func TestBindTEIDConcurrentNoCollision(t *testing.T) {
 		t.Fatalf("final allocator value %#x not above highest pinned bind", floor)
 	}
 }
+
+// indexLen counts the entries of one lock-free session index.
+func indexLen(m *sync.Map) int {
+	n := 0
+	m.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
+// TestDeleteSessionTouchesOnlyItsOwnEntries installs 10^4 sessions, each
+// with two UL TEIDs, and deletes them one by one: every deletion removes
+// exactly its session's entries — the other sessions still resolve by TEID
+// and UE IP — and at the end both indexes are empty. A TEID re-bound to
+// another session survives the deletion of the session it left.
+func TestDeleteSessionTouchesOnlyItsOwnEntries(t *testing.T) {
+	const n = 10_000
+	st := NewState("ps", 0)
+	ip := func(i int) pkt.Addr { return pkt.AddrFrom(10, 70, byte(i>>8), byte(i)) }
+	for i := 0; i < n; i++ {
+		ctx, err := st.CreateSession(uint64(i+1), ip(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.BindTEID(uint32(2*i+1), ctx)
+		st.BindTEID(uint32(2*i+2), ctx)
+		st.BindTEID(uint32(2*i+2), ctx) // a repeated bind is one entry
+	}
+	if ul, dl := indexLen(&st.ul), indexLen(&st.dl); ul != 2*n || dl != n {
+		t.Fatalf("indexes hold %d TEIDs and %d UE IPs, want %d and %d", ul, dl, 2*n, n)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := st.DeleteSession(uint64(i + 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.ByUEIP(ip(i)); ok {
+			t.Fatalf("session %d still resolves by UE IP after deletion", i)
+		}
+		if _, ok := st.ByTEID(uint32(2*i + 2)); ok {
+			t.Fatalf("session %d still resolves by TEID after deletion", i)
+		}
+		if j := i + 1; j < n {
+			c, ok := st.ByUEIP(ip(j))
+			if !ok || c.Sess.UEIP != ip(j) {
+				t.Fatalf("deleting session %d lost session %d's UE IP entry", i, j)
+			}
+			if c2, ok := st.ByTEID(uint32(2*j + 1)); !ok || c2 != c {
+				t.Fatalf("deleting session %d lost session %d's TEID entry", i, j)
+			}
+		}
+	}
+	if ul, dl := indexLen(&st.ul), indexLen(&st.dl); ul != 0 || dl != 0 || st.Sessions() != 0 {
+		t.Fatalf("after deleting every session: %d TEIDs, %d UE IPs, %d sessions left", ul, dl, st.Sessions())
+	}
+
+	a, _ := st.CreateSession(1, ip(1))
+	b, _ := st.CreateSession(2, ip(2))
+	st.BindTEID(7, a)
+	st.BindTEID(7, b) // re-bound: the TEID now belongs to b
+	st.DeleteSession(1)
+	if c, ok := st.ByTEID(7); !ok || c != b {
+		t.Fatal("deleting a session removed a TEID re-bound to another session")
+	}
+}

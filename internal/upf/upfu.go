@@ -1,6 +1,7 @@
 package upf
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -208,6 +209,7 @@ func (u *UPFU) noSession(buf *pktbuf.Buf, kind uint8, p *pkt.Parsed) {
 func (u *UPFU) forwardRun(ctx *SessCtx, burst []*pktbuf.Buf, keys []sessKey, i, j, out int,
 	p *pkt.Parsed, tk *trace.Track, clock *burstClock) int {
 	var ulN, dlN uint64
+	paged := false
 	ctx.rulesMu.RLock()
 	for k := i; k < j; k++ {
 		buf := burst[k]
@@ -237,6 +239,7 @@ func (u *UPFU) forwardRun(ctx *SessCtx, burst []*pktbuf.Buf, keys []sessKey, i, 
 			if first && far.Action&rules.FARNotifyCP != 0 && u.upfc != nil {
 				// Fire the paging trigger off the fast path.
 				go u.upfc.ReportDL(ctx, pdr.ID)
+				paged = true
 			}
 			if stored {
 				u.buffered.Add(1)
@@ -263,6 +266,11 @@ func (u *UPFU) forwardRun(ctx *SessCtx, burst []*pktbuf.Buf, keys []sessKey, i, 
 		out++
 	}
 	ctx.rulesMu.RUnlock()
+	if paged {
+		// The report goroutine waits in this P's run-next slot, and the
+		// caller running the fast path does not park: hand it the CPU.
+		runtime.Gosched()
+	}
 	if ulN > 0 {
 		ctx.ulPkts.Add(ulN)
 		u.ulFwd.Add(ulN)
@@ -336,8 +344,8 @@ func (u *UPFU) miss(buf *pktbuf.Buf) {
 // AttachONVM registers the UPF-U as an NF on the platform under service
 // sid, wiring the emit path through the instance's Tx ring.
 func (u *UPFU) AttachONVM(m *onvm.Manager, sid onvm.ServiceID) (*onvm.Instance, error) {
-	// One parse state and scratch per instance: the instance goroutine is
-	// the handler's only caller.
+	// One parse state and scratch per instance: the owner of the
+	// instance's Rx ring is the handler's only caller at any time.
 	p, sc := new(pkt.Parsed), new(scratch)
 	inst, err := m.RegisterBurst(sid, "upf-u", func(burst []*pktbuf.Buf) int {
 		return u.processBurst(burst, p, sc)
