@@ -150,6 +150,11 @@ func TestSinksSwapWhileDownlinkFlows(t *testing.T) {
 		}
 	}()
 	for sent := uint64(1); sent <= packets; sent++ {
+		if sent%64 == 0 {
+			// An idle chain runs on this goroutine, so with one P the
+			// swapper gets the CPU only when this loop hands it over.
+			runtime.Gosched()
+		}
 		for sent-(ulA.Load()+ulB.Load()) >= 128 || sent-(dlA.Load()+dlB.Load()) >= 128 {
 			runtime.Gosched()
 		}
