@@ -158,14 +158,14 @@ fuzz-smoke:
 	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/nas
 	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/ngap
 
-# Sharded-switch scaling gate: the multi-shard per-flow FIFO invariant
-# under the race detector, a fault-delayed frame not stalling other NFs, a
-# Tx handback waiting for the ring's owner, Stop waiting out owners, then
-# the scale experiment end to end (every frame delivered, zero per-flow
-# reorders at 1/2/4 shards).
+# Descriptor-switch scaling gate: the multi-producer per-flow FIFO
+# invariant under the race detector, a fault-delayed frame not stalling
+# other NFs, a Tx handback waiting for the ring's owner, Stop waiting out
+# owners, then the scale experiment end to end (every frame delivered,
+# zero per-flow reorders at 1/2/4 producers).
 scale-smoke:
-	$(GO) test -race -count=1 -run 'TestMultiWorkerUplinkPerFlowFIFO' ./internal/upf
-	$(GO) test -race -count=1 -run 'TestMultiWorkerPerFlowFIFO|TestDelayedEgressDoesNotStallOtherNFs|TestTxHandbackWaitsForOwner|TestStopWaitsOutOwnersAndReleasesQueued' ./internal/onvm
+	$(GO) test -race -count=1 -run 'TestMultiProducerUplinkPerFlowFIFO' ./internal/upf
+	$(GO) test -race -count=1 -run 'TestMultiProducerPerFlowFIFO|TestDelayedEgressDoesNotStallOtherNFs|TestTxHandbackWaitsForOwner|TestStopWaitsOutOwnersAndReleasesQueued' ./internal/onvm
 	$(GO) run ./cmd/bench5gc -exp scale
 
 # Burst fast-path gate (DESIGN §11): the allocation gates without the race
@@ -179,9 +179,10 @@ scale-smoke:
 # pool's hot-stash conservation and LIFO order; then the bulk-ring,
 # burst-switch and burst-UPF tests three times under it: partial fits and
 # wrap-around, four bulk producers against the one consumer, a burst mixing
-# destinations, an Rx ring filling mid-burst, Stop during a burst, 10^5
-# lone packets from four producers through the chain, a rollout while
-# traffic flows, counters batched but not lost, the session-buffer drain;
+# destinations, an Rx ring filling mid-burst, Stop during a burst,
+# fault-delayed frames whose timers fire after Stop, 10^5 lone packets
+# from four producers through the chain, a rollout while traffic flows,
+# counters batched but not lost, the session-buffer drain;
 # and the borrow contract: a sink that keeps its slice reads the poison
 # (pool buffer or socket read buffer), one that copies reads its packet,
 # and the three modes deliver the same bytes in the same order.
@@ -193,7 +194,7 @@ fastpath-smoke:
 	$(GO) test -race -count=10 -run 'TestOwner' ./internal/ring
 	$(GO) test -race -count=10 -run 'TestStash' ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'Bulk' ./internal/ring ./internal/pktbuf
-	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestLonePackets|TestSnapshotSeen|TestCountersBatched' ./internal/onvm
+	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestDelayedTimersAfterStopRelease|TestLonePackets|TestSnapshotSeen|TestCountersBatched' ./internal/onvm
 	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSessionBurst' ./internal/upf
 	$(GO) test -race -count=3 -run 'TestSinksSwapWhileDownlinkFlows|TestSinkRetentionGuard|TestModesDeliverIdenticalBytes' ./internal/core
 

@@ -33,7 +33,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the Chrome trace JSON here (implies -trace)")
 	resilience := flag.Bool("resilience", false, "arm the §3.5 supervisor over the AMF and SMF (checkpointed units with frozen standbys)")
 	overloadCtl := flag.Bool("overload", false, "arm per-NF admission control (priority-classed shedding with NAS/SBI/PFCP pushback)")
-	switchWorkers := flag.Int("switch-workers", 0, "descriptor-switch work shards in the NF manager (0 = min(GOMAXPROCS, 4))")
 	flightDump := flag.String("flight-dump", "", "arm the telemetry pipeline and write an on-demand flight-recorder dump (JSON) here at the end of the run (implies -trace)")
 	n4assoc := flag.Bool("n4assoc", false, "arm the PFCP association lifecycle on N4 (SMF heartbeats, path-down detection, degraded mode, post-heal reconciliation)")
 	nfShards := flag.Int("nf-shards", runtime.GOMAXPROCS(0), "AMF/SMF UE-state shards (per-shard maps, locks and ID allocators; 0 or 1 = one shard)")
@@ -76,8 +75,7 @@ func main() {
 	}
 	c, err := core.New(core.Config{
 		Mode: m, ClsAlgo: *cls, Subscribers: subs, Tracer: tr, Metrics: reg,
-		Resilience: *resilience, SwitchWorkers: *switchWorkers,
-		Overload: *overloadCtl, Telemetry: tel, NFShards: *nfShards,
+		Resilience: *resilience, Overload: *overloadCtl, Telemetry: tel, NFShards: *nfShards,
 		N4Assoc: *n4assoc, N4HeartbeatInterval: 50 * time.Millisecond,
 	})
 	if err != nil {

@@ -69,7 +69,7 @@ func Experiments() []Experiment {
 		{"fig17", "Repeated handovers with 10 TCP connections (Appendix C)", Fig17},
 		{"recovery", "NF failure recovery: supervisor resiliency vs 3GPP restart+reattach", Recovery},
 		{"ablation", "Design-choice ablations (DESIGN.md §5)", Ablation},
-		{"scale", "Descriptor-switch scaling: throughput vs switch workers", Scale},
+		{"scale", "Descriptor-switch scaling: throughput vs producers", Scale},
 		{"trace", "Traced session establishment: per-stage transport breakdown", Trace},
 		{"storm", "Registration storm: overload control vs uncontrolled collapse", Storm},
 		{"soak", "Mixed-workload soak: resource and per-stage latency series over time", Soak},

@@ -18,29 +18,27 @@ import (
 )
 
 // Scale experiment parameters: flows many UL flows, each a distinct PFCP
-// session, pushed through 3 UPF-U instances behind the sharded descriptor
-// switch at 1, 2 and 4 workers.
+// session, pushed through 3 UPF-U instances by 1, 2 and 4 producers.
 const (
 	scaleFlows     = 32
 	scalePerFlow   = 1500
-	scaleProducers = 4
 	scaleInstances = 3
 )
 
-// scaleRow is one worker-count configuration's measurement.
+// scaleRow is one producer count's measurement.
 type scaleRow struct {
-	workers  int
-	pps      float64
-	reorders uint64
-	switched uint64
-	dropped  uint64
+	producers int
+	pps       float64
+	reorders  uint64
+	switched  uint64
+	dropped   uint64
 }
 
 // scaleRun measures sustained UL forwarding through the full fast path
-// (N3 ingress, GTP decap, classification, N6 egress) at one switch-worker
-// count, detecting per-flow sequence reorders at the N6 sink.
-func scaleRun(workers int) (scaleRow, error) {
-	row := scaleRow{workers: workers}
+// (N3 ingress, GTP decap, classification, N6 egress) from producers
+// goroutines, detecting per-flow sequence reorders at the N6 sink.
+func scaleRun(producers int) (scaleRow, error) {
+	row := scaleRow{producers: producers}
 	n3 := pkt.AddrFrom(10, 100, 0, 2)
 	st := upf.NewState("scale", 0)
 	c := upf.NewUPFC(st, n3, nil)
@@ -48,9 +46,7 @@ func scaleRun(workers int) (scaleRow, error) {
 	// RingSize above PoolSize bounds in-flight descriptors below every NF
 	// ring's capacity: the pool throttles producers instead of overflowing
 	// rings, so the run measures switching cost, not queue losses.
-	mgr := onvm.NewManager(onvm.Config{
-		PoolSize: 1024, RingSize: 2048, PoolPrefix: "scale", SwitchWorkers: workers,
-	})
+	mgr := onvm.NewManager(onvm.Config{PoolSize: 1024, RingSize: 2048, PoolPrefix: "scale"})
 	defer mgr.Stop()
 
 	const svc = 1
@@ -121,16 +117,16 @@ func scaleRun(workers int) (scaleRow, error) {
 		flowOf[rss[f]] = f
 	}
 
-	// Offered load: scaleProducers generators, each owning a disjoint set
-	// of flows and injecting that flow's packets in sequence order.
+	// Offered load: producers generators, each owning a disjoint set of
+	// flows and injecting that flow's packets in sequence order.
 	start := time.Now()
 	var wg sync.WaitGroup
-	for p := 0; p < scaleProducers; p++ {
+	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for seq := uint64(1); seq <= scalePerFlow; seq++ {
-				for f := p; f < scaleFlows; f += scaleProducers {
+				for f := p; f < scaleFlows; f += producers {
 					meta := pktbuf.Meta{Uplink: true, RSS: rss[f], Seq: seq}
 					for {
 						if err := mgr.Inject(uint16(upf.PortN3), frames[f], meta); err == nil {
@@ -150,12 +146,12 @@ func scaleRun(workers int) (scaleRow, error) {
 	}
 	elapsed := time.Since(start)
 	if got := received.Load(); got < want {
-		return row, fmt.Errorf("%d workers: delivered %d of %d frames", workers, got, want)
+		return row, fmt.Errorf("%d producers: delivered %d of %d frames", producers, got, want)
 	}
 	for f := 0; f < scaleFlows; f++ {
 		if last[f].Load() != scalePerFlow {
-			return row, fmt.Errorf("%d workers: flow %d ended at seq %d, want %d",
-				workers, f, last[f].Load(), scalePerFlow)
+			return row, fmt.Errorf("%d producers: flow %d ended at seq %d, want %d",
+				producers, f, last[f].Load(), scalePerFlow)
 		}
 	}
 	row.pps = float64(want) / elapsed.Seconds()
@@ -164,38 +160,38 @@ func scaleRun(workers int) (scaleRow, error) {
 	return row, nil
 }
 
-// Scale regenerates the sharded-switch scaling experiment: UL forwarding
-// rate vs switch-worker count with per-flow FIFO verification (§4, Receive
-// Side Scaling). Every configuration must deliver every frame with zero
-// per-flow reorders. The shards are switched on the producers' own
-// goroutines, so throughput can scale with the shard count only once
-// GOMAXPROCS provides a core per producer.
+// Scale regenerates the descriptor-switch scaling experiment: UL
+// forwarding rate vs producer count with per-flow FIFO verification (§4,
+// Receive Side Scaling). Every configuration must deliver every frame with
+// zero per-flow reorders. Each producer carries its packets through the
+// chain on its own goroutine, so throughput can scale with the producer
+// count only once GOMAXPROCS provides a core per producer.
 func Scale() (*Result, error) {
-	tab := metrics.NewTable("workers", "UL pps", "reorders", "switched", "dropped", "speedup")
+	tab := metrics.NewTable("producers", "UL pps", "reorders", "switched", "dropped", "speedup")
 	var base float64
-	for _, w := range []int{1, 2, 4} {
-		row, err := scaleRun(w)
+	for _, p := range []int{1, 2, 4} {
+		row, err := scaleRun(p)
 		if err != nil {
 			return nil, err
 		}
 		if row.reorders != 0 {
-			return nil, fmt.Errorf("%d workers: %d per-flow reorders (ordering invariant broken)",
-				row.workers, row.reorders)
+			return nil, fmt.Errorf("%d producers: %d per-flow reorders (ordering invariant broken)",
+				row.producers, row.reorders)
 		}
-		if w == 1 {
+		if p == 1 {
 			base = row.pps
 		}
-		tab.Row(row.workers, fmt.Sprintf("%.0f", row.pps), row.reorders,
+		tab.Row(row.producers, fmt.Sprintf("%.0f", row.pps), row.reorders,
 			row.switched, row.dropped, fmt.Sprintf("%.2fx", row.pps/base))
 	}
 	return &Result{
 		ID:    "scale",
-		Title: "Descriptor-switch scaling: UL throughput vs switch workers, per-flow FIFO checked",
+		Title: "Descriptor-switch scaling: UL throughput vs producers, per-flow FIFO checked",
 		Table: tab,
 		Notes: []string{
 			fmt.Sprintf("%d flows x %d pkts through %d UPF-U instances; reorders counted per flow at the N6 sink.",
 				scaleFlows, scalePerFlow, scaleInstances),
-			fmt.Sprintf("GOMAXPROCS=%d: shards are switched on the producers' goroutines; parallelism needs a core per producer.",
+			fmt.Sprintf("GOMAXPROCS=%d: each producer runs the chain on its own goroutine; parallelism needs a core per producer.",
 				runtime.GOMAXPROCS(0)),
 		},
 	}, nil

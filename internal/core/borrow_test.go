@@ -16,8 +16,7 @@ import (
 	"l25gc/internal/testutil"
 )
 
-// twoCellRig is a core with two switch shards and two gNBs, one UE with
-// one session on each.
+// twoCellRig is a core with two gNBs, one UE with one session on each.
 type twoCellRig struct {
 	c   *Core
 	ues [2]*ranue.UE
@@ -27,9 +26,8 @@ func newTwoCellRig(t *testing.T, mode Mode) *twoCellRig {
 	t.Helper()
 	supis := [2]string{"imsi-208930000000001", "imsi-208930000000002"}
 	c, err := New(Config{
-		Mode:          mode,
-		SwitchWorkers: 2,
-		Subscribers:   []udr.Subscriber{testSubscriber(supis[0]), testSubscriber(supis[1])},
+		Mode:        mode,
+		Subscribers: []udr.Subscriber{testSubscriber(supis[0]), testSubscriber(supis[1])},
 	})
 	if err != nil {
 		t.Fatalf("core start (%v): %v", mode, err)
@@ -73,7 +71,7 @@ func udpPacket(t *testing.T, src, dst pkt.Addr, sport, dport uint16, payload []b
 // buffer when its last reference goes, so "kept the slice" is a byte
 // mismatch on the first packet, not a corruption that waits for the pool
 // to come round. A sink that copies inside the hook sees every packet
-// byte-exact, with both switch shards delivering.
+// byte-exact, with both cells delivering.
 func TestSinkRetentionGuard(t *testing.T) {
 	if !testutil.RaceEnabled {
 		t.Skip("released buffers are poisoned only in race-detector builds")

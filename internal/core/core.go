@@ -84,10 +84,6 @@ type Config struct {
 	BufferPkts  uint16 // UPF per-session DL buffer (default 3000)
 	Subscribers []udr.Subscriber
 	PoolPrefix  string // shared-memory security domain (default "l25gc")
-	// SwitchWorkers is the number of descriptor-switch work shards in the
-	// ONVM manager. 0 picks min(GOMAXPROCS, 4); flows are sharded across
-	// them with per-flow FIFO order preserved.
-	SwitchWorkers int
 	// NFShards stripes the AMF and SMF UE/session state (maps, locks, ID
 	// allocators) across this many shards keyed by UE-ID hash. 0 means 1
 	// shard; snapshots are byte-identical at any count. cmd/l25gc
@@ -320,7 +316,6 @@ func (c *Core) start() error {
 		c.UPFU.ExportMetrics(reg, "upf")
 		c.mgr = onvm.NewManager(onvm.Config{
 			PoolSize: 8192, RingSize: 2048, PoolPrefix: cfg.PoolPrefix,
-			SwitchWorkers: cfg.SwitchWorkers,
 		})
 		c.closers = append(c.closers, c.mgr.Stop)
 		c.mgr.SetTracer(c.track("onvm"))

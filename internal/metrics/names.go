@@ -57,17 +57,14 @@ var LintNames = []string{
 	"kern.dropped",
 	"kern.injected",
 
-	// ONVM shared-memory switch ("onvm.*"; per-shard rows are built
-	// with Sprintf and registered under onvm.shard<N>.*).
+	// ONVM shared-memory switch ("onvm.*"): aggregates over every NF
+	// instance, and the pool's occupancy.
 	"onvm.switched",
 	"onvm.dropped",
 	"onvm.tx_drops",
 	"onvm.ring_overflow_drops",
 	"onvm.served_inline",
 	"onvm.served_queued",
-	"onvm.shards",
-	"onvm.shard*.switched",
-	"onvm.shard*.dropped",
 	"onvm.pool.size",
 	"onvm.pool.in_use",
 	// Packet-pool overflow drops carry the pool's security-domain

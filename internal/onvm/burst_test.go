@@ -43,7 +43,7 @@ func gpdu(t testing.TB, teid uint32, inner []byte) []byte {
 // TestRSSHashCoversFlowFieldsOnly is the regression test for the ingress
 // hash reaching into the payload: two packets of one flow that differ in
 // their first 40 payload bytes and in the UDP checksum must carry the same
-// Meta.RSS (or the flow spreads over shards and loses its order), on N6
+// Meta.RSS (or the flow spreads over instances and loses its order), on N6
 // and inside a tunnel on N3, while distinct flows still spread.
 func TestRSSHashCoversFlowFieldsOnly(t *testing.T) {
 	ue, dn := pkt.AddrFrom(10, 60, 0, 1), pkt.AddrFrom(8, 8, 8, 8)
@@ -57,7 +57,7 @@ func TestRSSHashCoversFlowFieldsOnly(t *testing.T) {
 		b[csum] ^= 0x5a // the builder left the checksum alone: make it differ
 	}
 
-	m := NewManager(Config{PoolSize: 64, PoolPrefix: "t", SwitchWorkers: 4})
+	m := NewManager(Config{PoolSize: 64, PoolPrefix: "t"})
 	defer m.Stop()
 	var rss [4]atomic.Uint64
 	var seen atomic.Uint32
@@ -86,19 +86,24 @@ func TestRSSHashCoversFlowFieldsOnly(t *testing.T) {
 		t.Fatal("the tunnel ID does not enter the N3 hash")
 	}
 
-	// 64 flows differing in one flow field each way still spread.
+	// 64 flows differing in one flow field each way still spread over 4
+	// instances.
+	four := &serviceEntry{}
+	for i := 0; i < 4; i++ {
+		four.instances = append(four.instances, &Instance{InstanceID: uint16(i)})
+	}
 	for _, tunnel := range []bool{false, true} {
-		used := map[int]bool{}
+		used := map[*Instance]bool{}
 		for f := 0; f < 64; f++ {
 			frame := udpFrame(t, dn, pkt.AddrFrom(10, 60, 0, byte(f+1)), 53, 40000, pa)
 			if tunnel {
 				frame = gpdu(t, 0x2000+uint32(f), udpFrame(t, ue, dn, uint16(40000+f), 53, pa))
 			}
 			meta := pktbuf.Meta{RSS: rssHash(frame)}
-			used[m.shards.ShardOf(flowKey(&meta))] = true
+			used[pickInstance(four, flowKey(&meta))] = true
 		}
 		if len(used) < 3 {
-			t.Fatalf("tunnel=%v: 64 flows use %d of 4 shards", tunnel, len(used))
+			t.Fatalf("tunnel=%v: 64 flows use %d of 4 instances", tunnel, len(used))
 		}
 	}
 	// Anything that is neither still hashes, by its leading bytes.
@@ -112,10 +117,10 @@ func TestRSSHashCoversFlowFieldsOnly(t *testing.T) {
 
 // wedge registers service sid and a port whose sink blocks on its first
 // frame until the returned release function is called, and returns a
-// function that injects that frame with meta from a goroutine of its own
-// and waits for the sink to hold it: that goroutine then owns the frame's
-// work shard and the wedge instance's rings.
-func wedge(t *testing.T, m *Manager, sid ServiceID, port PortID) (hold func(meta pktbuf.Meta), release func()) {
+// function that injects that frame from a goroutine of its own and waits
+// for the sink to hold it: that goroutine then owns the wedge instance's
+// rings.
+func wedge(t *testing.T, m *Manager, sid ServiceID, port PortID) (hold, release func()) {
 	t.Helper()
 	gate, held := make(chan struct{}), make(chan struct{})
 	var once sync.Once
@@ -132,9 +137,9 @@ func wedge(t *testing.T, m *Manager, sid ServiceID, port PortID) (hold func(meta
 		t.Fatal(err)
 	}
 	m.BindPortNF(port, sid)
-	hold = func(meta pktbuf.Meta) {
+	hold = func() {
 		t.Helper()
-		go m.Inject(port, []byte("wedge"), meta)
+		go m.Inject(port, []byte("wedge"), pktbuf.Meta{})
 		<-held
 	}
 	var released sync.Once
@@ -148,7 +153,7 @@ func wedge(t *testing.T, m *Manager, sid ServiceID, port PortID) (hold func(meta
 // destination, each destination sees its share in the order the NF emitted
 // it, the counters add up and every buffer comes home.
 func TestBurstMixedDestinations(t *testing.T) {
-	m := NewManager(Config{PoolSize: 256, PoolPrefix: "t", SwitchWorkers: 1})
+	m := NewManager(Config{PoolSize: 256, PoolPrefix: "t"})
 	t.Cleanup(m.Stop)
 	const (
 		fanSvc, outPort = 10, 9
@@ -170,15 +175,14 @@ func TestBurstMixedDestinations(t *testing.T) {
 		})
 	}
 	m.RegisterPort(outPort, func(_ []byte, meta pktbuf.Meta) { record(outPort, meta.Seq) })
-	// Another caller is wedged in a sink holding the one work shard: the
-	// fan NF's Tx ring is switched by SendBurst's caller all the same, all
-	// n descriptors as one burst.
+	// Another caller is wedged in a sink: the fan NF's Tx ring is switched
+	// by SendBurst's caller all the same, all n descriptors as one burst.
 	hold, release := wedge(t, m, 20, 8)
 	fan, err := m.Register(fanSvc, "fan", func(b *pktbuf.Buf) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
-	hold(pktbuf.Meta{})
+	hold()
 	burst := make([]*pktbuf.Buf, n)
 	for i := range burst {
 		b, err := m.Pool().Get()
@@ -227,11 +231,12 @@ func TestBurstMixedDestinations(t *testing.T) {
 // TestRxRingFillsMidBurst delivers one burst into an Rx ring with room for
 // part of it: the part that fits is switched, the rest is dropped and
 // counted as ring overflow descriptor for descriptor, and nothing leaks.
+// Only a Tx-ring switch puts a burst of more than one descriptor into an
+// Rx ring, so a relay NF hands the burst over.
 func TestRxRingFillsMidBurst(t *testing.T) {
-	m := NewManager(Config{PoolSize: 128, RingSize: 4, PoolPrefix: "t",
-		SwitchWorkers: 2, BackpressureSpins: -1})
+	const ringSize, burst = 64, 32
+	m := NewManager(Config{PoolSize: 128, RingSize: ringSize, PoolPrefix: "t", BackpressureSpins: -1})
 	t.Cleanup(m.Stop)
-	const burst = 32
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	var handled atomic.Uint64
@@ -245,49 +250,62 @@ func TestRxRingFillsMidBurst(t *testing.T) {
 		return true
 	})
 	m.BindPortNF(1, 1)
-	hold, release := wedge(t, m, 2, 8)
-	shard0, shard1 := rssForShard(m, 0), rssForShard(m, 1)
+	relay, err := m.Register(2, "relay", func(b *pktbuf.Buf) bool { return false })
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// A goroutine injects a primer on shard 0 and blocks in the NF's
-	// handler: it owns the NF's Rx ring (capacity 4), empty again and
-	// undrained from here on.
-	go m.Inject(1, []byte("primer"), pktbuf.Meta{RSS: shard0})
+	// A goroutine injects a primer and blocks in the NF's handler: it owns
+	// the NF's Rx ring, empty again and undrained from here on.
+	go m.Inject(1, []byte("primer"), pktbuf.Meta{})
 	<-entered
 	var opened sync.Once
 	open := func() { opened.Do(func() { close(gate) }) }
 	t.Cleanup(open)
-	// Another goroutine wedges in a sink holding shard 1, so the burst
-	// queues on that shard and is switched in one go when it lets go.
-	hold(pktbuf.Meta{RSS: shard1})
-	for i := 0; i < burst; i++ {
-		if err := m.Inject(1, []byte("pkt"), pktbuf.Meta{RSS: shard1}); err != nil {
+	// Fill the Rx ring to two free slots.
+	const queued = ringSize - 2
+	for i := 0; i < queued; i++ {
+		if err := m.Inject(1, []byte("pkt"), pktbuf.Meta{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	release()
-	const injected = 1 + 1 + burst
-	waitFor(t, func() bool { sw, dr := m.Stats(); return sw+dr == injected }, "switched + dropped == injected")
-	if got := m.RingDrops().Load(); got != burst-4 {
-		t.Fatalf("ring_overflow_drops = %d, want %d (the part of the burst that did not fit)", got, burst-4)
+	bufs := make([]*pktbuf.Buf, burst)
+	for i := range bufs {
+		b, err := m.Pool().Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.SetData([]byte("relayed"))
+		b.Meta.Action, b.Meta.Dst = pktbuf.ActionToNF, 1
+		bufs[i] = b
 	}
-	if sw, dr := m.Stats(); sw != 1+1+4 || dr != burst-4 {
-		t.Fatalf("switched, dropped = %d, %d; want %d, %d", sw, dr, 1+1+4, burst-4)
+	if sent := relay.SendBurst(bufs); sent != burst {
+		t.Fatalf("SendBurst = %d, want %d", sent, burst)
+	}
+	const injected = 1 + queued + burst
+	if sw, dr := m.Stats(); sw+dr != injected {
+		t.Fatalf("switched + dropped = %d + %d, want %d", sw, dr, injected)
+	}
+	if got := m.RingDrops().Load(); got != burst-2 {
+		t.Fatalf("ring_overflow_drops = %d, want %d (the part of the burst that did not fit)", got, burst-2)
+	}
+	if sw, dr := m.Stats(); sw != 1+queued+2 || dr != burst-2 {
+		t.Fatalf("switched, dropped = %d, %d; want %d, %d", sw, dr, 1+queued+2, burst-2)
 	}
 	if handled.Load() != 0 {
 		t.Fatalf("%d descriptors handled past the wedged handler", handled.Load())
 	}
 	open()
-	waitFor(t, func() bool { return handled.Load() == 1+4 }, "the delivered part handled")
+	waitFor(t, func() bool { return handled.Load() == 1+queued+2 }, "the delivered part handled")
 	waitFor(t, func() bool { return m.Pool().Avail() == 128 }, "buffer return")
 }
 
 // TestSendBurstLargerThanTxRing hands an instance three Tx rings' worth of
 // descriptors in one SendBurst, the way a session-buffer drain does: the
 // call pushes back on the full ring instead of dropping, everything leaves
-// in order, and the work shards stay empty throughout — the caller switches
-// the Tx ring itself, no task per descriptor.
+// in order.
 func TestSendBurstLargerThanTxRing(t *testing.T) {
-	m := NewManager(Config{PoolSize: 4096, RingSize: 1024, PoolPrefix: "t", SwitchWorkers: 2})
+	m := NewManager(Config{PoolSize: 4096, RingSize: 1024, PoolPrefix: "t"})
 	defer m.Stop()
 	const n = 3000
 	var out, misordered atomic.Uint64
@@ -312,46 +330,25 @@ func TestSendBurstLargerThanTxRing(t *testing.T) {
 		b.Meta.Action, b.Meta.Port = pktbuf.ActionToPort, 9
 		burst[i] = b
 	}
-	var maxDepth atomic.Int64
-	stop, watched := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(watched)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if d := int64(m.shards.Len()); d > maxDepth.Load() {
-				maxDepth.Store(d)
-			}
-			runtime.Gosched()
-		}
-	}()
 	if sent := inst.SendBurst(burst); sent != n {
 		t.Fatalf("SendBurst = %d, want %d", sent, n)
 	}
 	waitFor(t, func() bool { return out.Load() == n }, "every descriptor out")
-	close(stop)
-	<-watched
 	if misordered.Load() != 0 {
 		t.Fatalf("%d descriptors left out of order", misordered.Load())
 	}
 	if m.TxDrops() != 0 || inst.TxDrops() != 0 {
 		t.Fatalf("tx drops %d/%d, want 0", m.TxDrops(), inst.TxDrops())
 	}
-	if d := maxDepth.Load(); d != 0 {
-		t.Fatalf("work-shard depth reached %d during the drain, want 0", d)
-	}
 	waitFor(t, func() bool { return m.Pool().Avail() == 4096 }, "buffer return")
 }
 
 // TestStopDuringBurst stops the manager while producers flood a chain of
-// two NFs: wherever each descriptor was — work shard, a worker's stage, an
-// Rx or Tx ring, a handler — it is back in the pool when Stop returns.
+// two NFs: wherever each descriptor was — a switcher's stage, an Rx or Tx
+// ring, a handler — it is back in the pool when Stop returns.
 func TestStopDuringBurst(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	m := NewManager(Config{PoolSize: 512, PoolPrefix: "t", SwitchWorkers: 2})
+	m := NewManager(Config{PoolSize: 512, PoolPrefix: "t"})
 	var out atomic.Uint64
 	m.RegisterPort(9, func([]byte, pktbuf.Meta) { out.Add(1) })
 	m.Register(1, "first", func(b *pktbuf.Buf) bool {
@@ -388,7 +385,7 @@ func TestStopDuringBurst(t *testing.T) {
 }
 
 // TestLonePacketsNotStranded sends one packet at a time from each of four
-// producers, with random gaps, through shard -> NF -> sink, and waits for
+// producers, with random gaps, through NF -> switch -> sink, and waits for
 // each to come out. Every ring on the way is idle, being let go of, or
 // owned by another producer when a descriptor arrives; one left in a ring
 // whose owner had already looked for the last time stays there until the
@@ -399,7 +396,7 @@ func TestLonePacketsNotStranded(t *testing.T) {
 	if testutil.RaceEnabled {
 		packets = 20000
 	}
-	m := NewManager(Config{PoolSize: 16, PoolPrefix: "t", SwitchWorkers: 2})
+	m := NewManager(Config{PoolSize: 16, PoolPrefix: "t"})
 	defer m.Stop()
 	var out [producers]chan uint64
 	for p := range out {
@@ -418,7 +415,6 @@ func TestLonePacketsNotStranded(t *testing.T) {
 			timer := time.NewTimer(time.Hour)
 			timer.Stop()
 			for seq := uint64(1); seq <= uint64(packets/producers); seq++ {
-				// Alternate flows so both shards see every producer.
 				meta := pktbuf.Meta{Seq: seq, TEID: uint32(p), RSS: seq%7 + 1}
 				for m.Inject(1, []byte("one"), meta) != nil { // pool momentarily empty
 					runtime.Gosched()
@@ -464,7 +460,7 @@ func TestLonePacketsNotStranded(t *testing.T) {
 // snapshot with no lock (the race detector watches the handoff) and
 // nothing is dropped or left behind on the way.
 func TestSnapshotSeenWhileTrafficFlows(t *testing.T) {
-	m := NewManager(Config{PoolSize: 256, PoolPrefix: "t", SwitchWorkers: 2})
+	m := NewManager(Config{PoolSize: 256, PoolPrefix: "t"})
 	defer m.Stop()
 	var oldSink, newSink atomic.Uint64
 	sink := func(count *atomic.Uint64) PortSink {
@@ -482,7 +478,7 @@ func TestSnapshotSeenWhileTrafficFlows(t *testing.T) {
 	m.Register(1, "v1", fwd(&stable))
 	m.BindPortNF(1, 1)
 
-	var sent atomic.Uint64
+	var sent, failed atomic.Uint64
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -494,6 +490,7 @@ func TestSnapshotSeenWhileTrafficFlows(t *testing.T) {
 			}
 			meta := pktbuf.Meta{TEID: uint32(i % 32), RSS: (i%32)*0x9e3779b97f4a7c15 + 1}
 			for m.Inject(1, []byte("pkt"), meta) != nil {
+				failed.Add(1)
 				runtime.Gosched()
 			}
 			sent.Add(1)
@@ -512,10 +509,10 @@ func TestSnapshotSeenWhileTrafficFlows(t *testing.T) {
 	close(stop)
 	<-done
 	waitFor(t, func() bool { return oldSink.Load()+newSink.Load() == sent.Load() }, "every frame out")
-	if _, dropped := m.Stats(); dropped != m.extraDropped.Load() {
+	if _, dropped := m.Stats(); dropped != failed.Load() {
 		// Inject failing on an empty pool counts a drop of its own; the
 		// producer retried those.
-		t.Fatalf("descriptors dropped inside the switch across the rollout: %d, %d at Inject", dropped, m.extraDropped.Load())
+		t.Fatalf("descriptors dropped inside the switch across the rollout: %d, %d failed Injects", dropped, failed.Load())
 	}
 	waitFor(t, func() bool { return m.Pool().Avail() == 256 }, "buffer return")
 }
@@ -524,7 +521,7 @@ func TestSnapshotSeenWhileTrafficFlows(t *testing.T) {
 // outcome per packet is known and checks every counter against the count
 // the script implies: batching the updates must not change their sums.
 func TestCountersBatchedNotLost(t *testing.T) {
-	m := NewManager(Config{PoolSize: 4096, PoolPrefix: "t", SwitchWorkers: 2})
+	m := NewManager(Config{PoolSize: 4096, PoolPrefix: "t"})
 	defer m.Stop()
 	const total = 10000
 	var out, kept atomic.Uint64

@@ -6,24 +6,25 @@
 // it through their Tx ring. The manager moves descriptors between rings —
 // packets themselves never move or get serialized.
 //
-// Nothing here runs on a goroutine of its own. Every ring — a work shard,
-// an NF's Rx ring, an NF's Tx ring — is consumed by whichever caller finds
-// it unowned (ring.Owner, the consumer-ownership rule shm.Mailbox uses):
-// Inject enqueues on the flow's work shard (§4, Receive Side Scaling) and
-// switches the shard if no caller is; a stage flushed into an idle Rx ring
-// runs the NF's handler on the flusher; descriptors handed back onto an
-// idle Tx ring are switched and emitted by the caller that handed them
+// Nothing here runs on a goroutine of its own. Every ring — an NF's Rx
+// ring, an NF's Tx ring — is consumed by whichever caller finds it unowned
+// (ring.Owner, the consumer-ownership rule shm.Mailbox uses). Inject puts
+// its descriptor straight on the Rx ring of the instance its flow steers to
+// (§4, Receive Side Scaling), the way ONVM's NIC queue feeds the first NF,
+// and runs the NF's handler if no caller is; descriptors handed back onto
+// an idle Tx ring are switched and emitted by the caller that handed them
 // back. Uncontended, one Inject carries its packet through the whole chain
 // to the sink with no goroutine hand-off, the way an ONVM NF polling its
 // ring would. Under contention a descriptor waits in its ring for the
-// current owner, and one owner per ring at a time keeps per-flow FIFO order
-// end-to-end while unrelated flows switch in parallel (DESIGN §11).
+// current owner. A flow always steers to the same instance and each ring
+// has one owner at a time, which keeps per-flow FIFO order end-to-end
+// while unrelated flows run in parallel (DESIGN §11).
 //
-// Between the copy in (Inject) and the sink call out, descriptors move in
-// bursts: a burst is whatever a ring holds when its owner looks, up to
-// drainBatch, and is never waited for. Ring operations and counters are
+// Between the copy in (Inject) and the sink call out, descriptors leave an
+// NF in bursts: a burst is whatever a ring holds when its owner looks, up
+// to drainBatch, and is never waited for. Ring operations and counters are
 // paid once per burst, the steering tables are an immutable snapshot
-// loaded once per burst, and nothing on that path takes a mutex or
+// loaded once per Tx burst, and nothing on that path takes a mutex or
 // allocates (DESIGN §11).
 //
 // The platform also carries the paper's deployment features: multiple
@@ -98,7 +99,6 @@ var (
 	ErrNoService  = errors.New("onvm: unknown service ID")
 	ErrNoPort     = errors.New("onvm: unknown port")
 	ErrDuplicate  = errors.New("onvm: instance already registered")
-	ErrRingFull   = errors.New("onvm: ring full")
 	ErrStopped    = errors.New("onvm: manager stopped")
 	ErrBadPercent = errors.New("onvm: canary percent out of range")
 )
@@ -116,14 +116,6 @@ const drainBatch = 64
 // thread.
 const txEnqueueSpins = 64
 
-// task is a work-shard entry: an inbound injection, or a fault-delayed
-// frame re-entering the switch on its flow's shard.
-type task struct {
-	buf    *pktbuf.Buf
-	dst    ServiceID
-	egress bool // buf already passed the egress fault decision; emit it
-}
-
 // Instance is one running NF instance attached to the platform.
 type Instance struct {
 	Service    ServiceID
@@ -131,9 +123,10 @@ type Instance struct {
 	name       string
 	spanName   string // "onvm.nf."+name, precomputed off the hot path
 
-	// rx is fed by whoever switches a descriptor to the instance; its
-	// owner runs the handler. tx is fed by rx's owner and by SendBurst
-	// callers (session-buffer drains); its owner switches what it holds.
+	// rx is fed by Inject and by whoever switches a descriptor to the
+	// instance; its owner runs the handler. tx is fed by rx's owner and by
+	// SendBurst callers (session-buffer drains); its owner switches what it
+	// holds.
 	rx rxRing
 	tx txRing
 
@@ -240,6 +233,41 @@ func (i *Instance) serve(own int) int {
 	return n
 }
 
+// receive puts descriptors on the instance's Rx ring in order — one bulk
+// enqueue and one counter update for the ones that fit — and runs the
+// handler on them here if no caller owns the ring. While the ring is full
+// the caller runs it itself if its owner has let go, or yields its
+// timeslice to the owner — bounded, so a wedged NF cannot stall its
+// caller for long — and what still does not fit is released and counted
+// as ring-overflow drops, descriptor for descriptor.
+func (i *Instance) receive(bufs []*pktbuf.Buf) {
+	m := i.mgr
+	sent, mine := 0, 0 // mine: enqueued here and not yet seen handled
+	for spins := 0; ; spins++ {
+		if k := i.rx.r.EnqueueBulk(bufs[sent:]); k > 0 {
+			sent += k
+			mine += k
+			spins = 0
+			i.rxCount.Add(uint64(k))
+		}
+		if sent == len(bufs) || spins >= m.bpSpins {
+			break
+		}
+		if n := i.serve(mine); n > 0 {
+			mine -= min(n, mine)
+		} else {
+			runtime.Gosched()
+		}
+	}
+	if left := bufs[sent:]; len(left) > 0 {
+		m.ringDrops.Add(uint64(len(left)))
+		m.pool.ReleaseBulk(left)
+	}
+	if mine > 0 {
+		i.serve(mine)
+	}
+}
+
 // transmit places a burst of processed descriptors on the instance's Tx
 // ring in order and switches the ring if no caller owns it. While the ring
 // is full it backs off, switching the ring itself when its owner lets go;
@@ -300,7 +328,7 @@ type serviceEntry struct {
 // tables is one immutable snapshot of everything the packet path looks up:
 // Register, RegisterPort, BindPortNF and SetCanary build a new one under
 // Manager.mu and publish it; the packet path loads the pointer once per
-// burst and never locks.
+// Inject or Tx burst and never locks.
 type tables struct {
 	services  map[ServiceID]*serviceEntry
 	ports     map[PortID]PortSink
@@ -323,16 +351,15 @@ type stage struct {
 	bufs [drainBatch]*pktbuf.Buf
 }
 
-// switcher is the state of the descriptor switch for one ring whose
-// descriptors it moves — a work shard or an NF's Tx ring — touched only by
-// that ring's owner: what begin loaded, the last service and port looked
-// up in that tables snapshot, the per-destination stages, the descriptors
-// to give back to the pool and the drops to count when the burst ends.
+// switcher is the state of the descriptor switch for one NF's Tx ring,
+// touched only by that ring's owner: what begin loaded, the last service
+// and port looked up in that tables snapshot, the per-destination stages,
+// the descriptors to give back to the pool and the drops to count when the
+// burst ends.
 type switcher struct {
 	m *Manager
 
-	switched atomic.Uint64
-	dropped  atomic.Uint64
+	dropped atomic.Uint64
 
 	tabs     *tables
 	fc       *injConf
@@ -347,61 +374,28 @@ type switcher struct {
 	ndrop    uint64
 }
 
-// shard is one work shard of the descriptor switch: the flows steered to
-// it, consumed by whichever caller owns it.
-type shard struct {
-	id    int
-	own   ring.Owner
-	sw    switcher
-	tasks [drainBatch]task
-}
-
-func (s *shard) Ready() bool { return s.sw.m.shards.Ready(s.id) }
-
-// Consume switches the shard's tasks, a burst at a time, until it is empty.
-func (s *shard) Consume() (n int) {
-	w := &s.sw
-	for {
-		k := w.m.shards.DequeueBulk(s.id, s.tasks[:])
-		if k == 0 {
-			return n
-		}
-		n += k
-		w.begin()
-		for i := range s.tasks[:k] {
-			if t := &s.tasks[i]; t.egress {
-				w.emitPort(t.buf)
-			} else {
-				w.deliver(t.buf, t.dst)
-			}
-		}
-		w.end()
-	}
-}
-
 // Manager is the ONVM NF manager: it owns the pool, the rings and the
-// sharded descriptor switch.
+// descriptor switch.
 type Manager struct {
 	pool *pktbuf.Pool
 
 	mu   sync.Mutex // serialises writers of tabs
 	tabs atomic.Pointer[tables]
 
-	shards   *ring.Sharded[task]
-	shardv   []*shard
 	stopped  atomic.Bool
-	inflight atomic.Int64 // Inject and SendBurst calls in progress
+	inflight atomic.Int64 // deliver, SendBurst and emitDelayed calls in progress
 
 	nfRingSize int
 	bpSpins    int
 	faultc     atomic.Pointer[injConf]
 	tracec     atomic.Pointer[trace.Track]
 
-	// extraDropped counts drops outside any switcher (pool exhaustion at
-	// Inject, work-shard overflow, teardown releases).
-	extraDropped atomic.Uint64
-	// txDrops counts descriptors NFs discarded on full Tx rings, folded
-	// into the dropped aggregate.
+	// dropped counts drops outside any Tx-ring switcher: pool exhaustion
+	// at Inject, fault drops and unknown services on the way in, delayed
+	// frames that outlive Stop or their sink, teardown releases.
+	dropped atomic.Uint64
+	// txDrops and ringDrops count descriptors discarded on full Tx and Rx
+	// rings, both folded into the dropped aggregate.
 	txDrops   atomic.Uint64
 	ringDrops *metrics.Counter
 }
@@ -415,28 +409,11 @@ type Config struct {
 	// Rx ring (cooperative yields) before counting the descriptor as a
 	// ring-overflow drop. 0 = default (64); -1 disables backpressure.
 	BackpressureSpins int
-	// SwitchWorkers is the number of work shards of the descriptor switch.
-	// Descriptors are sharded by flow key, so per-flow order is kept while
-	// flows on different shards switch in parallel on their callers.
-	// 0 = default min(GOMAXPROCS, 4); values < 1 are clamped to 1.
-	SwitchWorkers int
 }
 
 // DefaultConfig returns sizes suitable for the evaluation workloads.
 func DefaultConfig() Config {
 	return Config{PoolSize: 8192, RingSize: 1024, PoolPrefix: "l25gc"}
-}
-
-// defaultSwitchWorkers picks the shard count when Config leaves it 0.
-func defaultSwitchWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // NewManager creates a platform manager. It starts no goroutine.
@@ -453,17 +430,8 @@ func NewManager(cfg Config) *Manager {
 	if cfg.BackpressureSpins < 0 {
 		cfg.BackpressureSpins = 0
 	}
-	if cfg.SwitchWorkers == 0 {
-		cfg.SwitchWorkers = defaultSwitchWorkers()
-	}
-	if cfg.SwitchWorkers < 1 {
-		cfg.SwitchWorkers = 1
-	}
 	m := &Manager{
-		pool: pktbuf.NewPool(cfg.PoolSize, cfg.PoolPrefix),
-		// Every task holds a pool buffer, so no shard can be asked to
-		// hold more than the pool.
-		shards:     ring.NewSharded[task](cfg.SwitchWorkers, cfg.PoolSize),
+		pool:       pktbuf.NewPool(cfg.PoolSize, cfg.PoolPrefix),
 		nfRingSize: cfg.RingSize,
 		bpSpins:    cfg.BackpressureSpins,
 		ringDrops:  metrics.NewCounter(cfg.PoolPrefix + ".ring_overflow_drops"),
@@ -473,19 +441,12 @@ func NewManager(cfg Config) *Manager {
 		ports:    map[PortID]PortSink{},
 		portNF:   map[PortID]ServiceID{},
 	})
-	m.shardv = make([]*shard, cfg.SwitchWorkers)
-	for i := range m.shardv {
-		m.shardv[i] = &shard{id: i, sw: switcher{m: m}}
-	}
 	return m
 }
 
 // Pool exposes the shared packet pool (NFs allocate response packets
 // from the same hugepage-analogue pool).
 func (m *Manager) Pool() *pktbuf.Pool { return m.pool }
-
-// Shards returns the number of work shards.
-func (m *Manager) Shards() int { return len(m.shardv) }
 
 // RingDrops exposes the ring-overflow drop counter: descriptors the
 // manager discarded because an NF's Rx ring stayed full through the
@@ -517,10 +478,9 @@ func (m *Manager) SetTracer(tk *trace.Track) { m.tracec.Store(tk) }
 // ExportMetrics registers the manager's switch counters under prefix: the
 // switched/dropped aggregates, the overflow-drop breakdown, how many
 // descriptors NFs handled on the caller that delivered them and how many
-// on another caller's ownership, and per-shard switched/dropped gauges for
-// shard-balance diagnostics. The ring-drop counter is re-registered under
-// the prefix (not its pool-scoped name) so the registry name set is stable
-// across units.
+// on another caller's ownership, and the pool's occupancy. The ring-drop
+// counter is re-registered under the prefix (not its pool-scoped name) so
+// the registry name set is stable across units.
 func (m *Manager) ExportMetrics(reg *metrics.Registry, prefix string) {
 	reg.RegisterGauge(prefix+".switched", m.switchedTotal)
 	reg.RegisterGauge(prefix+".dropped", m.droppedTotal)
@@ -532,11 +492,6 @@ func (m *Manager) ExportMetrics(reg *metrics.Registry, prefix string) {
 	reg.RegisterGauge(prefix+".served_queued", func() uint64 {
 		return m.sumInstances(func(i *Instance) uint64 { return i.queued.Load() })
 	})
-	reg.RegisterGauge(prefix+".shards", func() uint64 { return uint64(len(m.shardv)) })
-	for _, s := range m.shardv {
-		reg.RegisterGauge(fmt.Sprintf("%s.shard%d.switched", prefix, s.id), s.sw.switched.Load)
-		reg.RegisterGauge(fmt.Sprintf("%s.shard%d.dropped", prefix, s.id), s.sw.dropped.Load)
-	}
 	// Packet-pool occupancy levels: size is fixed, in_use = size - avail
 	// is the instantaneous occupancy the telemetry sampler tracks for the
 	// soak's bounded-pool invariant (a leak shows as in_use never
@@ -559,21 +514,14 @@ func (m *Manager) sumInstances(f func(*Instance) uint64) uint64 {
 	return n
 }
 
+// switchedTotal counts descriptors put on NF Rx rings.
 func (m *Manager) switchedTotal() uint64 {
-	n := m.sumInstances(func(i *Instance) uint64 { return i.tx.sw.switched.Load() })
-	for _, s := range m.shardv {
-		n += s.sw.switched.Load()
-	}
-	return n
+	return m.sumInstances(func(i *Instance) uint64 { return i.rxCount.Load() })
 }
 
 func (m *Manager) droppedTotal() uint64 {
-	n := m.extraDropped.Load() + m.txDrops.Load()
-	n += m.sumInstances(func(i *Instance) uint64 { return i.tx.sw.dropped.Load() })
-	for _, s := range m.shardv {
-		n += s.sw.dropped.Load()
-	}
-	return n
+	n := m.dropped.Load() + m.txDrops.Load() + m.ringDrops.Load()
+	return n + m.sumInstances(func(i *Instance) uint64 { return i.tx.sw.dropped.Load() })
 }
 
 // ringSize returns the per-NF ring capacity.
@@ -674,7 +622,7 @@ func (m *Manager) Inject(pid PortID, data []byte, meta pktbuf.Meta) error {
 	}
 	buf, err := m.pool.Get()
 	if err != nil {
-		m.extraDropped.Add(1)
+		m.dropped.Add(1)
 		return err
 	}
 	if err := buf.SetData(data); err != nil {
@@ -686,45 +634,95 @@ func (m *Manager) Inject(pid PortID, data []byte, meta pktbuf.Meta) error {
 	if buf.Meta.RSS == 0 {
 		buf.Meta.RSS = rssHash(data)
 	}
-	return m.notify(task{buf: buf, dst: sid})
+	return m.deliver(buf, sid)
 }
 
-// flowKey derives the steering hash every sharding and instance-selection
-// decision uses. It must be a pure function of per-flow fields (never of
-// per-packet fields like Seq), or one flow's packets would spread across
-// shards/instances and lose FIFO order.
+// flowKey derives the steering hash every instance-selection decision
+// uses. It must be a pure function of per-flow fields (never of per-packet
+// fields like Seq), or one flow's packets would spread across instances
+// and lose FIFO order.
 func flowKey(meta *pktbuf.Meta) uint64 {
 	return meta.RSS ^ uint64(meta.TEID)*2654435761
 }
 
-// notify queues a descriptor on its flow's work shard, so that one owner
-// at a time moves all of a flow's descriptors, in order, and switches the
-// shard if no caller owns it.
-func (m *Manager) notify(t task) error {
-	// The inflight count brackets the whole call, the switching included,
-	// so Stop can wait out every caller already past the stopped check; a
-	// notify that starts after Stop flips stopped releases its own buffer.
+// deliver puts a descriptor on the Rx ring of the instance of service sid
+// its flow steers to, and runs the chain from there if it is idle: the way
+// in for Inject and for a fault-delayed delivery. The fault decision, the
+// service lookup and the instance choice are one onvm.deliver span. The
+// inflight count brackets the whole call, so Stop can wait out every
+// caller already past the stopped check; a call that starts after Stop
+// flips stopped releases the descriptor and counts it dropped. A
+// descriptor dropped on the way, a full Rx ring included, is counted, and
+// deliver still returns nil.
+func (m *Manager) deliver(buf *pktbuf.Buf, sid ServiceID) error {
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
-	err := ErrStopped
-	if !m.stopped.Load() {
-		s := m.shardv[m.shards.ShardOf(flowKey(&t.buf.Meta))]
-		if m.shards.Enqueue(s.id, t) {
-			s.own.Drain(s)
-			return nil
-		}
-		err = ErrRingFull
+	if m.stopped.Load() {
+		m.drop(buf)
+		return ErrStopped
 	}
-	t.buf.Release()
-	m.extraDropped.Add(1)
-	return err
+	sp := m.tracec.Load().Start("onvm.deliver")
+	inst, drop := m.steer(m.faultc.Load(), m.tabs.Load().services[sid], buf, sid)
+	sp.End()
+	if drop {
+		m.drop(buf)
+	} else if inst != nil {
+		one := [1]*pktbuf.Buf{buf}
+		inst.receive(one[:])
+	}
+	return nil
+}
+
+// steer makes fc's deliver decision on buf, headed for service sid, and
+// picks the instance of ent its flow steers to. It returns drop when buf
+// is to be dropped (there is no such service), and no instance either
+// when a fault delayed buf: a timer then owns it and delivers it afresh.
+func (m *Manager) steer(fc *injConf, ent *serviceEntry, buf *pktbuf.Buf, sid ServiceID) (inst *Instance, drop bool) {
+	if fc != nil {
+		act := fc.inj.Decide(fc.deliver, buf.Bytes())
+		if act.Drop {
+			return nil, true
+		}
+		if act.Delay > 0 {
+			time.AfterFunc(act.Delay, func() { m.deliver(buf, sid) })
+			return nil, false
+		}
+	}
+	if ent == nil {
+		return nil, true
+	}
+	return pickInstance(ent, flowKey(&buf.Meta)), false
+}
+
+// emitDelayed emits a frame whose egress a fault delayed, on its timer,
+// through the sink of the current tables snapshot. It is bracketed by the
+// inflight count like deliver; after Stop, or with no sink left on its
+// port, the frame is released and counted dropped.
+func (m *Manager) emitDelayed(buf *pktbuf.Buf) {
+	m.inflight.Add(1)
+	defer m.inflight.Add(-1)
+	sink := m.tabs.Load().ports[buf.Meta.Port]
+	if m.stopped.Load() || sink == nil {
+		m.drop(buf)
+		return
+	}
+	sp := m.tracec.Load().Start("onvm.egress")
+	sink(buf.Bytes(), buf.Meta)
+	sp.End()
+	buf.Release()
+}
+
+// drop releases a descriptor and counts it dropped.
+func (m *Manager) drop(buf *pktbuf.Buf) {
+	buf.Release()
+	m.dropped.Add(1)
 }
 
 // rssHash is the ingress flow hash (§4, Receive Side Scaling). Like a
 // NIC's RSS it covers flow fields only — on N3 the tunnel ID plus the
 // inner addresses, protocol and ports, on N6 the addresses, protocol and
 // ports — never the payload or a checksum, which differ between packets
-// of one flow and would spread it over shards, breaking its FIFO order.
+// of one flow and would spread it over instances, breaking its FIFO order.
 // A frame that parses as neither falls back to a hash of its first bytes.
 func rssHash(b []byte) uint64 {
 	var teid uint64
@@ -800,7 +798,7 @@ func (w *switcher) begin() {
 func (w *switcher) end() {
 	for _, s := range w.stages {
 		if s.n > 0 {
-			w.flush(s)
+			s.flush()
 		}
 	}
 	w.releaseSpent()
@@ -843,30 +841,16 @@ func (w *switcher) deliver(buf *pktbuf.Buf, sid ServiceID) {
 }
 
 func (w *switcher) stageFor(buf *pktbuf.Buf, sid ServiceID) {
-	if fc := w.fc; fc != nil {
-		act := fc.inj.Decide(fc.deliver, buf.Bytes())
-		if act.Drop {
-			w.drop(buf)
-			return
-		}
-		if act.Delay > 0 {
-			// Descriptors are single-owner, so a delayed delivery must
-			// re-enter via its flow's work shard: only there does it
-			// rejoin its flow's order.
-			time.AfterFunc(act.Delay, func() {
-				w.m.notify(task{buf: buf, dst: sid})
-			})
-			return
-		}
-	}
 	if w.svc == nil || w.svcID != sid {
 		w.svc, w.svcID = w.tabs.services[sid], sid
 	}
-	if w.svc == nil {
+	inst, drop := w.m.steer(w.fc, w.svc, buf, sid)
+	if drop {
 		w.drop(buf)
+	}
+	if inst == nil {
 		return
 	}
-	inst := pickInstance(w.svc, flowKey(&buf.Meta))
 	var s *stage
 	for _, c := range w.stages {
 		if c.inst == inst {
@@ -881,48 +865,16 @@ func (w *switcher) stageFor(buf *pktbuf.Buf, sid ServiceID) {
 		w.stages = append(w.stages, s)
 	}
 	if s.n == len(s.bufs) {
-		w.flush(s)
+		s.flush()
 	}
 	s.bufs[s.n] = buf
 	s.n++
 }
 
-// flush moves one stage into its instance's Rx ring — one bulk enqueue and
-// one counter update for the descriptors that fit — and runs the instance's
-// handler on them here if no caller owns the ring. While the ring is full
-// the switcher runs it itself if its owner has let go, or yields its
-// timeslice to the owner — bounded, so a wedged NF cannot stall the other
-// flows sharing this shard — and what still does not fit is dropped and
-// counted, descriptor for descriptor.
-func (w *switcher) flush(s *stage) {
-	inst, bufs := s.inst, s.bufs[:s.n]
+// flush moves the stage into its instance's Rx ring.
+func (s *stage) flush() {
+	s.inst.receive(s.bufs[:s.n])
 	s.n = 0
-	sent, mine := 0, 0 // mine: enqueued here and not yet seen handled
-	for spins := 0; ; spins++ {
-		if k := inst.rx.r.EnqueueBulk(bufs[sent:]); k > 0 {
-			sent += k
-			mine += k
-			spins = 0
-			inst.rxCount.Add(uint64(k))
-			w.switched.Add(uint64(k))
-		}
-		if sent == len(bufs) || spins >= w.m.bpSpins {
-			break
-		}
-		if n := inst.serve(mine); n > 0 {
-			mine -= min(n, mine)
-		} else {
-			runtime.Gosched()
-		}
-	}
-	if left := bufs[sent:]; len(left) > 0 {
-		w.ndrop += uint64(len(left))
-		w.m.ringDrops.Add(uint64(len(left)))
-		w.m.pool.ReleaseBulk(left)
-	}
-	if mine > 0 {
-		inst.serve(mine)
-	}
 }
 
 // emitPort transmits a frame out of its port and releases the descriptor.
@@ -953,14 +905,10 @@ func (w *switcher) process(buf *pktbuf.Buf) {
 				return
 			}
 			if act.Delay > 0 {
-				// Re-enqueue on the flow's work shard after the delay
-				// instead of sleeping here: a fault-delayed frame must
-				// never stall every other flow behind this ring. The
-				// egress decision is already made, so the re-entering task
-				// bypasses a second Decide.
-				time.AfterFunc(act.Delay, func() {
-					w.m.notify(task{buf: buf, egress: true})
-				})
+				// Emit on a timer instead of sleeping here: a
+				// fault-delayed frame must never stall every other flow
+				// behind this ring.
+				time.AfterFunc(act.Delay, func() { w.m.emitDelayed(buf) })
 				return
 			}
 		}
@@ -978,27 +926,18 @@ func (m *Manager) Stats() (switched, dropped uint64) {
 	return m.switchedTotal(), m.droppedTotal()
 }
 
-// Stop refuses new work, waits out every caller already inside Inject or
-// SendBurst — an owner runs its rings until they are empty — then takes
-// every ring for good and releases the descriptors still queued in work
-// shards or NF rings, so teardown cannot race in-flight switching.
+// Stop refuses new work, waits out every caller already inside Inject,
+// SendBurst or a delayed delivery or egress — an owner runs its rings
+// until they are empty — then takes every ring for good and releases the
+// descriptors still queued in NF rings, so teardown cannot race in-flight
+// switching. A delayed descriptor whose timer fires later is released and
+// counted dropped.
 func (m *Manager) Stop() {
 	if !m.stopped.CompareAndSwap(false, true) {
 		return
 	}
 	for m.inflight.Load() != 0 {
 		runtime.Gosched()
-	}
-	for _, s := range m.shardv {
-		s.own.Hold()
-		for {
-			t, ok := m.shards.Dequeue(s.id)
-			if !ok {
-				break
-			}
-			t.buf.Release()
-			m.extraDropped.Add(1)
-		}
 	}
 	for _, i := range m.tabs.Load().instances {
 		i.rx.own.Hold()
@@ -1009,8 +948,7 @@ func (m *Manager) Stop() {
 				if !ok {
 					break
 				}
-				b.Release()
-				m.extraDropped.Add(1)
+				m.drop(b)
 			}
 		}
 	}
@@ -1019,6 +957,6 @@ func (m *Manager) Stop() {
 // String renders manager state for diagnostics.
 func (m *Manager) String() string {
 	sw, dr := m.Stats()
-	return fmt.Sprintf("onvm.Manager{shards: %d, switched: %d, dropped: %d, pool: %d/%d}",
-		len(m.shardv), sw, dr, m.pool.Avail(), m.pool.Size())
+	return fmt.Sprintf("onvm.Manager{switched: %d, dropped: %d, pool: %d/%d}",
+		sw, dr, m.pool.Avail(), m.pool.Size())
 }

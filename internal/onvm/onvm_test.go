@@ -311,12 +311,11 @@ func TestRingSizeHonored(t *testing.T) {
 }
 
 func TestBackpressureCountsRingOverflowDrops(t *testing.T) {
-	// Tiny ring, NF wedged until released: a switcher delivering into it
+	// Tiny ring, NF wedged until released: an Inject delivering into it
 	// backpressures briefly then counts overflow drops instead of blocking
 	// forever. The primer wedges its injecting goroutine in the handler,
-	// holding the NF's Rx ring and work shard 0; the rest arrive on shard 1.
-	m := NewManager(Config{PoolSize: 256, RingSize: 2, PoolPrefix: "t",
-		SwitchWorkers: 2, BackpressureSpins: 4})
+	// holding the NF's Rx ring; the rest arrive from this goroutine.
+	m := NewManager(Config{PoolSize: 256, RingSize: 2, PoolPrefix: "t", BackpressureSpins: 4})
 	defer m.Stop()
 	release, entered := make(chan struct{}), make(chan struct{})
 	unwedge := sync.OnceFunc(func() { close(release) })
@@ -335,11 +334,10 @@ func TestBackpressureCountsRingOverflowDrops(t *testing.T) {
 	m.BindPortNF(1, 1)
 	const total = 64
 	primed := make(chan error, 1)
-	go func() { primed <- m.Inject(1, []byte("pkt"), pktbuf.Meta{RSS: rssForShard(m, 0)}) }()
+	go func() { primed <- m.Inject(1, []byte("pkt"), pktbuf.Meta{}) }()
 	<-entered
-	rss := rssForShard(m, 1)
 	for i := 1; i < total; i++ {
-		if err := m.Inject(1, []byte("pkt"), pktbuf.Meta{RSS: rss}); err != nil {
+		if err := m.Inject(1, []byte("pkt"), pktbuf.Meta{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"l25gc/internal/faults"
+	"l25gc/internal/metrics"
 	"l25gc/internal/pktbuf"
 )
 
-// TestSwitchWorkersConfig pins the shard-count selection rules, and that
-// the shards are only rings: creating a manager and registering an NF
-// starts no goroutine.
-func TestSwitchWorkersConfig(t *testing.T) {
+// TestNewManagerStartsNoGoroutine: the platform is only rings, so creating
+// a manager and registering an NF starts no goroutine.
+func TestNewManagerStartsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := NewManager(Config{PoolSize: 8, PoolPrefix: "t"})
 	defer m.Stop()
@@ -24,23 +24,6 @@ func TestSwitchWorkersConfig(t *testing.T) {
 	if n := runtime.NumGoroutine(); n != before {
 		t.Fatalf("%d goroutines after NewManager + Register, %d before", n, before)
 	}
-	want := runtime.GOMAXPROCS(0)
-	if want > 4 {
-		want = 4
-	}
-	if m.Shards() != want {
-		t.Fatalf("default Shards() = %d, want min(GOMAXPROCS,4) = %d", m.Shards(), want)
-	}
-	m3 := NewManager(Config{PoolSize: 8, PoolPrefix: "t", SwitchWorkers: 3})
-	defer m3.Stop()
-	if m3.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", m3.Shards())
-	}
-	m1 := NewManager(Config{PoolSize: 8, PoolPrefix: "t", SwitchWorkers: -5})
-	defer m1.Stop()
-	if m1.Shards() != 1 {
-		t.Fatalf("Shards() = %d, want 1 for negative config", m1.Shards())
-	}
 }
 
 // TestDelayedEgressDoesNotStallOtherNFs is the regression test for the
@@ -48,7 +31,7 @@ func TestSwitchWorkersConfig(t *testing.T) {
 // must not freeze every other NF behind the switch.
 func TestDelayedEgressDoesNotStallOtherNFs(t *testing.T) {
 	const delay = 150 * time.Millisecond
-	m := NewManager(Config{PoolSize: 64, PoolPrefix: "t", SwitchWorkers: 1})
+	m := NewManager(Config{PoolSize: 64, PoolPrefix: "t"})
 	defer m.Stop()
 	inj := faults.New(1).
 		Add(faults.Rule{Point: "onvm.egress", Kind: faults.Delay, Count: 1, Delay: delay})
@@ -94,23 +77,12 @@ func TestDelayedEgressDoesNotStallOtherNFs(t *testing.T) {
 	waitFor(t, func() bool { return m.Pool().Avail() == 64 }, "buffer return")
 }
 
-// rssForShard finds an RSS value whose flow key lands on the given shard.
-func rssForShard(m *Manager, shard int) uint64 {
-	for r := uint64(1); ; r++ {
-		meta := pktbuf.Meta{RSS: r}
-		if m.shards.ShardOf(flowKey(&meta)) == shard {
-			return r
-		}
-	}
-}
-
 // TestTxRingOverflowCountsDrops is the regression test for silent
 // descriptor loss: when an NF's Tx ring stays full, the released
 // descriptors must show up in txDrops and the dropped aggregate.
 func TestTxRingOverflowCountsDrops(t *testing.T) {
 	const total = 48
-	m := NewManager(Config{PoolSize: 256, RingSize: 4, PoolPrefix: "t",
-		SwitchWorkers: 2, BackpressureSpins: 4})
+	m := NewManager(Config{PoolSize: 256, RingSize: 4, PoolPrefix: "t", BackpressureSpins: 4})
 	defer m.Stop()
 
 	release := make(chan struct{})
@@ -184,7 +156,7 @@ func TestTxRingOverflowCountsDrops(t *testing.T) {
 // the owner is doing — and the owner emits it before it lets go, with no
 // further traffic to dislodge it.
 func TestTxHandbackWaitsForOwner(t *testing.T) {
-	m := NewManager(Config{PoolSize: 8, PoolPrefix: "t", SwitchWorkers: 1})
+	m := NewManager(Config{PoolSize: 8, PoolPrefix: "t"})
 	defer m.Stop()
 	gate, held := make(chan struct{}), make(chan struct{})
 	unwedge := sync.OnceFunc(func() { close(gate) })
@@ -228,11 +200,11 @@ func TestTxHandbackWaitsForOwner(t *testing.T) {
 
 // TestStopWaitsOutOwnersAndReleasesQueued pins the teardown contract: Stop
 // does not return while a caller is still running a ring (here, wedged in
-// a handler with descriptors queued behind it in its work shard and the
-// NF's Rx ring), and every descriptor still queued anywhere — including
+// a handler with descriptors queued behind it in the NF's Rx ring), and
+// every descriptor still queued anywhere — including
 // one no owner will come for — is back in the pool when Stop returns.
 func TestStopWaitsOutOwnersAndReleasesQueued(t *testing.T) {
-	m := NewManager(Config{PoolSize: 128, PoolPrefix: "t", SwitchWorkers: 2})
+	m := NewManager(Config{PoolSize: 128, PoolPrefix: "t"})
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	m.Register(1, "slow", func(b *pktbuf.Buf) bool {
@@ -257,10 +229,10 @@ func TestStopWaitsOutOwnersAndReleasesQueued(t *testing.T) {
 	if !idle.tx.r.Enqueue(left) {
 		t.Fatal("tx enqueue failed")
 	}
-	go m.Inject(1, []byte("x"), pktbuf.Meta{RSS: rssForShard(m, 0)})
+	go m.Inject(1, []byte("x"), pktbuf.Meta{})
 	<-entered
 	for i := 0; i < 60; i++ {
-		if err := m.Inject(1, []byte("x"), pktbuf.Meta{RSS: rssForShard(m, i%2)}); err != nil {
+		if err := m.Inject(1, []byte("x"), pktbuf.Meta{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,9 +256,51 @@ func TestStopWaitsOutOwnersAndReleasesQueued(t *testing.T) {
 	}
 }
 
-// TestMultiWorkerPerFlowFIFO drives many flows through a 4-worker switch
-// into 3 instances of one service and asserts per-flow FIFO at egress.
-func TestMultiWorkerPerFlowFIFO(t *testing.T) {
+// TestDelayedTimersAfterStopRelease: a fault-delayed delivery and a
+// fault-delayed egress frame whose timers fire after Stop are released to
+// the pool and counted in onvm.dropped; neither reaches the NF or the sink.
+func TestDelayedTimersAfterStopRelease(t *testing.T) {
+	// Long enough that both timers are still pending when Stop runs.
+	const delay = 200 * time.Millisecond
+	m := NewManager(Config{PoolSize: 8, PoolPrefix: "t"})
+	reg := metrics.NewRegistry()
+	m.ExportMetrics(reg, "onvm")
+	inj := faults.New(1).
+		Add(faults.Rule{Point: "onvm.deliver", Kind: faults.Delay, Count: 1, Delay: delay}).
+		Add(faults.Rule{Point: "onvm.egress", Kind: faults.Delay, Count: 1, Delay: delay})
+	m.SetInjector(inj, "onvm")
+	var handled, egressed atomic.Uint64
+	m.Register(1, "fwd", func(b *pktbuf.Buf) bool {
+		handled.Add(1)
+		b.Meta.Action, b.Meta.Port = pktbuf.ActionToPort, 2
+		return true
+	})
+	m.RegisterPort(2, func([]byte, pktbuf.Meta) { egressed.Add(1) })
+	m.BindPortNF(1, 1)
+
+	// The first frame's delivery is delayed; the second reaches the NF and
+	// its egress is delayed.
+	for _, data := range []string{"delivery delayed", "egress delayed"} {
+		if err := m.Inject(1, []byte(data), pktbuf.Meta{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := m.Pool().Size() - m.Pool().Avail(); n != 2 || handled.Load() != 1 {
+		t.Fatalf("%d buffers held, %d handled before Stop; want 2 held by timers, 1 handled", n, handled.Load())
+	}
+	m.Stop()
+	waitFor(t, func() bool { return m.Pool().Avail() == 8 }, "both timers releasing their buffer")
+	if got := reg.Snapshot().Counters["onvm.dropped"]; got != 2 {
+		t.Fatalf("onvm.dropped = %d, want 2", got)
+	}
+	if handled.Load() != 1 || egressed.Load() != 0 {
+		t.Fatalf("after Stop: handled %d, egressed %d; want 1, 0", handled.Load(), egressed.Load())
+	}
+}
+
+// TestMultiProducerPerFlowFIFO drives many flows from 4 producers into 3
+// instances of one service and asserts per-flow FIFO at egress.
+func TestMultiProducerPerFlowFIFO(t *testing.T) {
 	const (
 		flows   = 16
 		perFlow = 200
@@ -294,7 +308,7 @@ func TestMultiWorkerPerFlowFIFO(t *testing.T) {
 	)
 	// PoolSize below the NF ring capacity throttles in-flight descriptors so
 	// Rx rings cannot overflow: every injected frame must egress.
-	m := NewManager(Config{PoolSize: 512, PoolPrefix: "t", SwitchWorkers: 4})
+	m := NewManager(Config{PoolSize: 512, PoolPrefix: "t"})
 	defer m.Stop()
 
 	var last [flows]atomic.Uint64
@@ -343,7 +357,7 @@ func TestMultiWorkerPerFlowFIFO(t *testing.T) {
 	wg.Wait()
 	waitFor(t, func() bool { return received.Load() == flows*perFlow }, "all frames egressed")
 	if reorders.Load() != 0 {
-		t.Fatalf("%d per-flow reorders across 4 workers", reorders.Load())
+		t.Fatalf("%d per-flow reorders across 4 producers", reorders.Load())
 	}
 	// Every flow saw its final sequence number.
 	for f := 0; f < flows; f++ {

@@ -1,11 +1,11 @@
 package ring
 
 // Sharded fans a multi-producer workload out over N independent MPSC rings,
-// one per consumer worker. It is the work-distribution primitive of the
-// sharded descriptor switch (internal/onvm): producers pick a shard from a
-// flow hash so that all descriptors of one flow land in the same ring, and
-// each worker is the single consumer of exactly one shard — preserving the
-// MPSC single-consumer contract and per-flow FIFO order at the same time.
+// one per consumer: producers pick a shard from a flow hash so that all
+// elements of one flow land in the same ring, and each shard has a single
+// consumer — preserving the MPSC single-consumer contract and per-flow FIFO
+// order at the same time. Its only caller is the repository benchmark's
+// ring.sharded_pair_ns probe.
 //
 // Shard selection runs the hash through a 64-bit finalizer before reducing
 // modulo the shard count, so correlated low bits in the caller's hash (e.g.
@@ -32,9 +32,9 @@ func NewSharded[T any](n, capacity int) *Sharded[T] {
 func (s *Sharded[T]) Shards() int { return len(s.shards) }
 
 // Fmix64 is the MurmurHash3 64-bit finalizer: a full-avalanche bijection
-// that decorrelates every output bit from the input bits. Exported so the
-// NF state shards (internal/nf/amf, internal/nf/smf) pick home shards with
-// the same mixing discipline the descriptor switch uses.
+// that decorrelates every output bit from the input bits. Exported for the
+// NF state shards (internal/nf/amf, internal/nf/smf) and the platform's
+// ingress flow hash (internal/onvm).
 func Fmix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -44,13 +44,10 @@ func Fmix64(h uint64) uint64 {
 	return h
 }
 
-// fmix64 is kept as the package-internal spelling.
-func fmix64(h uint64) uint64 { return Fmix64(h) }
-
 // ShardOf maps a flow hash to its home shard. The mapping is stable for the
 // lifetime of the Sharded set: equal hashes always land on the same shard.
 func (s *Sharded[T]) ShardOf(hash uint64) int {
-	return int(fmix64(hash) % uint64(len(s.shards)))
+	return int(Fmix64(hash) % uint64(len(s.shards)))
 }
 
 // Enqueue adds v to the given shard from any goroutine. Returns false when
@@ -71,18 +68,5 @@ func (s *Sharded[T]) DequeueBulk(shard int, out []T) int {
 	return s.shards[shard].DequeueBulk(out)
 }
 
-// Ready reports whether a Dequeue on the given shard would succeed. Only
-// the shard's single consumer may call this.
-func (s *Sharded[T]) Ready(shard int) bool { return s.shards[shard].Ready() }
-
 // ShardLen returns the approximate queue depth of one shard.
 func (s *Sharded[T]) ShardLen(shard int) int { return s.shards[shard].Len() }
-
-// Len returns the approximate total queue depth across all shards.
-func (s *Sharded[T]) Len() int {
-	n := 0
-	for _, r := range s.shards {
-		n += r.Len()
-	}
-	return n
-}

@@ -285,7 +285,7 @@ func TestDrainSessionBurst(t *testing.T) {
 	st := NewState("ps", 0)
 	c := NewUPFC(st, n3IP, nil)
 	u := NewUPFU(st, c)
-	mgr := onvm.NewManager(onvm.Config{PoolSize: 4096, PoolPrefix: "t", SwitchWorkers: 2})
+	mgr := onvm.NewManager(onvm.Config{PoolSize: 4096, PoolPrefix: "t"})
 	defer mgr.Stop()
 	const upfSvc = 1
 	if _, err := u.AttachONVM(mgr, upfSvc); err != nil {

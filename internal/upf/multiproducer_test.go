@@ -14,13 +14,13 @@ import (
 	"l25gc/internal/pktbuf"
 )
 
-// TestMultiWorkerUplinkPerFlowFIFO runs the full UL fast path — N3 ingress,
-// GTP decap, classification, N6 egress — through a 4-worker descriptor
-// switch into 3 UPF-U instances and asserts per-flow FIFO order at the N6
-// sink. This is the end-to-end ordering invariant of the sharded switch:
-// flows interleave freely across workers and instances, but one flow's
-// packets never pass each other.
-func TestMultiWorkerUplinkPerFlowFIFO(t *testing.T) {
+// TestMultiProducerUplinkPerFlowFIFO runs the full UL fast path — N3
+// ingress, GTP decap, classification, N6 egress — from 4 producers into 3
+// UPF-U instances and asserts per-flow FIFO order at the N6 sink. This is
+// the end-to-end ordering invariant of the descriptor switch: flows
+// interleave freely across producers and instances, but one flow's packets
+// never pass each other.
+func TestMultiProducerUplinkPerFlowFIFO(t *testing.T) {
 	const (
 		flows     = 32
 		perFlow   = 150
@@ -32,11 +32,8 @@ func TestMultiWorkerUplinkPerFlowFIFO(t *testing.T) {
 	u := NewUPFU(st, c)
 	// PoolSize below the NF ring capacity bounds in-flight descriptors so Rx
 	// rings cannot overflow: every injected frame must reach the sink.
-	mgr := onvm.NewManager(onvm.Config{PoolSize: 512, PoolPrefix: "t", SwitchWorkers: 4})
+	mgr := onvm.NewManager(onvm.Config{PoolSize: 512, PoolPrefix: "t"})
 	defer mgr.Stop()
-	if mgr.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", mgr.Shards())
-	}
 	insts := make([]*onvm.Instance, 3)
 	for i := range insts {
 		inst, err := u.AttachONVM(mgr, upfSvc)
@@ -132,7 +129,7 @@ func TestMultiWorkerUplinkPerFlowFIFO(t *testing.T) {
 	}
 	deadline(func() bool { return received.Load() == flows*perFlow }, "all frames at N6")
 	if reorders.Load() != 0 {
-		t.Fatalf("%d per-flow reorders across 4 workers x 3 instances", reorders.Load())
+		t.Fatalf("%d per-flow reorders across %d producers x 3 instances", reorders.Load(), producers)
 	}
 	for f := 0; f < flows; f++ {
 		if last[f].Load() != perFlow {
