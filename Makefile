@@ -175,14 +175,16 @@ scale-smoke:
 # in the gNB's UL and DL edges, and the -benchmem rows that say the same —
 # then, ten times under the race detector, the ring-ownership helper's
 # properties (10^5 lone sends from four producers, nothing stranded at
-# release, one consumer at a time, Hold waiting out the owner) and the
+# release, one consumer at a time, Hold waiting out the owner; the same
+# for lone offers run in place with later arrivals left to drainers) and the
 # pool's hot-stash conservation and LIFO order; then the bulk-ring,
 # burst-switch and burst-UPF tests three times under it: partial fits and
 # wrap-around, four bulk producers against the one consumer, a burst mixing
 # destinations, an Rx ring filling mid-burst, Stop during a burst,
 # fault-delayed frames whose timers fire after Stop, 10^5 lone packets
 # from four producers through the chain, a rollout while traffic flows,
-# counters batched but not lost, the session-buffer drain;
+# counters batched but not lost, an in-place run leaving later arrivals to
+# a drainer, Stop waiting out a drainer, the session-buffer drain;
 # and the borrow contract: a sink that keeps its slice reads the poison
 # (pool buffer or socket read buffer), one that copies reads its packet,
 # and the three modes deliver the same bytes in the same order.
@@ -194,7 +196,7 @@ fastpath-smoke:
 	$(GO) test -race -count=10 -run 'TestOwner' ./internal/ring
 	$(GO) test -race -count=10 -run 'TestStash' ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'Bulk' ./internal/ring ./internal/pktbuf
-	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestDelayedTimersAfterStopRelease|TestLonePackets|TestSnapshotSeen|TestCountersBatched' ./internal/onvm
+	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestDelayedTimersAfterStopRelease|TestLonePackets|TestSnapshotSeen|TestCountersBatched|TestInPlaceRunHandsLaterArrivalsToDrainer|TestStopWaitsOutDrainer' ./internal/onvm
 	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSessionBurst' ./internal/upf
 	$(GO) test -race -count=3 -run 'TestSinksSwapWhileDownlinkFlows|TestSinkRetentionGuard|TestModesDeliverIdenticalBytes' ./internal/core
 

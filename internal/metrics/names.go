@@ -65,6 +65,7 @@ var LintNames = []string{
 	"onvm.ring_overflow_drops",
 	"onvm.served_inline",
 	"onvm.served_queued",
+	"onvm.handoffs",
 	"onvm.pool.size",
 	"onvm.pool.in_use",
 	// Packet-pool overflow drops carry the pool's security-domain

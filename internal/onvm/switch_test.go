@@ -10,6 +10,7 @@ import (
 	"l25gc/internal/faults"
 	"l25gc/internal/metrics"
 	"l25gc/internal/pktbuf"
+	"l25gc/internal/testutil"
 )
 
 // TestNewManagerStartsNoGoroutine: the platform is only rings, so creating
@@ -366,4 +367,159 @@ func TestMultiProducerPerFlowFIFO(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool { return m.Pool().Avail() == 512 }, "buffer return")
+}
+
+// gatedNF registers service 1 on port 1 with a handler that wedges on the
+// descriptors whose Seq has a gate, until the test opens it, then sends
+// each descriptor to port 9, whose sink records the Seq in arrival order.
+type gatedNF struct {
+	m       *Manager
+	entered map[uint64]chan struct{}
+	gate    map[uint64]chan struct{}
+	opened  map[uint64]func()
+
+	mu  sync.Mutex
+	out []uint64
+}
+
+func newGatedNF(t *testing.T, m *Manager, seqs ...uint64) *gatedNF {
+	t.Helper()
+	g := &gatedNF{m: m, entered: map[uint64]chan struct{}{},
+		gate: map[uint64]chan struct{}{}, opened: map[uint64]func(){}}
+	for _, s := range seqs {
+		g.entered[s], g.gate[s] = make(chan struct{}), make(chan struct{})
+		g.opened[s] = sync.OnceFunc(func() { close(g.gate[s]) })
+		t.Cleanup(g.opened[s]) // before a Stop registered earlier, which waits the wedge out
+	}
+	m.RegisterPort(9, func(_ []byte, meta pktbuf.Meta) {
+		g.mu.Lock()
+		g.out = append(g.out, meta.Seq)
+		g.mu.Unlock()
+	})
+	if _, err := m.Register(1, "gated", func(b *pktbuf.Buf) bool {
+		if gate, ok := g.gate[b.Meta.Seq]; ok {
+			close(g.entered[b.Meta.Seq])
+			<-gate
+		}
+		b.Meta.Action, b.Meta.Port = pktbuf.ActionToPort, 9
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m.BindPortNF(1, 1)
+	return g
+}
+
+// inject sends the descriptor with sequence number seq of the test's one
+// flow.
+func (g *gatedNF) inject(seq uint64) error {
+	return g.m.Inject(1, []byte("pkt"), pktbuf.Meta{Seq: seq, RSS: 1})
+}
+
+func (g *gatedNF) egressed() []uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]uint64(nil), g.out...)
+}
+
+// TestInPlaceRunHandsLaterArrivalsToDrainer: an Inject that finds the NF
+// idle runs its own descriptor in place and nothing else. What another
+// producer queued while its handler was blocked goes to a drainer, in
+// order, and the drainer is gone once the ring is empty.
+func TestInPlaceRunHandsLaterArrivalsToDrainer(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	const n = 100
+	m := NewManager(Config{PoolSize: 256, PoolPrefix: "t"})
+	t.Cleanup(m.Stop) // after the gates open, or Stop waits on a wedged handler
+	reg := metrics.NewRegistry()
+	m.ExportMetrics(reg, "onvm")
+	g := newGatedNF(t, m, 0, 1)
+	first := make(chan error, 1)
+	go func() { first <- g.inject(0) }()
+	<-g.entered[0]
+	for seq := uint64(1); seq <= n; seq++ {
+		if err := g.inject(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.opened[0]()
+	// The drainer wedges on descriptor 1: had the first Inject run the
+	// queue itself, it would wedge there too.
+	<-g.entered[1]
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the first Inject ran descriptors queued after its own")
+	}
+	snap := reg.Snapshot().Counters
+	if snap["onvm.served_inline"] != 1 || snap["onvm.handoffs"] != 1 {
+		t.Fatalf("served_inline %d, handoffs %d; want 1, 1", snap["onvm.served_inline"], snap["onvm.handoffs"])
+	}
+	g.opened[1]()
+	waitFor(t, func() bool { return reg.Snapshot().Counters["onvm.served_queued"] == n }, "the drainer running the queue")
+	waitFor(t, func() bool { return len(g.egressed()) == n+1 }, "every descriptor out")
+	for i, seq := range g.egressed() {
+		if seq != uint64(i) {
+			t.Fatalf("egress order %v, want 0..%d", g.egressed(), n)
+		}
+	}
+	if got := reg.Snapshot().Counters["onvm.served_inline"]; got != 1 {
+		t.Fatalf("served_inline = %d, want 1", got)
+	}
+	waitFor(t, func() bool { return m.Pool().Avail() == 256 }, "buffer return")
+}
+
+// TestStopWaitsOutDrainer: Stop issued while a drainer runs waits for it.
+// The drainer finishes the burst in hand and releases the rest of the
+// queue, counted in onvm.dropped, and every buffer is back in the pool.
+func TestStopWaitsOutDrainer(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	const n = 3 * drainBatch
+	m := NewManager(Config{PoolSize: 256, PoolPrefix: "t"})
+	reg := metrics.NewRegistry()
+	m.ExportMetrics(reg, "onvm")
+	g := newGatedNF(t, m, 0, 1)
+	first := make(chan error, 1)
+	go func() { first <- g.inject(0) }()
+	<-g.entered[0]
+	for seq := uint64(1); seq <= n; seq++ {
+		if err := g.inject(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.opened[0]()
+	<-g.entered[1] // a drainer is running the queue
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the first Inject ran descriptors queued after its own")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		m.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while a drainer was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.opened[1]()
+	<-stopped
+	if avail := m.Pool().Avail(); avail != 256 {
+		t.Fatalf("pool avail after Stop = %d, want 256", avail)
+	}
+	out, dropped := uint64(len(g.egressed())), reg.Snapshot().Counters["onvm.dropped"]
+	if out+dropped != n+1 {
+		t.Fatalf("egressed %d + dropped %d, want %d", out, dropped, n+1)
+	}
+	if out > 1+drainBatch {
+		t.Fatalf("%d descriptors egressed: the drainer kept running the queue after Stop", out)
+	}
 }

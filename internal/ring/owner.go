@@ -46,6 +46,24 @@ func (o *Owner) Drain(c Consumer) (n int) {
 	return n
 }
 
+// TryLock takes the flag if no other caller owns the ring and reports
+// whether it did. A caller that wins may run its own element without
+// putting it on the ring when the ring is empty, then must let go with
+// Unlock.
+func (o *Owner) TryLock() bool { return o.owned.CompareAndSwap(false, true) }
+
+// Unlock gives the flag back and then reports whether c has an element
+// published, which the caller must see consumed (a Drain of its own, on
+// another goroutine if it will not wait for it). It is Drain's release and
+// second look without the loop: of Unlock's look and a producer's try for
+// the flag, at least one sees the other side's store, so an element
+// published while the owner lets go is reported here or taken by its
+// producer.
+func (o *Owner) Unlock(c Consumer) bool {
+	o.owned.Store(false)
+	return c.Ready()
+}
+
 // Hold takes the flag for good, waiting out the owner in flight: Drain
 // never consumes the ring again, and whatever is left in it belongs to the
 // holder. It is the teardown half of the protocol.

@@ -111,6 +111,9 @@ const (
 type scratch struct {
 	keys []sessKey
 	ctxs []*SessCtx
+	// paged is set when the burst started a paging report, which its
+	// caller should let run once it is done with the burst.
+	paged bool
 }
 
 // Process runs the fast path on one packet buffer: a burst of one. p is
@@ -118,13 +121,18 @@ type scratch struct {
 // its embedded key is the classifier key, so none is built per packet.
 // The return value reports whether the descriptor was handed back with
 // Meta set (true) or ownership was retained — parked in a session buffer
-// (false).
+// (false). A packet that starts a paging report yields to the report
+// before Process returns.
 func (u *UPFU) Process(buf *pktbuf.Buf, p *pkt.Parsed) bool {
 	one := [1]*pktbuf.Buf{buf}
 	var key [1]sessKey
 	var ctx [1]*SessCtx
 	sc := scratch{keys: key[:], ctxs: ctx[:]}
-	return u.processBurst(one[:], p, &sc) == 1
+	back := u.processBurst(one[:], p, &sc) == 1
+	if sc.paged {
+		runtime.Gosched()
+	}
+	return back
 }
 
 // processBurst runs the fast path on a burst of descriptors, in order. It
@@ -170,7 +178,7 @@ func (u *UPFU) processBurst(burst []*pktbuf.Buf, p *pkt.Parsed, sc *scratch) int
 				out++
 			}
 		} else {
-			out = u.forwardRun(ctx, burst, keys, i, j, out, p, tk, &clock)
+			out = u.forwardRun(ctx, burst, sc, i, j, out, p, tk, &clock)
 		}
 		i = j
 	}
@@ -206,10 +214,10 @@ func (u *UPFU) noSession(buf *pktbuf.Buf, kind uint8, p *pkt.Parsed) {
 // one hold of the session's rules read lock, compacting the descriptors it
 // hands back to burst[out:] and returning the new out. The forwarded
 // counters are added once for the run.
-func (u *UPFU) forwardRun(ctx *SessCtx, burst []*pktbuf.Buf, keys []sessKey, i, j, out int,
+func (u *UPFU) forwardRun(ctx *SessCtx, burst []*pktbuf.Buf, sc *scratch, i, j, out int,
 	p *pkt.Parsed, tk *trace.Track, clock *burstClock) int {
 	var ulN, dlN uint64
-	paged := false
+	keys := sc.keys
 	ctx.rulesMu.RLock()
 	for k := i; k < j; k++ {
 		buf := burst[k]
@@ -239,7 +247,7 @@ func (u *UPFU) forwardRun(ctx *SessCtx, burst []*pktbuf.Buf, keys []sessKey, i, 
 			if first && far.Action&rules.FARNotifyCP != 0 && u.upfc != nil {
 				// Fire the paging trigger off the fast path.
 				go u.upfc.ReportDL(ctx, pdr.ID)
-				paged = true
+				sc.paged = true
 			}
 			if stored {
 				u.buffered.Add(1)
@@ -266,11 +274,6 @@ func (u *UPFU) forwardRun(ctx *SessCtx, burst []*pktbuf.Buf, keys []sessKey, i, 
 		out++
 	}
 	ctx.rulesMu.RUnlock()
-	if paged {
-		// The report goroutine waits in this P's run-next slot, and the
-		// caller running the fast path does not park: hand it the CPU.
-		runtime.Gosched()
-	}
 	if ulN > 0 {
 		ctx.ulPkts.Add(ulN)
 		u.ulFwd.Add(ulN)
@@ -348,7 +351,15 @@ func (u *UPFU) AttachONVM(m *onvm.Manager, sid onvm.ServiceID) (*onvm.Instance, 
 	// instance's Rx ring is the handler's only caller at any time.
 	p, sc := new(pkt.Parsed), new(scratch)
 	inst, err := m.RegisterBurst(sid, "upf-u", func(burst []*pktbuf.Buf) int {
-		return u.processBurst(burst, p, sc)
+		n := u.processBurst(burst, p, sc)
+		if sc.paged {
+			// The report goroutine waits in this P's run-next slot, and
+			// the caller running the fast path does not park: it hands
+			// the report the CPU once it has let go of every ring.
+			sc.paged = false
+			m.RequestYield()
+		}
+		return n
 	})
 	if err != nil {
 		return nil, err
