@@ -147,16 +147,22 @@ partition-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosPartition|TestChaosOneWay|TestChaosUPFRestart' ./internal/faults
 	L25GC_PART_UES=6 L25GC_PART_WINDOW_MS=120 $(GO) run ./cmd/bench5gc -exp partition
 
-# Time-boxed native fuzzing of the three wire-format decoders that
+# Time-boxed native fuzzing of the four wire-format decoders that
 # parse attacker-adjacent input (PFCP TLVs off N4, NAS PDUs off N2,
-# NGAP frames off the gNB link). Each corpus is seeded from marshal
-# round trips plus malformed prefixes; the property is "never panic,
-# and anything accepted re-marshals cleanly". Not part of `make
-# check` (wall-clock cost); run before touching codec code.
+# NGAP frames off the gNB link, GTP-U headers off N3). Each corpus is
+# seeded from marshal round trips plus malformed prefixes (GTP-U's also
+# from the checked-in testdata/fuzz corpus); the property is "never
+# panic, and anything accepted re-marshals cleanly" (for GTP-U: Decap
+# strips what Decode read, and Encap of the rest decodes back to the
+# same tunnel, QoS flow and bytes). The GTP-U run caps the minimization
+# of each new input at 200 runs: left at its default 60 s budget, the
+# minimizer ate the whole 10 s window. Not part of `make check`
+# (wall-clock cost); run before touching codec code.
 fuzz-smoke:
 	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/pfcp
 	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/nas
 	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/ngap
+	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s -fuzzminimizetime 200x ./internal/gtp
 
 # Descriptor-switch scaling gate: the multi-producer per-flow FIFO
 # invariant under the race detector, a fault-delayed frame not stalling
@@ -172,7 +178,9 @@ scale-smoke:
 # detector — no allocation per delivered packet end to end in either
 # direction (sinks borrow the pool buffer), none per frame in the free5GC
 # mode's socket read loops, none per switch hop, none in UPFU.Process, none
-# in the gNB's UL and DL edges, and the -benchmem rows that say the same —
+# per packet through an attached UPF-U's flow cache (256 sessions of 8
+# PDRs, hit and forced miss), none in the gNB's UL and DL edges, and the
+# -benchmem rows that say the same —
 # then, ten times under the race detector, the ring-ownership helper's
 # properties (10^5 lone sends from four producers, nothing stranded at
 # release, one consumer at a time, Hold waiting out the owner; the same
@@ -184,20 +192,24 @@ scale-smoke:
 # fault-delayed frames whose timers fire after Stop, 10^5 lone packets
 # from four producers through the chain, a rollout while traffic flows,
 # counters batched but not lost, an in-place run leaving later arrivals to
-# a drainer, Stop waiting out a drainer, the session-buffer drain;
+# a drainer, Stop waiting out a drainer, the session-buffer drain, and the
+# flow cache's invalidations (paging flip, handover retarget, PDR add and
+# remove, QER install, delete and reuse, index takeovers, Reset, two flows
+# of one slot, FAR rewrites while packets flow, rules never written in
+# place);
 # and the borrow contract: a sink that keeps its slice reads the poison
 # (pool buffer or socket read buffer), one that copies reads its packet,
 # and the three modes deliver the same bytes in the same order.
 fastpath-smoke:
 	$(GO) test -count=1 -run 'TestFastPathAllocs|TestSocketEdgesAllocateNothingPerFrame' ./internal/core
 	$(GO) test -count=1 -run 'TestHopAllocs' -bench 'BenchmarkDescriptorSwitch/tracer=off' -benchmem ./internal/onvm
-	$(GO) test -count=1 -run 'TestProcessAllocs' -bench 'BenchmarkUPFUProcess' -benchmem ./internal/upf
+	$(GO) test -count=1 -run 'TestProcessAllocs|TestFlowCacheAllocs' -bench 'BenchmarkUPFUProcess|BenchmarkUPFUBurst' -benchmem ./internal/upf
 	$(GO) test -count=1 -run 'TestNone' -bench 'BenchmarkSendUplink|BenchmarkHandleDLFrame' -benchmem -cpu 1,2 ./internal/ranue
 	$(GO) test -race -count=10 -run 'TestOwner' ./internal/ring
 	$(GO) test -race -count=10 -run 'TestStash' ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'Bulk' ./internal/ring ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestDelayedTimersAfterStopRelease|TestLonePackets|TestSnapshotSeen|TestCountersBatched|TestInPlaceRunHandsLaterArrivalsToDrainer|TestStopWaitsOutDrainer' ./internal/onvm
-	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSessionBurst' ./internal/upf
+	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSessionBurst|TestFlowCache|TestInstalledRules' ./internal/upf
 	$(GO) test -race -count=3 -run 'TestSinksSwapWhileDownlinkFlows|TestSinkRetentionGuard|TestModesDeliverIdenticalBytes' ./internal/core
 
 # Control-plane transport gate (DESIGN §17), and the local loop for

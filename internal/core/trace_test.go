@@ -125,7 +125,7 @@ func TestRegistryNameSet(t *testing.T) {
 		{ModeL25GC, append([]string{
 			"onvm.switched", "onvm.dropped", "onvm.ring_overflow_drops",
 			"upf.ul_fwd", "upf.dl_fwd", "upf.buffered", "upf.dropped",
-			"upf.misses", "upf.rate_dropped",
+			"upf.misses", "upf.rate_dropped", "upf.flow_misses",
 			"sbi.udm.served_inline", "sbi.udm.served_queued",
 			"pfcp.upf.served_inline", "pfcp.upf.served_queued",
 		}, common...)},

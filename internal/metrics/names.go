@@ -48,6 +48,8 @@ var LintNames = []string{
 	"upf.dropped",
 	"upf.misses",
 	"upf.rate_dropped",
+	// Packets a UPF-U flow cache did not resolve (the long path ran).
+	"upf.flow_misses",
 	"upf.sessions",
 	"upf.buffer_depth",
 

@@ -16,8 +16,8 @@ import (
 )
 
 // burstUPF is a UPF with a few sessions for the burst tests: session k
-// (k = 0..n-1) has CP SEID 100+k and UE address 10.60.1.k+1, and a QER if
-// mbrKbps gives it a rate.
+// (k = 0..n-1) has CP SEID 100+k and UE address 10.60.1.k+1 (10.60.2.x
+// from k = 255 on), and a QER if mbrKbps gives it a rate.
 type burstUPF struct {
 	st    *State
 	c     *UPFC
@@ -33,7 +33,7 @@ func newBurstUPF(t testing.TB, sessions int, mbrKbps func(k int) uint64) *burstU
 	c := NewUPFC(st, n3IP, nil)
 	p := &burstUPF{st: st, c: c, u: NewUPFU(st, c), pool: pktbuf.NewPool(2048, "burst")}
 	for k := 0; k < sessions; k++ {
-		ip := pkt.AddrFrom(10, 60, 1, byte(k+1))
+		ip := pkt.AddrFrom(10, 60, byte(1+(k+1)>>8), byte(k+1))
 		req := establishReq(uint64(100 + k))
 		req.UEIP = ip
 		for _, pdr := range req.CreatePDRs {
@@ -74,12 +74,18 @@ func (p *burstUPF) ul(t testing.TB, k, payload int) *pktbuf.Buf {
 
 func (p *burstUPF) dl(t testing.TB, k, payload int) *pktbuf.Buf {
 	t.Helper()
+	return p.dlFrom(t, k, 9000, payload)
+}
+
+// dlFrom builds a downlink packet of session k from source port sport.
+func (p *burstUPF) dlFrom(t testing.TB, k int, sport uint16, payload int) *pktbuf.Buf {
+	t.Helper()
 	b, err := p.pool.Get()
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := make([]byte, 256)
-	n, err := pkt.BuildUDPv4(raw, dnIP, p.ips[k], 9000, 40000, 0, make([]byte, payload))
+	n, err := pkt.BuildUDPv4(raw, dnIP, p.ips[k], sport, 40000, 0, make([]byte, payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +193,11 @@ func (p *burstUPF) script(t testing.TB, i int) *pktbuf.Buf {
 }
 
 // TestBurstCountersMatchPerPacket runs one 10 000-packet script through two
-// identical UPFs — one packet at a time on the first, in bursts of
-// changing size on the second — and requires the same outcome for every
-// packet and the same value in every counter: batching the updates must
-// not lose or move any.
+// identical UPFs — one packet at a time with no flow cache on the first,
+// in bursts of changing size through a flow cache on the second — and
+// requires the same outcome for every packet and the same value in every
+// counter: neither the cache nor batching the updates may change, lose or
+// move any.
 func TestBurstCountersMatchPerPacket(t *testing.T) {
 	const total = 10000
 	// Session 2: 2 Mbit/s, a 25 KB allowance the script exhausts.
@@ -223,7 +230,7 @@ func TestBurstCountersMatchPerPacket(t *testing.T) {
 			b.Release()
 		}
 	}
-	parsed, sc := new(pkt.Parsed), new(scratch)
+	parsed, sc := new(pkt.Parsed), &scratch{flows: new(flowCache)}
 	for i, size := 0, 1; i < total; size = size%64 + 1 {
 		var bufs, all []*pktbuf.Buf
 		for j := i; j < i+size && j < total; j++ {

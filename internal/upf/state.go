@@ -77,10 +77,17 @@ type SessCtx struct {
 	mu sync.Mutex
 
 	// rulesMu guards Sess's rule maps and Cls: the fast path holds the
-	// read side per packet (uncontended in steady state), UPF-C holds the
-	// write side for rule updates — the Go-memory-model-safe rendering of
-	// the paper's shared-hugepage rule store.
+	// read side per flow-cache miss (uncontended in steady state), UPF-C
+	// holds the write side for rule updates — the Go-memory-model-safe
+	// rendering of the paper's shared-hugepage rule store.
 	rulesMu sync.RWMutex
+	// rulesGen names the session's current rules and index entries, for
+	// the UPF-U flow caches: an entry filled at another generation is
+	// stale. It moves under rulesMu's write side before every rule write
+	// (establishment's gives the session its first), and after the session
+	// loses an index entry (deleted, or its TEID or UE address taken by
+	// another session). Values come from rulesGenSeq.
+	rulesGen atomic.Uint64
 
 	Sess      *rules.Session
 	Cls       classifier.Classifier
@@ -158,6 +165,14 @@ func (c *SessCtx) Drain() []*pktbuf.Buf {
 	return out
 }
 
+// rulesGenSeq hands out rules generations: process-wide and from 1 on, so
+// a bumped generation is never 0 and never one that any session had before.
+var rulesGenSeq atomic.Uint64
+
+// bumpGen moves the session to a fresh rules generation, invalidating
+// every flow-cache entry filled before.
+func (c *SessCtx) bumpGen() { c.rulesGen.Store(rulesGenSeq.Add(1)) }
+
 // setMBR installs a QER's maximum bit rates. The caller holds rulesMu.
 func (c *SessCtx) setMBR(ulKbps, dlKbps uint64) {
 	c.mu.Lock()
@@ -168,15 +183,14 @@ func (c *SessCtx) setMBR(ulKbps, dlKbps uint64) {
 }
 
 // allow charges bits to the session's MBR in one direction, reading the
-// burst's clock only if that direction has a rate. The caller holds the
-// rules read lock.
+// burst's clock. Called only for a direction whose rules set a rate, as
+// the rules read under the read lock or cached in a flow-cache entry
+// still current; on a cache hit the caller holds no rules lock, and the
+// bucket needs none: it is guarded by mu.
 func (c *SessCtx) allow(ul bool, bits int, clock *burstClock) bool {
-	bucket, limited := &c.dlBucket, c.dlLimited
+	bucket := &c.dlBucket
 	if ul {
-		bucket, limited = &c.ulBucket, c.ulLimited
-	}
-	if !limited {
-		return true
+		bucket = &c.ulBucket
 	}
 	now := clock.now()
 	c.mu.Lock()
@@ -200,6 +214,7 @@ func (c *SessCtx) Match(k *classifier.Key) (*rules.PDR, *rules.FAR) {
 func (c *SessCtx) UpdateRules(fn func()) {
 	c.rulesMu.Lock()
 	defer c.rulesMu.Unlock()
+	c.bumpGen()
 	fn()
 }
 
@@ -255,7 +270,9 @@ func (s *State) CreateSession(cpSEID uint64, ueIP pkt.Addr) (*SessCtx, error) {
 	}
 	s.bySEID[cpSEID] = ctx
 	if ueIP != (pkt.Addr{}) {
-		s.dl.Store(ipKey(ueIP), ctx)
+		if prev, taken := s.dl.Swap(ipKey(ueIP), ctx); taken {
+			prev.(*SessCtx).bumpGen()
+		}
 	}
 	return ctx, nil
 }
@@ -266,7 +283,9 @@ func (s *State) CreateSession(cpSEID uint64, ueIP pkt.Addr) (*SessCtx, error) {
 // never hand the same TEID out again.
 func (s *State) BindTEID(teid uint32, ctx *SessCtx) {
 	s.mu.Lock()
-	s.ul.Store(teid, ctx)
+	if prev, taken := s.ul.Swap(teid, ctx); taken && prev != ctx {
+		prev.(*SessCtx).bumpGen()
+	}
 	if !slices.Contains(ctx.teids, teid) {
 		ctx.teids = append(ctx.teids, teid)
 	}
@@ -287,21 +306,17 @@ func (s *State) Session(cpSEID uint64) (*SessCtx, bool) {
 	return c, ok
 }
 
-// resolve fills ctxs with the session of every key (nil for none), taking
-// no lock and looking a run of equal keys up once.
-func (s *State) resolve(keys []sessKey, ctxs []*SessCtx) {
-	for i, k := range keys {
-		switch {
-		case i > 0 && k == keys[i-1]:
-			ctxs[i] = ctxs[i-1]
-		case k.kind == keyTEID:
-			ctxs[i], _ = s.ByTEID(k.teid)
-		case k.kind == keyUEIP:
-			ctxs[i], _ = s.ByUEIP(k.ip)
-		default:
-			ctxs[i] = nil
-		}
+// indexed returns the session a flow key's index entry points at — the
+// uplink TEID's or the downlink destination's — or nil.
+func (s *State) indexed(k *pkt.FlowKey) *SessCtx {
+	var c any
+	if k.FromAccess {
+		c, _ = s.ul.Load(k.TEID)
+	} else {
+		c, _ = s.dl.Load(ipKey(k.Tuple.Dst))
 	}
+	ctx, _ := c.(*SessCtx)
+	return ctx
 }
 
 // ByTEID resolves an uplink session (N3 fast path).
@@ -343,6 +358,10 @@ func (s *State) DeleteSession(cpSEID uint64) (*SessCtx, error) {
 	for _, teid := range ctx.teids {
 		s.ul.CompareAndDelete(teid, ctx)
 	}
+	// After the index entries go: a miss that found the session in the
+	// index before then either read the older generation, or finds the
+	// entry gone when it checks the index again.
+	ctx.bumpGen()
 	return ctx, nil
 }
 
@@ -440,6 +459,7 @@ func (s *State) Reset() {
 	}
 	s.mu.Unlock()
 	for _, c := range ctxs {
+		c.bumpGen()
 		for _, b := range c.Drain() {
 			b.Release()
 		}

@@ -171,8 +171,12 @@ func (c *UPFC) establish(m *pfcp.SessionEstablishmentRequest) (pfcp.Message, err
 		return &pfcp.SessionEstablishmentResponse{Cause: pfcp.CauseRequestRejected}, nil
 	}
 	resp := &pfcp.SessionEstablishmentResponse{Cause: pfcp.CauseAccepted, UPSEID: ctx.UPSEID}
+	// Every rule is installed as a copy that nothing writes afterwards, so
+	// a flow-cache entry may keep pointing at one it resolved to (DESIGN
+	// §11, "The flow cache"); the generation bump tells it to stop.
 	ctx.rulesMu.Lock()
 	defer ctx.rulesMu.Unlock()
+	ctx.bumpGen()
 	for _, far := range m.CreateFARs {
 		f := *far
 		ctx.Sess.FARs[f.ID] = &f
@@ -218,6 +222,7 @@ func (c *UPFC) modify(seid uint64, m *pfcp.SessionModificationRequest) (pfcp.Mes
 	}
 	resp := &pfcp.SessionModificationResponse{Cause: pfcp.CauseAccepted}
 	ctx.rulesMu.Lock()
+	ctx.bumpGen()
 	var startedForwarding bool
 	apply := func(far *rules.FAR) {
 		f := *far

@@ -1,6 +1,7 @@
 package upf
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"l25gc/internal/onvm"
 	"l25gc/internal/pkt"
 	"l25gc/internal/pktbuf"
+	"l25gc/internal/ring"
 	"l25gc/internal/rules"
 	"l25gc/internal/trace"
 )
@@ -50,6 +52,7 @@ type UPFU struct {
 	dropped      atomic.Uint64
 	misses       atomic.Uint64
 	rateDropped  atomic.Uint64
+	flowMisses   atomic.Uint64 // added once per burst: a hit pays no shared atomic
 }
 
 // NewUPFU creates the fast path over shared state. upfc may be nil when no
@@ -79,6 +82,7 @@ func (u *UPFU) ExportMetrics(reg *metrics.Registry, prefix string) {
 	reg.RegisterGauge(prefix+".dropped", u.dropped.Load)
 	reg.RegisterGauge(prefix+".misses", u.misses.Load)
 	reg.RegisterGauge(prefix+".rate_dropped", u.rateDropped.Load)
+	reg.RegisterGauge(prefix+".flow_misses", u.flowMisses.Load)
 }
 
 // Stats returns the counter snapshot.
@@ -90,44 +94,74 @@ func (u *UPFU) Stats() UStats {
 	}
 }
 
-// sessKey is what one descriptor's session is looked up by.
-type sessKey struct {
-	kind uint8 // keyNone, keyTEID or keyUEIP
-	teid uint32
-	ip   pkt.Addr
-}
-
-const (
-	keyNone uint8 = iota // malformed: no key could be read
-	keyTEID              // uplink: the G-PDU's tunnel endpoint
-	keyUEIP              // downlink: the packet's destination address
-)
-
 // scratch is what one fast-path caller keeps from burst to burst beside
-// its pkt.Parsed: per descriptor of the burst in hand, the session key and
-// the session it resolved to. One goroutine at a time. (The Parsed is
-// passed on its own: it goes through the classifier interface, which the
-// compiler takes for an escape of everything stored with it.)
+// its pkt.Parsed. One goroutine at a time. (The Parsed is passed on its
+// own: it goes through the classifier interface, which the compiler takes
+// for an escape of everything stored with it.)
 type scratch struct {
-	keys []sessKey
-	ctxs []*SessCtx
+	// flows is the caller's flow cache; nil for a caller that keeps none
+	// (Process), which resolves every packet the long way.
+	flows *flowCache
 	// paged is set when the burst started a paging report, which its
 	// caller should let run once it is done with the burst.
 	paged bool
 }
 
-// Process runs the fast path on one packet buffer: a burst of one. p is
-// the caller's reusable parse state (one per goroutine, zero allocation);
-// its embedded key is the classifier key, so none is built per packet.
-// The return value reports whether the descriptor was handed back with
-// Meta set (true) or ownership was retained — parked in a session buffer
-// (false). A packet that starts a paging report yields to the report
-// before Process returns.
+// flowSlots is the size of a flow cache: a power of two. 4096 slots of
+// one 64-byte entry each is 256 KiB per UPF-U instance, eight slots per
+// flow key of 256 bidirectional sessions.
+const flowSlots = 1 << 12
+
+// flowCache is a direct-mapped, exact-match cache from a packet's flow key
+// to what the long path resolved it to. It belongs to the owner of one
+// UPF-U instance's Rx ring, so it is read and written without a lock.
+//
+// The key decides the session: an uplink key carries the G-PDU's TEID, a
+// downlink key the UE address. An entry is valid while its session's
+// rules generation still reads gen (DESIGN §11, "The flow cache").
+type flowCache [flowSlots]flowEntry
+
+// flowEntry is one slot of a flowCache.
+type flowEntry struct {
+	key     pkt.FlowKey
+	ctx     *SessCtx
+	gen     uint64
+	pdr     *rules.PDR
+	far     *rules.FAR
+	limited bool // the key's direction has an MBR
+}
+
+// slot returns the one slot k may occupy.
+func (c *flowCache) slot(k *pkt.FlowKey) *flowEntry {
+	t := &k.Tuple
+	a := uint64(binary.BigEndian.Uint32(t.Src[:]))<<32 | uint64(binary.BigEndian.Uint32(t.Dst[:]))
+	b := uint64(t.SrcPort)<<48 | uint64(t.DstPort)<<32 | uint64(k.TEID)
+	x := uint64(t.Protocol)<<16 | uint64(k.TOS)<<8
+	if k.FromAccess {
+		x |= 1
+	}
+	h := ring.Fmix64(a*0x9e3779b97f4a7c15 ^ b*0xc2b2ae3d27d4eb4f ^ x)
+	return &c[h&(flowSlots-1)]
+}
+
+// hits reports whether e holds k's resolution under its session's current
+// rules. A slot never filled has no session. An entry can outlive its
+// session, but its generation moved when the session went and is never
+// handed out again.
+func (e *flowEntry) hits(k *pkt.FlowKey) bool {
+	return e.key == *k && e.ctx != nil && e.ctx.rulesGen.Load() == e.gen
+}
+
+// Process runs the fast path on one packet buffer: a burst of one, with no
+// flow cache. p is the caller's reusable parse state (one per goroutine,
+// zero allocation); its embedded key is the classifier key, so none is
+// built per packet. The return value reports whether the descriptor was
+// handed back with Meta set (true) or ownership was retained — parked in a
+// session buffer (false). A packet that starts a paging report yields to
+// the report before Process returns.
 func (u *UPFU) Process(buf *pktbuf.Buf, p *pkt.Parsed) bool {
 	one := [1]*pktbuf.Buf{buf}
-	var key [1]sessKey
-	var ctx [1]*SessCtx
-	sc := scratch{keys: key[:], ctxs: ctx[:]}
+	var sc scratch
 	back := u.processBurst(one[:], p, &sc) == 1
 	if sc.paged {
 		runtime.Gosched()
@@ -138,51 +172,46 @@ func (u *UPFU) Process(buf *pktbuf.Buf, p *pkt.Parsed) bool {
 // processBurst runs the fast path on a burst of descriptors, in order. It
 // moves the descriptors it hands back (Meta set) to the front of burst and
 // returns how many there are; the others were parked in session buffers.
-//
-// Three passes. The first reads every descriptor's session key (stripping
-// the GTP-U header of uplink ones). The second resolves the keys under one
-// read lock of the session tables, a run of equal keys with one map
-// lookup, and lets go of the lock: nothing below runs under it. The third
-// classifies and forwards, a run of descriptors of one session at a time.
+// The forwarded counters are added once per run of one session's packets,
+// the flow-cache misses once per burst.
 func (u *UPFU) processBurst(burst []*pktbuf.Buf, p *pkt.Parsed, sc *scratch) int {
-	n := len(burst)
-	if cap(sc.keys) < n {
-		sc.keys, sc.ctxs = make([]sessKey, n), make([]*SessCtx, n)
-	}
-	keys, ctxs := sc.keys[:n], sc.ctxs[:n]
-	for i, b := range burst {
-		keys[i] = sessKey{}
-		if b.Meta.Uplink {
-			if hdr, err := gtp.Decap(b); err == nil && hdr.MsgType == gtp.MsgGPDU {
-				keys[i] = sessKey{kind: keyTEID, teid: hdr.TEID}
-			}
-		} else if ip := b.Bytes(); len(ip) >= pkt.IPv4MinLen {
-			keys[i] = sessKey{kind: keyUEIP, ip: pkt.Addr(ip[16:20])}
-		}
-	}
-	u.state.resolve(keys, ctxs)
-
 	tk := u.tracec.Load()
-	clock := burstClock{read: u.nowNano}
+	b := burstState{clock: burstClock{read: u.nowNano}}
 	out := 0
-	for i := 0; i < n; {
-		ctx := ctxs[i]
-		j := i + 1
-		for j < n && ctxs[j] == ctx {
-			j++
+	for _, buf := range burst {
+		if u.handle(buf, p, sc, tk, &b) {
+			burst[out] = buf
+			out++
 		}
-		if ctx == nil {
-			for k := i; k < j; k++ {
-				u.noSession(burst[k], keys[k].kind, p)
-				burst[out] = burst[k]
-				out++
-			}
-		} else {
-			out = u.forwardRun(ctx, burst, sc, i, j, out, p, tk, &clock)
-		}
-		i = j
+	}
+	u.flushRun(&b)
+	if b.flowMisses > 0 {
+		u.flowMisses.Add(b.flowMisses)
 	}
 	return out
+}
+
+// burstState is what processBurst carries from one descriptor to the next.
+type burstState struct {
+	clock burstClock
+	// run is the session of the last forwarded packets, ul and dl how many
+	// went each way, not yet added to the counters.
+	run        *SessCtx
+	ul, dl     uint64
+	flowMisses uint64
+}
+
+// flushRun adds the pending run's forwarded counts to the counters.
+func (u *UPFU) flushRun(b *burstState) {
+	if b.ul > 0 {
+		b.run.ulPkts.Add(b.ul)
+		u.ulFwd.Add(b.ul)
+	}
+	if b.dl > 0 {
+		b.run.dlPkts.Add(b.dl)
+		u.dlFwd.Add(b.dl)
+	}
+	b.ul, b.dl = 0, 0
 }
 
 // burstClock reads the clock at most once per burst, and only if a
@@ -199,90 +228,146 @@ func (c *burstClock) now() int64 {
 	return c.nano
 }
 
-// noSession disposes of a descriptor that resolved to no session: dropped
-// if it is malformed, a miss otherwise.
-func (u *UPFU) noSession(buf *pktbuf.Buf, kind uint8, p *pkt.Parsed) {
-	buf.Meta.Action = pktbuf.ActionDrop
-	if kind == keyNone || (kind == keyUEIP && p.ParseIPv4(buf.Bytes()) != nil) {
-		u.dropped.Add(1)
+// handle runs the fast path on one descriptor: reads its flow key
+// (stripping the GTP-U header of an uplink one), resolves the key to a
+// session, PDR and FAR — from the flow cache on a hit, the long way on a
+// miss — and applies the FAR. It reports whether the descriptor goes back
+// to the caller (Meta set) or was parked in a session buffer.
+func (u *UPFU) handle(buf *pktbuf.Buf, p *pkt.Parsed, sc *scratch, tk *trace.Track, b *burstState) bool {
+	ul := buf.Meta.Uplink
+	var teid uint32
+	if ul {
+		hdr, err := gtp.Decap(buf)
+		if err != nil || hdr.MsgType != gtp.MsgGPDU {
+			u.drop(buf)
+			return true
+		}
+		teid = hdr.TEID
+	}
+	cls := tk.Start("upf.classify")
+	if err := p.ParseIPv4(buf.Bytes()); err != nil {
+		cls.End()
+		if ul && u.state.indexed(&pkt.FlowKey{TEID: teid, FromAccess: true}) == nil {
+			u.miss(buf) // a tunnel nobody owns, whatever it carries
+		} else {
+			u.drop(buf)
+		}
+		return true
+	}
+	p.TEID, p.FromAccess = teid, ul
+	var e *flowEntry
+	if sc.flows != nil {
+		e = sc.flows.slot(&p.FlowKey)
+	}
+	if e == nil || !e.hits(&p.FlowKey) {
+		b.flowMisses++
+		var f flowEntry
+		if parked, back := u.resolve(buf, p, sc, tk, cls, &f); parked {
+			return back
+		}
+		if f.ctx == nil {
+			cls.End()
+			u.miss(buf)
+			return true
+		}
+		// Cached unless no PDR matched, or the key's index entry moved
+		// while it was resolved: the move's generation bump may have come
+		// before resolve read the generation.
+		if e == nil || f.pdr == nil || u.state.indexed(&p.FlowKey) != f.ctx {
+			e = &f
+		} else {
+			*e = f
+		}
+	}
+	cls.End()
+	ctx, pdr, far := e.ctx, e.pdr, e.far
+	switch {
+	case pdr == nil:
+		u.miss(buf)
+	case far == nil || far.Action&rules.FARForward == 0:
+		u.drop(buf)
+	case e.limited && !ctx.allow(ul, buf.Len()*8, &b.clock):
+		u.rateDropped.Add(1)
+		buf.Meta.Action = pktbuf.ActionDrop
+	case ul:
+		// OuterHeaderRemoval already happened via Decap; forward plain IP
+		// to N6.
+		buf.Meta.Action = pktbuf.ActionToPort
+		buf.Meta.Port = uint16(PortN6)
+		u.count(b, ctx, true)
+	case u.encapTo(buf, pdr, far) != nil:
+		u.drop(buf)
+	default:
+		u.count(b, ctx, false)
+	}
+	return true
+}
+
+// count adds one forwarded packet of ctx to the pending run, flushing the
+// run of another session first.
+func (u *UPFU) count(b *burstState, ctx *SessCtx, ul bool) {
+	if b.run != ctx {
+		u.flushRun(b)
+		b.run = ctx
+	}
+	if ul {
+		b.ul++
 	} else {
-		u.misses.Add(1)
+		b.dl++
 	}
 }
 
-// forwardRun classifies and forwards burst[i:j], all of session ctx, under
-// one hold of the session's rules read lock, compacting the descriptors it
-// hands back to burst[out:] and returning the new out. The forwarded
-// counters are added once for the run.
-func (u *UPFU) forwardRun(ctx *SessCtx, burst []*pktbuf.Buf, sc *scratch, i, j, out int,
-	p *pkt.Parsed, tk *trace.Track, clock *burstClock) int {
-	var ulN, dlN uint64
-	keys := sc.keys
+// resolve is the flow cache's miss path: the session from the index, then,
+// under the session's rules read lock, its rules generation, PDR (the
+// classifier), FAR and MBR flag, filled into f. A downlink packet whose FAR
+// buffers is parked here, under the read lock, so UPF-C's buffer→forward
+// flip — which drains the session buffer after taking the write side —
+// follows every park it could otherwise strand; resolve then ends the
+// classify span cls, reports parked, and back says whether the descriptor
+// goes back to the caller. Such a flow is never cached: each of its
+// packets comes back here.
+func (u *UPFU) resolve(buf *pktbuf.Buf, p *pkt.Parsed, sc *scratch, tk *trace.Track, cls trace.Span,
+	f *flowEntry) (parked, back bool) {
+	ctx := u.state.indexed(&p.FlowKey)
+	if ctx == nil {
+		return false, false
+	}
+	ul := p.FromAccess
 	ctx.rulesMu.RLock()
-	for k := i; k < j; k++ {
-		buf := burst[k]
-		ul := keys[k].kind == keyTEID
-		cls := tk.Start("upf.classify")
-		var pdr *rules.PDR
-		var far *rules.FAR
-		err := p.ParseIPv4(buf.Bytes())
-		if err == nil {
-			p.TEID, p.FromAccess = keys[k].teid, ul
-			if pdr = ctx.Cls.Lookup(&p.FlowKey); pdr != nil {
-				far = ctx.Sess.FAR(pdr.FARID)
-			}
-		}
-		cls.End()
-		switch {
-		case err != nil:
-			u.drop(buf)
-		case pdr == nil:
-			u.miss(buf)
-		case far == nil:
-			u.drop(buf)
-		case !ul && far.Action&rules.FARBuffer != 0:
-			sp := tk.Start("upf.buffer")
-			stored, first := ctx.Park(buf)
-			sp.End()
-			if first && far.Action&rules.FARNotifyCP != 0 && u.upfc != nil {
-				// Fire the paging trigger off the fast path.
-				go u.upfc.ReportDL(ctx, pdr.ID)
-				sc.paged = true
-			}
-			if stored {
-				u.buffered.Add(1)
-				continue // ownership retained by the session buffer
-			}
-			u.drop(buf)
-		case far.Action&rules.FARForward == 0:
-			u.drop(buf)
-		case !ctx.allow(ul, buf.Len()*8, clock):
-			u.rateDropped.Add(1)
-			buf.Meta.Action = pktbuf.ActionDrop
-		case ul:
-			// OuterHeaderRemoval already happened via Decap; forward plain
-			// IP to N6.
-			buf.Meta.Action = pktbuf.ActionToPort
-			buf.Meta.Port = uint16(PortN6)
-			ulN++
-		case u.encapTo(buf, pdr, far) != nil:
-			u.drop(buf)
-		default:
-			dlN++
-		}
-		burst[out] = buf
-		out++
+	defer ctx.rulesMu.RUnlock()
+	*f = flowEntry{key: p.FlowKey, ctx: ctx, gen: ctx.rulesGen.Load(), limited: ctx.dlLimited}
+	if ul {
+		f.limited = ctx.ulLimited
 	}
-	ctx.rulesMu.RUnlock()
-	if ulN > 0 {
-		ctx.ulPkts.Add(ulN)
-		u.ulFwd.Add(ulN)
+	if f.pdr = ctx.Cls.Lookup(&p.FlowKey); f.pdr != nil {
+		f.far = ctx.Sess.FAR(f.pdr.FARID)
 	}
-	if dlN > 0 {
-		ctx.dlPkts.Add(dlN)
-		u.dlFwd.Add(dlN)
+	if ul || f.far == nil || f.far.Action&rules.FARBuffer == 0 {
+		return false, false
 	}
-	return out
+	cls.End()
+	return true, u.park(ctx, buf, f.pdr, f.far, sc, tk)
+}
+
+// park puts a downlink packet whose FAR buffers in its session buffer and
+// starts the paging report on an episode's first packet. It reports
+// whether the descriptor goes back to the caller: dropped, the buffer
+// being full. The caller holds the rules read lock.
+func (u *UPFU) park(ctx *SessCtx, buf *pktbuf.Buf, pdr *rules.PDR, far *rules.FAR, sc *scratch, tk *trace.Track) bool {
+	sp := tk.Start("upf.buffer")
+	stored, first := ctx.Park(buf)
+	sp.End()
+	if first && far.Action&rules.FARNotifyCP != 0 && u.upfc != nil {
+		// Fire the paging trigger off the fast path.
+		go u.upfc.ReportDL(ctx, pdr.ID)
+		sc.paged = true
+	}
+	if stored {
+		u.buffered.Add(1)
+		return false // ownership retained by the session buffer
+	}
+	u.drop(buf)
+	return true
 }
 
 // encapTo applies the FAR's outer header creation and targets N3.
@@ -347,23 +432,29 @@ func (u *UPFU) miss(buf *pktbuf.Buf) {
 // AttachONVM registers the UPF-U as an NF on the platform under service
 // sid, wiring the emit path through the instance's Tx ring.
 func (u *UPFU) AttachONVM(m *onvm.Manager, sid onvm.ServiceID) (*onvm.Instance, error) {
-	// One parse state and scratch per instance: the owner of the
-	// instance's Rx ring is the handler's only caller at any time.
-	p, sc := new(pkt.Parsed), new(scratch)
-	inst, err := m.RegisterBurst(sid, "upf-u", func(burst []*pktbuf.Buf) int {
-		n := u.processBurst(burst, p, sc)
-		if sc.paged {
-			// The report goroutine waits in this P's run-next slot, and
-			// the caller running the fast path does not park: it hands
-			// the report the CPU once it has let go of every ring.
-			sc.paged = false
-			m.RequestYield()
-		}
-		return n
-	})
+	// The report goroutine waits in this P's run-next slot, and the caller
+	// running the fast path does not park: it hands the report the CPU
+	// once it has let go of every ring.
+	inst, err := m.RegisterBurst(sid, "upf-u", u.burstHandler(m.RequestYield))
 	if err != nil {
 		return nil, err
 	}
 	u.SetEmit(inst.SendBurst)
 	return inst, nil
+}
+
+// burstHandler returns the handler of one UPF-U instance, with its own
+// parse state, scratch and flow cache: the owner of the instance's Rx ring
+// is the handler's only caller at any time. yield is called after a burst
+// that started a paging report.
+func (u *UPFU) burstHandler(yield func()) onvm.BurstHandler {
+	p, sc := new(pkt.Parsed), &scratch{flows: new(flowCache)}
+	return func(burst []*pktbuf.Buf) int {
+		n := u.processBurst(burst, p, sc)
+		if sc.paged {
+			sc.paged = false
+			yield()
+		}
+		return n
+	}
 }
