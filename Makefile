@@ -154,14 +154,14 @@ partition-smoke:
 # from the checked-in testdata/fuzz corpus); the property is "never
 # panic, and anything accepted re-marshals cleanly" (for GTP-U: Decap
 # strips what Decode read, and Encap of the rest decodes back to the
-# same tunnel, QoS flow and bytes). The GTP-U run caps the minimization
-# of each new input at 200 runs: left at its default 60 s budget, the
+# same tunnel, QoS flow and bytes). Every run caps the minimization of
+# each new input at 200 runs: left at its default 60 s budget, the
 # minimizer ate the whole 10 s window. Not part of `make check`
 # (wall-clock cost); run before touching codec code.
 fuzz-smoke:
-	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/pfcp
-	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/nas
-	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/ngap
+	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s -fuzzminimizetime 200x ./internal/pfcp
+	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s -fuzzminimizetime 200x ./internal/nas
+	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s -fuzzminimizetime 200x ./internal/ngap
 	$(GO) test -run 'FuzzNone' -fuzz 'FuzzDecode' -fuzztime 10s -fuzzminimizetime 200x ./internal/gtp
 
 # Descriptor-switch scaling gate: the multi-producer per-flow FIFO

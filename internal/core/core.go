@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"maps"
 	"net"
+	"net/netip"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -170,7 +171,7 @@ type Core struct {
 
 	UPFState *upf.State
 	UPFC     *upf.UPFC
-	UPFU     *upf.UPFU // nil in free5GC mode
+	UPFU     *upf.UPFU
 
 	// Per-NF admission controllers (nil unless Config.Overload).
 	OverloadAMF *overload.Controller
@@ -199,9 +200,13 @@ type Core struct {
 
 	mu sync.Mutex
 
-	// free5GC-mode sockets on the RAN/DN side.
-	gnbSocks map[pkt.Addr]*net.UDPConn
-	dnSock   *net.UDPConn
+	// free5GC-mode sockets on the RAN/DN side, and the kernel UPF's
+	// addresses, resolved once. SendUL writes from ulSock: any gNB socket
+	// will do as the source, so the first one attached.
+	gnbSocks       map[pkt.Addr]*net.UDPConn
+	ulSock         atomic.Pointer[net.UDPConn]
+	dnSock         *net.UDPConn
+	kupfN3, kupfN6 netip.AddrPort
 
 	closers []func()
 }
@@ -301,19 +306,20 @@ func (c *Core) start() error {
 	c.UPFState.ExportMetrics(reg, "upf")
 	c.UPFC = upf.NewUPFC(c.UPFState, upfN3IP, upfEP)
 	c.UPFC.SetOverload(c.OverloadUPF)
+	c.UPFU = upf.NewUPFU(c.UPFState, c.UPFC)
+	c.UPFU.SetTracer(c.track("upf"))
+	c.UPFU.ExportMetrics(reg, "upf")
 	if cfg.Mode == ModeFree5GC {
-		k, err := kernelpath.New(c.UPFState, c.UPFC)
+		k, err := kernelpath.New(c.UPFU)
 		if err != nil {
 			return err
 		}
 		c.kupf = k
 		c.closers = append(c.closers, func() { k.Close() })
+		c.kupfN3, c.kupfN6 = netip.MustParseAddrPort(k.N3Addr()), netip.MustParseAddrPort(k.N6Addr())
 		k.SetTracer(c.track("kern"))
 		k.ExportMetrics(reg, "kern")
 	} else {
-		c.UPFU = upf.NewUPFU(c.UPFState, c.UPFC)
-		c.UPFU.SetTracer(c.track("upf"))
-		c.UPFU.ExportMetrics(reg, "upf")
 		c.mgr = onvm.NewManager(onvm.Config{
 			PoolSize: 8192, RingSize: 2048, PoolPrefix: cfg.PoolPrefix,
 		})
@@ -737,6 +743,7 @@ func (c *Core) AttachGNB(addr pkt.Addr, sink func(frame []byte)) error {
 	c.mu.Lock()
 	c.gnbSocks[addr] = sock
 	c.mu.Unlock()
+	c.ulSock.CompareAndSwap(nil, sock)
 	c.closers = append(c.closers, func() { sock.Close() })
 	if err := c.kupf.RegisterGNB(addr, sock.LocalAddr().String()); err != nil {
 		return err
@@ -748,22 +755,11 @@ func (c *Core) AttachGNB(addr pkt.Addr, sink func(frame []byte)) error {
 // SendUL injects a GTP-U frame from a gNB into the core's N3 interface.
 func (c *Core) SendUL(frame []byte) error {
 	if c.cfg.Mode == ModeFree5GC {
-		ua, err := net.ResolveUDPAddr("udp", c.kupf.N3Addr())
-		if err != nil {
-			return err
-		}
-		// Any gNB socket will do as the source; use the first.
-		c.mu.Lock()
-		var sock *net.UDPConn
-		for _, s := range c.gnbSocks {
-			sock = s
-			break
-		}
-		c.mu.Unlock()
+		sock := c.ulSock.Load()
 		if sock == nil {
 			return fmt.Errorf("core: no gNB attached")
 		}
-		_, err = sock.WriteToUDP(frame, ua)
+		_, err := sock.WriteToUDPAddrPort(frame, c.kupfN3)
 		return err
 	}
 	return c.mgr.Inject(uint16(upf.PortN3), frame, pktbuf.Meta{Uplink: true})
@@ -774,11 +770,7 @@ func (c *Core) SendUL(frame []byte) error {
 // InjectDL delivers a plain IP packet from the data network into N6.
 func (c *Core) InjectDL(ipPkt []byte) error {
 	if c.cfg.Mode == ModeFree5GC {
-		ua, err := net.ResolveUDPAddr("udp", c.kupf.N6Addr())
-		if err != nil {
-			return err
-		}
-		_, err = c.dnSock.WriteToUDP(ipPkt, ua)
+		_, err := c.dnSock.WriteToUDPAddrPort(ipPkt, c.kupfN6)
 		return err
 	}
 	return c.mgr.Inject(uint16(upf.PortN6), ipPkt, pktbuf.Meta{Uplink: false})

@@ -130,7 +130,9 @@ func TestRegistryNameSet(t *testing.T) {
 			"pfcp.upf.served_inline", "pfcp.upf.served_queued",
 		}, common...)},
 		{ModeFree5GC, append([]string{
-			"kern.ul_fwd", "kern.dl_fwd", "kern.dropped", "kern.injected",
+			"upf.ul_fwd", "upf.dl_fwd", "upf.buffered", "upf.dropped",
+			"upf.misses", "upf.rate_dropped", "upf.flow_misses",
+			"kern.dropped", "kern.injected",
 		}, common...)},
 	}
 	for _, tc := range cases {

@@ -1,25 +1,24 @@
 // Package kernelpath is the free5GC-style baseline data plane: the UPF
 // forwards through real kernel UDP sockets on loopback, paying the
 // syscall, copy and interrupt-driven wakeup costs that Appendix B
-// attributes to the gtp5g kernel-module implementation. It reuses the same
-// session state, classifiers and smart-buffering logic as the
-// shared-memory UPF, so throughput and latency comparisons against the
-// ONVM path (Fig. 10) isolate exactly the transport difference.
+// attributes to the gtp5g kernel-module implementation. Every datagram
+// goes through the same UPF-U packet handler (upf.UPFU.Process) as the
+// shared-memory modes, with the same session state, classifiers, QER
+// enforcement and smart buffering, so throughput and latency comparisons
+// against the ONVM path (Fig. 10) isolate exactly the transport difference.
 package kernelpath
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"l25gc/internal/classifier"
 	"l25gc/internal/faults"
-	"l25gc/internal/gtp"
 	"l25gc/internal/metrics"
 	"l25gc/internal/pkt"
 	"l25gc/internal/pktbuf"
-	"l25gc/internal/rules"
 	"l25gc/internal/trace"
 	"l25gc/internal/upf"
 )
@@ -36,20 +35,18 @@ type injConf struct {
 
 // KernelUPF is the kernel-socket UPF data path.
 type KernelUPF struct {
-	state *upf.State
-	upfc  *upf.UPFC
-	pool  *pktbuf.Pool
+	u    *upf.UPFU
+	pool *pktbuf.Pool
 
 	n3 *net.UDPConn // GTP-U side (gNB <-> UPF)
 	n6 *net.UDPConn // plain IP side (UPF <-> DN)
 
 	mu       sync.RWMutex
-	gnbAddrs map[pkt.Addr]*net.UDPAddr // FAR outer addr -> gNB socket addr
-	dnAddr   *net.UDPAddr
+	gnbAddrs map[pkt.Addr]netip.AddrPort // FAR outer addr -> gNB socket addr
+	dnAddr   netip.AddrPort
 
-	ulFwd, dlFwd atomic.Uint64
-	dropped      atomic.Uint64
-	injected     atomic.Uint64 // packets dropped/corrupted by the injector
+	dropped  atomic.Uint64 // lost on the socket side, not by UPF-U's rules
+	injected atomic.Uint64 // packets dropped/corrupted by the injector
 
 	faultc atomic.Pointer[injConf]
 	tracec atomic.Pointer[trace.Track]
@@ -59,9 +56,10 @@ type KernelUPF struct {
 }
 
 // New creates a kernel-path UPF listening on two ephemeral loopback
-// sockets. upfc must be built over the same state (it provides PFCP
-// handling and the drain hook wiring).
-func New(state *upf.State, upfc *upf.UPFC) (*KernelUPF, error) {
+// sockets and running every datagram through u. It installs itself as u's
+// emit path, so a session's parked packets leave through its sockets when
+// UPF-C drains them.
+func New(u *upf.UPFU) (*KernelUPF, error) {
 	n3, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, err
@@ -78,19 +76,16 @@ func New(state *upf.State, upfc *upf.UPFC) (*KernelUPF, error) {
 		c.SetWriteBuffer(4 << 20)
 	}
 	k := &KernelUPF{
-		state:    state,
-		upfc:     upfc,
+		u:        u,
 		pool:     pktbuf.NewPool(4096, "kernelpath"),
 		n3:       n3,
 		n6:       n6,
-		gnbAddrs: make(map[pkt.Addr]*net.UDPAddr),
+		gnbAddrs: make(map[pkt.Addr]netip.AddrPort),
 	}
-	if upfc != nil {
-		upfc.OnDrain(k.drainSession)
-	}
+	u.SetEmit(k.sendBurst)
 	k.wg.Add(2)
-	go k.n3Loop()
-	go k.n6Loop()
+	go k.loop(n3, true)
+	go k.loop(n6, false)
 	return k, nil
 }
 
@@ -102,41 +97,51 @@ func (k *KernelUPF) N6Addr() string { return k.n6.LocalAddr().String() }
 
 // RegisterGNB maps a FAR outer-header address to a gNB's UDP endpoint.
 func (k *KernelUPF) RegisterGNB(a pkt.Addr, udpAddr string) error {
-	ua, err := net.ResolveUDPAddr("udp", udpAddr)
+	ap, err := resolve(udpAddr)
 	if err != nil {
 		return err
 	}
 	k.mu.Lock()
-	k.gnbAddrs[a] = ua
+	k.gnbAddrs[a] = ap
 	k.mu.Unlock()
 	return nil
 }
 
 // SetDN points the N6 egress at the data-network endpoint.
 func (k *KernelUPF) SetDN(udpAddr string) error {
-	ua, err := net.ResolveUDPAddr("udp", udpAddr)
+	ap, err := resolve(udpAddr)
 	if err != nil {
 		return err
 	}
 	k.mu.Lock()
-	k.dnAddr = ua
+	k.dnAddr = ap
 	k.mu.Unlock()
 	return nil
 }
 
-// Stats reports forwarded/dropped packet counts.
-func (k *KernelUPF) Stats() (ul, dl, dropped uint64) {
-	return k.ulFwd.Load(), k.dlFwd.Load(), k.dropped.Load()
+// resolve turns a UDP endpoint into the IPv4 form the sockets write to.
+func resolve(udpAddr string) (netip.AddrPort, error) {
+	ua, err := net.ResolveUDPAddr("udp", udpAddr)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	ap := ua.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
 }
+
+// Dropped reports packets lost on the socket side: to the injector, an
+// exhausted pool, a datagram too large for a pool buffer, a missing
+// destination or a failed write. UPF-U counts its own drops.
+func (k *KernelUPF) Dropped() uint64 { return k.dropped.Load() }
 
 // InjectedFaults reports packets the fault injector dropped on this path.
 func (k *KernelUPF) InjectedFaults() uint64 { return k.injected.Load() }
 
 // SetInjector threads a fault injector through the socket loops. Points
-// are prefix+".n3.rx", ".n6.rx", ".n3.tx" and ".n6.tx". The loops reuse
-// their receive/scratch buffers, so Drop, Delay and Corrupt apply (the
-// corrupt mutation happens in place before parsing); Duplicate/Reorder do
-// not — the kernel sockets already provide those behaviors for free when
+// are prefix+".n3.rx", ".n6.rx", ".n3.tx" and ".n6.tx". Drop, Delay and
+// Corrupt apply (the corrupt mutation happens in place: before the
+// handler on receive, after it on transmit); Duplicate/Reorder do not —
+// the kernel sockets already provide those behaviors for free when
 // needed via loopback re-sends.
 func (k *KernelUPF) SetInjector(inj *faults.Injector, prefix string) {
 	k.faultc.Store(&injConf{
@@ -148,15 +153,14 @@ func (k *KernelUPF) SetInjector(inj *faults.Injector, prefix string) {
 	})
 }
 
-// SetTracer installs a trace track for per-stage data-path spans
-// ("kern.gtp.decode", "kern.classify", "kern.gtp.encode",
-// "kern.syscall.tx", "kern.buffer"); nil disables tracing.
+// SetTracer installs a trace track for the transmit syscall span
+// ("kern.syscall.tx"); nil disables tracing. The handler's own spans are
+// on the UPF-U's track.
 func (k *KernelUPF) SetTracer(tk *trace.Track) { k.tracec.Store(tk) }
 
-// ExportMetrics registers the data-path counters under prefix.
+// ExportMetrics registers the socket-side counters under prefix; the
+// forwarding counters are the UPF-U's.
 func (k *KernelUPF) ExportMetrics(reg *metrics.Registry, prefix string) {
-	reg.RegisterGauge(prefix+".ul_fwd", k.ulFwd.Load)
-	reg.RegisterGauge(prefix+".dl_fwd", k.dlFwd.Load)
 	reg.RegisterGauge(prefix+".dropped", k.dropped.Load)
 	reg.RegisterGauge(prefix+".injected", k.injected.Load)
 }
@@ -179,200 +183,93 @@ func (k *KernelUPF) decide(fc *injConf, p faults.Point, data []byte) bool {
 	return true
 }
 
-// n3Loop receives GTP-U frames from gNBs, decapsulates and forwards the
-// inner packet to the DN over the N6 socket.
-func (k *KernelUPF) n3Loop() {
-	defer k.wg.Done()
-	buf := make([]byte, 64*1024)
-	var scratch pkt.Parsed
-	var hdr gtp.Header
-	for {
-		n, _, err := k.n3.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		if fc := k.faultc.Load(); fc != nil && !k.decide(fc, fc.n3rx, buf[:n]) {
-			continue
-		}
-		tk := k.tracec.Load()
-		dec := tk.Start("kern.gtp.decode")
-		inner, err := hdr.Decode(buf[:n])
-		dec.End()
-		if err != nil || hdr.MsgType != gtp.MsgGPDU {
-			k.dropped.Add(1)
-			continue
-		}
-		cls := tk.Start("kern.classify")
-		ctx, ok := k.state.ByTEID(hdr.TEID)
-		if !ok {
-			cls.End()
-			k.dropped.Add(1)
-			continue
-		}
-		if err := scratch.ParseIPv4(inner); err != nil {
-			cls.End()
-			k.dropped.Add(1)
-			continue
-		}
-		key := classifier.Key{Tuple: scratch.Tuple, TOS: scratch.TOS, TEID: hdr.TEID, FromAccess: true}
-		pdr, far := ctx.Match(&key)
-		cls.End()
-		if pdr == nil {
-			k.dropped.Add(1)
-			continue
-		}
-		if far == nil || far.Action&rules.FARForward == 0 {
-			k.dropped.Add(1)
-			continue
-		}
-		k.mu.RLock()
-		dn := k.dnAddr
-		k.mu.RUnlock()
-		if dn == nil {
-			k.dropped.Add(1)
-			continue
-		}
-		if fc := k.faultc.Load(); fc != nil && !k.decide(fc, fc.n6tx, inner) {
-			continue
-		}
-		// A second kernel crossing and copy: the baseline's cost.
-		tx := tk.Start("kern.syscall.tx")
-		_, err = k.n6.WriteToUDP(inner, dn)
-		tx.End()
-		if err == nil {
-			k.ulFwd.Add(1)
-		} else {
-			k.dropped.Add(1)
-		}
-	}
-}
-
-// n6Loop receives plain IP packets from the DN, classifies, buffers or
-// GTP-encapsulates them toward the serving gNB.
-func (k *KernelUPF) n6Loop() {
+// loop reads one socket's datagrams — GTP-U frames from gNBs on N3
+// (uplink), plain IP packets from the DN on N6 — copies each into a pool
+// buffer and runs it through the UPF-U handler. What the handler hands
+// back goes to send; what it parks stays with the session buffer.
+func (k *KernelUPF) loop(sock *net.UDPConn, uplink bool) {
 	defer k.wg.Done()
 	raw := make([]byte, 64*1024)
-	out := make([]byte, 64*1024)
-	var scratch pkt.Parsed
+	var p pkt.Parsed
 	for {
-		n, _, err := k.n6.ReadFromUDP(raw)
+		n, err := sock.Read(raw)
 		if err != nil {
 			return
 		}
-		if fc := k.faultc.Load(); fc != nil && !k.decide(fc, fc.n6rx, raw[:n]) {
-			continue
-		}
-		tk := k.tracec.Load()
-		cls := tk.Start("kern.classify")
-		if err := scratch.ParseIPv4(raw[:n]); err != nil {
-			cls.End()
-			k.dropped.Add(1)
-			continue
-		}
-		ctx, ok := k.state.ByUEIP(scratch.IP.Dst)
-		if !ok {
-			cls.End()
-			k.dropped.Add(1)
-			continue
-		}
-		key := classifier.Key{Tuple: scratch.Tuple, TOS: scratch.TOS, FromAccess: false}
-		pdr, far := ctx.Match(&key)
-		cls.End()
-		if pdr == nil {
-			k.dropped.Add(1)
-			continue
-		}
-		if far == nil {
-			k.dropped.Add(1)
-			continue
-		}
-		if far.Action&rules.FARBuffer != 0 {
-			// Smart buffering: copy into a pooled buffer and park it.
-			sp := tk.Start("kern.buffer")
-			b, err := k.pool.Get()
-			if err != nil {
-				sp.End()
-				k.dropped.Add(1)
+		if fc := k.faultc.Load(); fc != nil {
+			pt := fc.n6rx
+			if uplink {
+				pt = fc.n3rx
+			}
+			if !k.decide(fc, pt, raw[:n]) {
 				continue
 			}
-			if b.SetData(raw[:n]) != nil {
-				sp.End()
-				b.Release()
-				k.dropped.Add(1)
-				continue
-			}
-			stored, first := ctx.Park(b)
-			sp.End()
-			if first && far.Action&rules.FARNotifyCP != 0 && k.upfc != nil {
-				go k.upfc.ReportDL(ctx, pdr.ID)
-			}
-			if !stored {
-				b.Release()
-				k.dropped.Add(1)
-			}
-			continue
 		}
-		if far.Action&rules.FARForward == 0 {
+		b, err := k.pool.Get()
+		if err != nil {
 			k.dropped.Add(1)
 			continue
 		}
-		if k.sendDL(out, raw[:n], pdr, far) {
-			k.dlFwd.Add(1)
-		} else {
+		if b.SetData(raw[:n]) != nil {
+			b.Release()
 			k.dropped.Add(1)
+			continue
+		}
+		b.Meta.Uplink = uplink
+		if k.u.Process(b, &p) {
+			k.send(b)
 		}
 	}
 }
 
-// sendDL encapsulates inner into out and transmits to the gNB.
-func (k *KernelUPF) sendDL(out, inner []byte, pdr *rules.PDR, far *rules.FAR) bool {
-	if !far.HasOuterHeader {
-		return false
+// send writes a descriptor the UPF-U handed back out of the port its Meta
+// names — N6 to the DN, N3 to the gNB at the outer address — and releases
+// it. A descriptor the handler dropped was counted there.
+func (k *KernelUPF) send(b *pktbuf.Buf) {
+	defer b.Release()
+	if b.Meta.Action != pktbuf.ActionToPort {
+		return
 	}
-	qfi := uint8(9)
-	if pdr.PDI.HasQFI {
-		qfi = pdr.PDI.QFI
-	}
-	tk := k.tracec.Load()
-	enc := tk.Start("kern.gtp.encode")
-	hdr := gtp.Header{MsgType: gtp.MsgGPDU, TEID: far.OuterTEID, HasQFI: true, QFI: qfi}
-	hn, err := hdr.Encode(out, len(inner))
-	if err != nil {
-		enc.End()
-		return false
-	}
-	copy(out[hn:], inner) // software copy, as in the kernel module path
-	enc.End()
-	if fc := k.faultc.Load(); fc != nil && !k.decide(fc, fc.n3tx, out[:hn+len(inner)]) {
-		return false
-	}
+	toDN := b.Meta.Port == uint16(upf.PortN6)
 	k.mu.RLock()
-	dst := k.gnbAddrs[far.OuterAddr]
-	k.mu.RUnlock()
-	if dst == nil {
-		return false
+	dst := k.dnAddr
+	if !toDN {
+		dst = k.gnbAddrs[pkt.Addr(b.Meta.OuterIP)]
 	}
-	tx := tk.Start("kern.syscall.tx")
-	_, err = k.n3.WriteToUDP(out[:hn+len(inner)], dst)
+	k.mu.RUnlock()
+	if !dst.IsValid() {
+		k.dropped.Add(1)
+		return
+	}
+	sock := k.n3
+	if toDN {
+		sock = k.n6
+	}
+	if fc := k.faultc.Load(); fc != nil {
+		pt := fc.n3tx
+		if toDN {
+			pt = fc.n6tx
+		}
+		if !k.decide(fc, pt, b.Bytes()) {
+			return
+		}
+	}
+	// A second kernel crossing and copy: the baseline's cost.
+	tx := k.tracec.Load().Start("kern.syscall.tx")
+	_, err := sock.WriteToUDPAddrPort(b.Bytes(), dst)
 	tx.End()
-	return err == nil
+	if err != nil {
+		k.dropped.Add(1)
+	}
 }
 
-// drainSession releases parked packets toward the session's current FAR.
-func (k *KernelUPF) drainSession(ctx *upf.SessCtx) {
-	out := make([]byte, 64*1024)
-	var scratch pkt.Parsed
-	for _, b := range ctx.Drain() {
-		if err := scratch.ParseIPv4(b.Bytes()); err == nil {
-			key := classifier.Key{Tuple: scratch.Tuple, TOS: scratch.TOS, FromAccess: false}
-			if pdr, far := ctx.Match(&key); pdr != nil && far != nil && far.Action&rules.FARForward != 0 {
-				if k.sendDL(out, b.Bytes(), pdr, far) {
-					k.dlFwd.Add(1)
-				}
-			}
-		}
-		b.Release()
+// sendBurst is the UPF-U's emit path for a drained session buffer: it
+// sends the packets in order and takes all of them.
+func (k *KernelUPF) sendBurst(burst []*pktbuf.Buf) int {
+	for _, b := range burst {
+		k.send(b)
 	}
+	return len(burst)
 }
 
 // Close stops the loops and sockets.

@@ -1,8 +1,11 @@
 package kernelpath
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,9 +46,25 @@ func establishReq(seid uint64) *pfcp.SessionEstablishmentRequest {
 
 func setup(t *testing.T) (*KernelUPF, *upf.UPFC, uint32, *net.UDPConn, *net.UDPConn) {
 	t.Helper()
+	r := newRig(t, establishReq(100))
+	return r.k, r.upfc, r.teid, r.gnb, r.dn
+}
+
+// rig is a kernel-path UPF with one session established by its request,
+// a gNB socket and a DN socket.
+type rig struct {
+	k       *KernelUPF
+	upfc    *upf.UPFC
+	state   *upf.State
+	teid    uint32
+	gnb, dn *net.UDPConn
+}
+
+func newRig(t *testing.T, req *pfcp.SessionEstablishmentRequest) *rig {
+	t.Helper()
 	state := upf.NewState("ll", 0) // free5GC uses the linear-list lookup
 	upfc := upf.NewUPFC(state, n3IP, nil)
-	k, err := New(state, upfc)
+	k, err := New(upf.NewUPFU(state, upfc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +87,12 @@ func setup(t *testing.T) (*KernelUPF, *upf.UPFC, uint32, *net.UDPConn, *net.UDPC
 	if err := k.SetDN(dn.LocalAddr().String()); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := upfc.Handle(100, establishReq(100))
+	resp, err := upfc.Handle(req.CPSEID, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	teid := resp.(*pfcp.SessionEstablishmentResponse).CreatedPDRs[0].TEID
-	return k, upfc, teid, gnb, dn
+	return &rig{k: k, upfc: upfc, state: state, teid: teid, gnb: gnb, dn: dn}
 }
 
 func TestUplinkThroughKernelSockets(t *testing.T) {
@@ -184,8 +203,8 @@ func TestKernelPathBufferingAndDrain(t *testing.T) {
 }
 
 func statsString(k *KernelUPF) string {
-	ul, dl, dr := k.Stats()
-	return fmt.Sprintf("ul=%d dl=%d dropped=%d", ul, dl, dr)
+	us := k.u.Stats()
+	return fmt.Sprintf("upf %+v, socket-side dropped=%d", us, k.Dropped())
 }
 
 func TestInjectedLossOnN3IsCountedAndDeterministic(t *testing.T) {
@@ -241,13 +260,13 @@ func TestInjectedCorruptionDropsAtParser(t *testing.T) {
 	copy(frame[hn:], inner[:n])
 	upfAddr, _ := net.ResolveUDPAddr("udp", k.N3Addr())
 
-	_, _, dropped0 := k.Stats()
+	dropped0 := k.Dropped()
 	if _, err := gnb.WriteToUDP(frame[:hn+n], upfAddr); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, _, d := k.Stats(); d > dropped0 || k.InjectedFaults() > 0 {
+		if k.Dropped() > dropped0 || k.InjectedFaults() > 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -263,5 +282,172 @@ func TestInjectedCorruptionDropsAtParser(t *testing.T) {
 	out := make([]byte, 2048)
 	if _, _, err := dn.ReadFromUDP(out); err != nil {
 		t.Fatalf("clean frame after corruption lost: %v (stats: %v)", err, statsString(k))
+	}
+}
+
+// ulFrame builds a G-PDU on teid carrying a UE→DN UDP packet with payload.
+func ulFrame(teid uint32, payload []byte) []byte {
+	inner := make([]byte, 2048)
+	n, _ := pkt.BuildUDPv4(inner, ueIP, dnIP, 1000, 2000, 0, payload)
+	frame := make([]byte, 2048)
+	hdr := gtp.Header{MsgType: gtp.MsgGPDU, TEID: teid, HasQFI: true, QFI: 9, PDUType: 1}
+	hn, _ := hdr.Encode(frame, n)
+	return frame[:hn+copy(frame[hn:], inner[:n])]
+}
+
+// waitFor polls cond for up to two seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// A QER's MBR binds in free5GC mode as in the shared-memory modes: 30
+// back-to-back 100 B uplink packets overrun an 80 kbit/s bucket, whose
+// 100 ms burst is 8 000 bits.
+func TestKernelPathEnforcesMBR(t *testing.T) {
+	req := establishReq(100)
+	req.CreateQERs = []*rules.QER{{ID: 1, ULMbrKbps: 80, DLMbrKbps: 80}}
+	r := newRig(t, req)
+	frame := ulFrame(r.teid, make([]byte, 72)) // 20 + 8 + 72 = 100 B inner
+	upfAddr, _ := net.ResolveUDPAddr("udp", r.k.N3Addr())
+	const frames = 30
+	for i := 0; i < frames; i++ {
+		if _, err := r.gnb.WriteToUDP(frame, upfAddr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "every frame handled", func() bool {
+		us := r.k.u.Stats()
+		return us.ULForwarded+us.RateDropped+us.Dropped+us.Misses == frames
+	})
+	out := make([]byte, 2048)
+	got := 0
+	for {
+		r.dn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		if _, _, err := r.dn.ReadFromUDP(out); err != nil {
+			break
+		}
+		got++
+	}
+	us := r.k.u.Stats()
+	if us.RateDropped == 0 || got >= frames {
+		t.Fatalf("MBR not enforced: %d of %d packets reached the DN (%s)", got, frames, statsString(r.k))
+	}
+	if uint64(got) != us.ULForwarded || us.ULForwarded+us.RateDropped != frames {
+		t.Fatalf("%d packets reached the DN (%s)", got, statsString(r.k))
+	}
+}
+
+// TestKernelPathBufferFlipRace flips FAR 2 between buffer and forward
+// while downlink packets flow. A packet parks under the session's rules
+// read lock, so a buffer→forward flip drains every packet parked before
+// it. Once the last flip has returned, every packet sent reaches the gNB
+// exactly once, those sent after the last flip in order and after all the
+// others, and no session buffer holds a packet.
+func TestKernelPathBufferFlipRace(t *testing.T) {
+	r := newRig(t, establishReq(100))
+	r.gnb.SetReadBuffer(4 << 20)
+	const during, after, flips = 600, 50, 40
+
+	var received atomic.Uint64
+	order := make(chan uint32, during+after)
+	go func() {
+		buf := make([]byte, 2048)
+		var p pkt.Parsed
+		for {
+			n, _, err := r.gnb.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			var h gtp.Header
+			inner, err := h.Decode(buf[:n])
+			if err != nil || p.ParseIPv4(inner) != nil || len(p.Payload) != 4 {
+				t.Errorf("malformed frame at the gNB: %x", buf[:n])
+				continue
+			}
+			select {
+			case order <- binary.BigEndian.Uint32(p.Payload):
+			default: // more than were sent: received says so
+			}
+			received.Add(1)
+		}
+	}()
+
+	upfN6, _ := net.ResolveUDPAddr("udp", r.k.N6Addr())
+	raw := make([]byte, 256)
+	send := func(seq uint32) {
+		var payload [4]byte
+		binary.BigEndian.PutUint32(payload[:], seq)
+		n, _ := pkt.BuildUDPv4(raw, dnIP, ueIP, 2000, 1000, 0, payload[:])
+		if _, err := r.dn.WriteToUDP(raw[:n], upfN6); err != nil {
+			t.Error(err)
+		}
+	}
+	// Keep at most a window of packets in the sockets, so none is lost
+	// to a full receive buffer: the rest were received or are parked.
+	const window = 32
+	pace := func(sent uint64) {
+		for deadline := time.Now().Add(5 * time.Second); sent > received.Load()+uint64(r.state.BufferDepth())+window; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d sent, %d received, %d parked (%s)",
+					sent, received.Load(), r.state.BufferDepth(), statsString(r.k))
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+
+	flip := func(action rules.FARAction) {
+		far := &rules.FAR{ID: 2, Action: action, DestInterface: rules.IfAccess}
+		if action == rules.FARForward {
+			far.HasOuterHeader, far.OuterTEID, far.OuterAddr = true, 0x5001, gnbIP
+		}
+		if _, err := r.upfc.Handle(100, &pfcp.SessionModificationRequest{UpdateFARs: []*rules.FAR{far}}); err != nil {
+			t.Error(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < flips; i++ {
+			flip(rules.FARBuffer)
+			time.Sleep(200 * time.Microsecond)
+			flip(rules.FARForward)
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	for seq := uint32(0); seq < during; seq++ {
+		send(seq)
+		pace(uint64(seq) + 1)
+	}
+	wg.Wait()
+	for seq := uint32(during); seq < during+after; seq++ {
+		send(seq)
+	}
+	waitFor(t, "every packet at the gNB", func() bool { return received.Load() >= during+after })
+
+	if n := received.Load(); n != during+after {
+		t.Fatalf("%d packets at the gNB, %d sent", n, during+after)
+	}
+	seen := make(map[uint32]bool)
+	for i := 0; i < during+after; i++ {
+		seq := <-order
+		if seen[seq] || seq >= during+after {
+			t.Fatalf("packet %d delivered twice or never sent", seq)
+		}
+		seen[seq] = true
+		if i >= during && seq != uint32(i) {
+			t.Fatalf("delivery %d is packet %d: packets sent after the last flip are out of order", i, seq)
+		}
+	}
+	if d := r.state.BufferDepth(); d != 0 {
+		t.Fatalf("%d packets still parked after the last forward flip", d)
+	}
+	if r.k.u.Stats().Buffered == 0 {
+		t.Fatal("no packet was parked: the flips missed the traffic")
 	}
 }

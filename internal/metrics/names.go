@@ -41,7 +41,7 @@ var LintNames = []string{
 	// reconciliation figures ("pfcp.assoc.*").
 	"pfcp.assoc.*",
 
-	// UPF-U datapath and session-table gauges.
+	// UPF-U datapath (every mode) and session-table gauges.
 	"upf.ul_fwd",
 	"upf.dl_fwd",
 	"upf.buffered",
@@ -53,9 +53,7 @@ var LintNames = []string{
 	"upf.sessions",
 	"upf.buffer_depth",
 
-	// Kernel-path (AF_PACKET emulation) forwarding gauges.
-	"kern.ul_fwd",
-	"kern.dl_fwd",
+	// Kernel-path socket-side losses and injected faults.
 	"kern.dropped",
 	"kern.injected",
 

@@ -66,13 +66,9 @@ var LintNames = []string{
 	"onvm.deliver",
 	"onvm.egress",
 
-	// UPF / kernel-path datapath spans.
+	// UPF-U handler spans (every mode) and the kernel path's transmit.
 	"upf.classify",
 	"upf.buffer",
-	"kern.classify",
-	"kern.buffer",
-	"kern.gtp.encode",
-	"kern.gtp.decode",
 	"kern.syscall.tx",
 
 	// Overload controller transition events ("fault.<kind>" are the

@@ -20,8 +20,7 @@ type UPFC struct {
 	n3IP  pkt.Addr // local N3 address advertised in F-TEIDs
 	ep    pfcp.Endpoint
 
-	mu     sync.Mutex
-	drains []func(*SessCtx) // buffer-release hooks installed by UPF-U
+	drain atomic.Pointer[func(*SessCtx)] // buffer-release hook installed by UPF-U
 
 	ctrl atomic.Pointer[overload.Controller]
 	// clock supplies monotonic elapsed time for the establishment-latency
@@ -85,23 +84,10 @@ func (c *UPFC) PeerNodeID() string {
 // (simulated-time harnesses inject theirs before traffic starts).
 func (c *UPFC) SetClock(clock func() time.Duration) { c.clock = clock }
 
-// OnDrain registers a hook invoked when a session's buffer must be
-// released (FAR flipped from buffer to forward). UPF-U registers its
-// emit-path here.
-func (c *UPFC) OnDrain(fn func(*SessCtx)) {
-	c.mu.Lock()
-	c.drains = append(c.drains, fn)
-	c.mu.Unlock()
-}
-
-func (c *UPFC) fireDrain(ctx *SessCtx) {
-	c.mu.Lock()
-	hooks := append([]func(*SessCtx){}, c.drains...)
-	c.mu.Unlock()
-	for _, fn := range hooks {
-		fn(ctx)
-	}
-}
+// OnDrain installs the hook invoked when a session's buffer must be
+// released (FAR flipped from buffer to forward), replacing any earlier
+// one: the UPF-U over this UPF-C installs its DrainSession here.
+func (c *UPFC) OnDrain(fn func(*SessCtx)) { c.drain.Store(&fn) }
 
 // ReportDL sends a PFCP Session Report (DL data notification) toward the
 // SMF; this is the paging trigger. Called by UPF-U on the first buffered
@@ -270,8 +256,8 @@ func (c *UPFC) modify(seid uint64, m *pfcp.SessionModificationRequest) (pfcp.Mes
 		delete(ctx.Sess.FARs, id)
 	}
 	ctx.rulesMu.Unlock()
-	if startedForwarding {
-		c.fireDrain(ctx)
+	if fn := c.drain.Load(); startedForwarding && fn != nil {
+		(*fn)(ctx)
 	}
 	return resp, nil
 }
