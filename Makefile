@@ -133,8 +133,10 @@ soak-smoke:
 	$(GO) test -race -count=1 -run 'TestConcurrentControlWithStreamingTelemetry|TestFlightDumpOnCrashMidWorkload|TestSamplerReadsOnlyRegisteredNames' ./internal/core
 	L25GC_SOAK_UES=12 L25GC_SOAK_ROUNDS=4 L25GC_SOAK_OPS=48 L25GC_SOAK_WORKERS=6 $(GO) run ./cmd/bench5gc -exp soak
 
-# Partition-tolerance gate: the PFCP association state machine and
-# endpoint-close/leak tests under the race detector, the UPF-side
+# Partition-tolerance gate: the PFCP association state machine,
+# endpoint-close/leak tests, the head-of-line scenario on both N4
+# transports and a delayed send's late error (N4 and SBI) under the race
+# detector, the UPF-side
 # association/audit handling, the four N4-partition chaos scenarios
 # (heal+reconcile zero divergence, one-way/timed partitions, UPF
 # restart mid-load, partition overlapping an SMF failover), then a
@@ -142,7 +144,8 @@ soak-smoke:
 # goodput, journal replay, orphan purge, restart rebuild — fails on
 # any SMF/UPF SEID divergence).
 partition-smoke:
-	$(GO) test -race -count=1 -run 'TestAssociation|TestEndpointClose|TestUDPEndpointClose' ./internal/pfcp
+	$(GO) test -race -count=1 -run 'TestAssociation|TestEndpointClose|TestUDPEndpointClose|TestMemResponseBypassesBlockedReport|TestMemDelayedSendLateError' ./internal/pfcp
+	$(GO) test -race -count=1 -run 'TestShmDelayedSendLateError' ./internal/sbi
 	$(GO) test -race -count=1 -run 'TestAssociationSetup|TestHeartbeatCarries|TestSessionSetAudit' ./internal/upf
 	$(GO) test -race -count=1 -run 'TestChaosPartition|TestChaosOneWay|TestChaosUPFRestart' ./internal/faults
 	L25GC_PART_UES=6 L25GC_PART_WINDOW_MS=120 $(GO) run ./cmd/bench5gc -exp partition
@@ -192,7 +195,9 @@ scale-smoke:
 # fault-delayed frames whose timers fire after Stop, 10^5 lone packets
 # from four producers through the chain, a rollout while traffic flows,
 # counters batched but not lost, an in-place run leaving later arrivals to
-# a drainer, Stop waiting out a drainer, the session-buffer drain, and the
+# a drainer, Stop waiting out a drainer, the session-buffer drain (one
+# burst through the fast path: policed, misses counted, parked again
+# behind a buffering FAR), and the
 # flow cache's invalidations (paging flip, handover retarget, PDR add and
 # remove, QER install, delete and reuse, index takeovers, Reset, two flows
 # of one slot, FAR rewrites while packets flow, rules never written in
@@ -209,7 +214,7 @@ fastpath-smoke:
 	$(GO) test -race -count=10 -run 'TestStash' ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'Bulk' ./internal/ring ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestDelayedTimersAfterStopRelease|TestLonePackets|TestSnapshotSeen|TestCountersBatched|TestInPlaceRunHandsLaterArrivalsToDrainer|TestStopWaitsOutDrainer' ./internal/onvm
-	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSessionBurst|TestFlowCache|TestInstalledRules' ./internal/upf
+	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSession|TestFlowCache|TestInstalledRules' ./internal/upf
 	$(GO) test -race -count=3 -run 'TestSinksSwapWhileDownlinkFlows|TestSinkRetentionGuard|TestModesDeliverIdenticalBytes' ./internal/core
 
 # Control-plane transport gate (DESIGN §17), and the local loop for
@@ -221,11 +226,12 @@ fastpath-smoke:
 # once, in order, one handler at a time, nothing stranded at release, a
 # handler sending to its own ring, full, closed, Close with a handler in
 # flight), the reply table, who serves an shm invoke / N4 request and what
-# the deadline bounds, the endpoint lifecycle, the head-of-line scenario,
-# and the census of an idle core's goroutines.
+# the deadline bounds, the endpoint lifecycle, the head-of-line scenario
+# on both N4 transports, a delayed send's late error (N4 and SBI), and the
+# census of an idle core's goroutines.
 cp-smoke:
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkUECycle' -benchtime 2000x -cpu 1,2 ./internal/core
 	$(GO) test -race -count=3 ./internal/shm
-	$(GO) test -race -count=3 -run 'TestShmInvokeInlineAndQueued|TestShmConcurrentInvokes|TestShmInvokeRecoversFromInjectedLoss' ./internal/sbi
-	$(GO) test -race -count=3 -run 'TestEndpointCloseLifecycle|TestMemResponseBypassesBlockedReport|TestMemRequestServedInlineNeverWaits|TestMemRetransmissionAndDedup' ./internal/pfcp
+	$(GO) test -race -count=3 -run 'TestShmInvokeInlineAndQueued|TestShmConcurrentInvokes|TestShmInvokeRecoversFromInjectedLoss|TestShmDelayedSendLateError' ./internal/sbi
+	$(GO) test -race -count=3 -run 'TestEndpointCloseLifecycle|TestMemResponseBypassesBlockedReport|TestMemRequestServedInlineNeverWaits|TestMemRetransmissionAndDedup|TestMemDelayedSendLateError' ./internal/pfcp
 	$(GO) test -race -count=3 -run 'TestL25GCCoreHasNoTransportGoroutines' ./internal/core

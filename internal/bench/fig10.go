@@ -26,6 +26,14 @@ type dpHarness struct {
 
 	dlRecv atomic.Uint64 // frames delivered to the gNB
 	ulRecv atomic.Uint64 // packets delivered to the DN
+
+	// The latency probe's state, kept from call to call so that a probe
+	// allocates nothing of its own: while probing, each DL delivery's
+	// arrival time goes to arrived; dl is the last probe packet built.
+	probing atomic.Bool
+	arrived chan time.Time
+	timeout *time.Timer
+	dl      []byte
 }
 
 func newDPHarness(mode core.Mode) (*dpHarness, func(), error) {
@@ -33,7 +41,8 @@ func newDPHarness(mode core.Mode) (*dpHarness, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	h := &dpHarness{core: c}
+	h := &dpHarness{core: c, arrived: make(chan time.Time, 1), timeout: time.NewTimer(time.Hour)}
+	h.timeout.Stop()
 	cleanup := func() { c.Stop() }
 	g, err := ranue.NewGNB(1, pkt.AddrFrom(10, 100, 0, 10), c.N2Addr(), c)
 	if err != nil {
@@ -53,7 +62,15 @@ func newDPHarness(mode core.Mode) (*dpHarness, func(), error) {
 	time.Sleep(30 * time.Millisecond)
 	h.ueIP = h.ue.IP()
 	// Count DL deliveries at the UE and UL deliveries at the DN.
-	h.ue.OnData = func([]byte) { h.dlRecv.Add(1) }
+	h.ue.OnData = func([]byte) {
+		h.dlRecv.Add(1)
+		if h.probing.Load() {
+			select {
+			case h.arrived <- time.Now():
+			default:
+			}
+		}
+	}
 	c.SetN6Sink(func([]byte) { h.ulRecv.Add(1) })
 
 	// Discover the UPF's UL TEID by sending one probe through the UE.
@@ -140,38 +157,32 @@ func (h *dpHarness) throughput(payload, count int, ul, dl bool) (ulPps, dlPps fl
 	return float64(h.ulRecv.Load()) / el, float64(h.dlRecv.Load()) / el
 }
 
-// latency measures mean end-to-end one-way latency at a low offered rate.
+// latency measures mean end-to-end one-way latency at a low offered rate:
+// count DL packets, each sent once the one before has arrived.
 func (h *dpHarness) latency(payload, count int) (time.Duration, error) {
-	times := make(chan time.Duration, count)
-	sendT := make([]time.Time, count+1)
-	var idx atomic.Uint64
-	h.ue.OnData = func(p []byte) {
-		i := idx.Add(1)
-		if int(i) <= count {
-			times <- time.Since(sendT[i-1])
-		}
+	if len(h.dl) != pkt.IPv4MinLen+pkt.UDPLen+payload {
+		h.dl = h.dlPacket(payload)
 	}
-	defer func() { h.ue.OnData = func([]byte) { h.dlRecv.Add(1) } }()
-	dlP := h.dlPacket(payload)
+	h.probing.Store(true)
+	defer h.probing.Store(false)
 	var total time.Duration
-	got := 0
 	for i := 0; i < count; i++ {
-		sendT[i] = time.Now()
-		if err := h.core.InjectDL(dlP); err != nil {
+		sent := time.Now()
+		if err := h.core.InjectDL(h.dl); err != nil {
 			return 0, err
 		}
+		h.timeout.Reset(time.Second)
 		select {
-		case d := <-times:
-			total += d
-			got++
-		case <-time.After(time.Second):
+		case at := <-h.arrived:
+			if !h.timeout.Stop() {
+				<-h.timeout.C
+			}
+			total += at.Sub(sent)
+		case <-h.timeout.C:
 			return 0, fmt.Errorf("latency probe %d lost", i)
 		}
 	}
-	if got == 0 {
-		return 0, fmt.Errorf("no latency samples")
-	}
-	return total / time.Duration(got), nil
+	return total / time.Duration(count), nil
 }
 
 // Fig10 regenerates the data-plane comparison: throughput (uni- and

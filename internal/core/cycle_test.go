@@ -192,7 +192,7 @@ func TestL25GCCoreHasNoTransportGoroutines(t *testing.T) {
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		stacks, found = string(buf[:runtime.Stack(buf, true)]), ""
 		for _, fn := range []string{
-			"sbi.(*ShmServer)", "sbi.(*ShmConn)", "pfcp.(*MemEndpoint)", "pfcp.(*reqQueue", "shm.(*Mailbox",
+			"sbi.(*ShmServer)", "sbi.(*ShmConn)", "pfcp.(*MemEndpoint)", "pfcp.(*UDPEndpoint).dispatch", "shm.(*Mailbox",
 			"onvm.(*Manager).workerLoop", "onvm.(*Instance).run", "ring.(*Owner)",
 		} {
 			if strings.Contains(stacks, fn) {

@@ -428,46 +428,42 @@ func corrupt(rng *rand.Rand, data []byte) {
 // Transmit applies one message send at p: drop swallows it, delay defers
 // it (asynchronously, so the caller never blocks), duplicate invokes send
 // twice, reorder holds it until later traffic passes, corrupt mutates the
-// payload first. send receives the (possibly corrupted) payload. With a
-// nil injector, Transmit is exactly send(data).
-func (i *Injector) Transmit(p Point, data []byte, send func([]byte)) {
+// payload first (descriptor paths pass nil data: nothing to corrupt).
+// send receives the (possibly corrupted) payload. Transmit returns the
+// error of a send that ran before it returned; a delayed or held send runs
+// later on another goroutine, and its error is lost with it, as a
+// datagram's would be. With a nil injector, Transmit is exactly
+// send(data).
+func (i *Injector) Transmit(p Point, data []byte, send func([]byte) error) error {
 	if i == nil {
-		send(data)
-		return
+		return send(data)
 	}
 	act := i.Decide(p, data)
 	if act.Drop {
-		return
+		return nil
 	}
-	do := func() {
-		send(data)
+	do := func() error {
+		err := send(data)
 		if act.Duplicate {
-			send(data)
+			if derr := send(data); derr != nil {
+				err = derr
+			}
 		}
+		return err
 	}
 	switch {
 	case act.Delay > 0:
 		//l25gc:allow determinism fault-injected delivery delay is wall-time fault machinery; the seed fixes which messages are delayed, not when the timer fires
-		time.AfterFunc(act.Delay, do)
+		time.AfterFunc(act.Delay, func() { do() })
 	case act.HoldFor > 0:
 		i.mu.Lock()
 		ps := i.point(p)
-		ps.held = append(ps.held, held{release: do, after: act.HoldFor})
+		ps.held = append(ps.held, held{release: func() { do() }, after: act.HoldFor})
 		i.mu.Unlock()
 	default:
-		do()
+		return do()
 	}
-}
-
-// TransmitMsg is Transmit for descriptor paths whose payload is not a byte
-// slice (shared-memory frames, ONVM descriptors): corruption is skipped,
-// everything else applies.
-func (i *Injector) TransmitMsg(p Point, send func()) {
-	if i == nil {
-		send()
-		return
-	}
-	i.Transmit(p, nil, func([]byte) { send() })
+	return nil
 }
 
 // Flush releases every reorder-held message immediately (end of scenario).

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,11 +12,10 @@ import (
 func TestNilInjectorIsNoOp(t *testing.T) {
 	var i *Injector
 	sent := false
-	i.Transmit("p", []byte("x"), func(b []byte) { sent = true })
+	i.Transmit("p", []byte("x"), func(b []byte) error { sent = true; return nil })
 	if !sent {
 		t.Fatal("nil injector must pass messages through")
 	}
-	i.TransmitMsg("p", func() {})
 	if i.Decide("p", nil).Faulty() {
 		t.Fatal("nil injector decided a fault")
 	}
@@ -36,7 +36,7 @@ func TestDropRuleProbabilityIsDeterministic(t *testing.T) {
 		out := make([]bool, 200)
 		for n := range out {
 			sent := false
-			inj.Transmit("pfcp.tx", nil, func([]byte) { sent = true })
+			inj.Transmit("pfcp.tx", nil, func([]byte) error { sent = true; return nil })
 			out[n] = sent
 		}
 		return out
@@ -94,13 +94,13 @@ func TestDuplicateAndDelay(t *testing.T) {
 		Add(Rule{Point: "dup", Kind: Duplicate, Count: 1}).
 		Add(Rule{Point: "late", Kind: Delay, Delay: 10 * time.Millisecond, Count: 1})
 	var sends atomic.Int32
-	inj.Transmit("dup", []byte("m"), func([]byte) { sends.Add(1) })
+	inj.Transmit("dup", []byte("m"), func([]byte) error { sends.Add(1); return nil })
 	if sends.Load() != 2 {
 		t.Fatalf("duplicate sent %d copies", sends.Load())
 	}
 	done := make(chan time.Duration, 1)
 	start := time.Now()
-	inj.Transmit("late", nil, func([]byte) { done <- time.Since(start) })
+	inj.Transmit("late", nil, func([]byte) error { done <- time.Since(start); return nil })
 	select {
 	case d := <-done:
 		if d < 5*time.Millisecond {
@@ -111,15 +111,32 @@ func TestDuplicateAndDelay(t *testing.T) {
 	}
 }
 
+// TestTransmitReturnsOnlyInlineErrors: Transmit returns the error of a send
+// it ran itself; a delayed send fails on its timer's goroutine, and its
+// error goes nowhere.
+func TestTransmitReturnsOnlyInlineErrors(t *testing.T) {
+	errSend := errors.New("peer closed")
+	inj := New(7).Add(Rule{Point: "late", Kind: Delay, Delay: time.Millisecond})
+	if err := inj.Transmit("now", nil, func([]byte) error { return errSend }); err != errSend {
+		t.Fatalf("inline send: got %v, want %v", err, errSend)
+	}
+	ran := make(chan struct{})
+	if err := inj.Transmit("late", nil, func([]byte) error { close(ran); return errSend }); err != nil {
+		t.Fatalf("delayed send: got %v before it ran", err)
+	}
+	<-ran
+}
+
 func TestReorderHoldsUntilLaterTraffic(t *testing.T) {
 	inj := New(3).Add(Rule{Point: "p", Kind: Reorder, HoldFor: 2, Count: 1})
 	var mu sync.Mutex
 	var order []int
-	send := func(id int) func([]byte) {
-		return func([]byte) {
+	send := func(id int) func([]byte) error {
+		return func([]byte) error {
 			mu.Lock()
 			order = append(order, id)
 			mu.Unlock()
+			return nil
 		}
 	}
 	for id := 1; id <= 4; id++ {
@@ -141,7 +158,7 @@ func TestReorderHoldsUntilLaterTraffic(t *testing.T) {
 func TestFlushReleasesHeld(t *testing.T) {
 	inj := New(3).Add(Rule{Point: "p", Kind: Reorder, HoldFor: 100, Count: 1})
 	sent := false
-	inj.Transmit("p", nil, func([]byte) { sent = true })
+	inj.Transmit("p", nil, func([]byte) error { sent = true; return nil })
 	if sent {
 		t.Fatal("message should be held")
 	}
@@ -156,7 +173,7 @@ func TestCorruptMutatesPayloadDeterministically(t *testing.T) {
 		inj := New(seed).Add(Rule{Point: "p", Kind: Corrupt})
 		data := []byte("hello-pfcp-wire-bytes")
 		var got []byte
-		inj.Transmit("p", data, func(b []byte) { got = append([]byte(nil), b...) })
+		inj.Transmit("p", data, func(b []byte) error { got = append([]byte(nil), b...); return nil })
 		return got
 	}
 	a, b := payload(11), payload(11)

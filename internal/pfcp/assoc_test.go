@@ -416,47 +416,92 @@ func TestEndpointCloseLifecycle(t *testing.T) {
 	}
 }
 
-// TestMemResponseBypassesBlockedReport is the PR 9 head-of-line scenario:
-// the requester holds a lock (its supervisor unit's) across Request while
-// the peer's unsolicited report, already being handled, waits for that
-// very lock. The response must not queue behind the report: the request
-// completes without a T1 expiry, and the report once the lock is free.
+// TestMemResponseBypassesBlockedReport is the head-of-line scenario, on
+// both transports: the requester holds a lock (its supervisor unit's)
+// across Request while the peer's unsolicited report, already being
+// handled, waits for that very lock. The response must not queue behind
+// the report — on UDP, the read loop must not be the goroutine running the
+// report's handler: the request completes without a T1 expiry, and the
+// report once the lock is free.
 func TestMemResponseBypassesBlockedReport(t *testing.T) {
-	testutil.CheckGoroutineLeaks(t)
-	smf, upf := NewMemPair(64)
-	defer smf.Close()
-	defer upf.Close()
-	upf.SetHandler(echoHandler(t))
-	var unit sync.Mutex
-	reportEntered := make(chan struct{})
-	smf.SetHandler(func(seid uint64, req Message) (Message, error) {
-		close(reportEntered)
-		unit.Lock()
-		defer unit.Unlock()
-		return &SessionReportResponse{Cause: CauseAccepted}, nil
-	})
-	smf.SetRetry(RetryConfig{T1: 500 * time.Millisecond, N1: 0, Backoff: 1})
+	type statsEndpoint interface {
+		Endpoint
+		Stats() (retransmits, timeouts uint64)
+	}
+	for _, tc := range []struct {
+		name string
+		pair func(t *testing.T) (smf, upf statsEndpoint)
+	}{
+		{"mem", func(t *testing.T) (statsEndpoint, statsEndpoint) {
+			smf, upf := NewMemPair(64)
+			t.Cleanup(func() { smf.Close(); upf.Close() })
+			return smf, upf
+		}},
+		{"udp", func(t *testing.T) (statsEndpoint, statsEndpoint) {
+			smf, upf := udpPair(t)
+			if err := upf.Connect(smf.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			return smf, upf
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.CheckGoroutineLeaks(t)
+			smf, upf := tc.pair(t)
+			upf.SetHandler(echoHandler(t))
+			var unit sync.Mutex
+			reportEntered := make(chan struct{})
+			smf.SetHandler(func(seid uint64, req Message) (Message, error) {
+				close(reportEntered)
+				unit.Lock()
+				defer unit.Unlock()
+				return &SessionReportResponse{Cause: CauseAccepted}, nil
+			})
+			smf.SetRetry(RetryConfig{T1: 500 * time.Millisecond, N1: 0, Backoff: 1})
 
-	unit.Lock()
-	report := make(chan error, 1)
-	go func() {
-		_, err := upf.Request(1, true, &SessionReportRequest{ReportType: ReportDLDR, PDRID: 2})
-		report <- err
-	}()
-	<-reportEntered
-	resp, err := smf.Request(1, true, &SessionModificationRequest{})
-	unit.Unlock()
-	if err != nil {
-		t.Fatalf("modification behind a blocked report: %v", err)
+			unit.Lock()
+			report := make(chan error, 1)
+			go func() {
+				_, err := upf.Request(1, true, &SessionReportRequest{ReportType: ReportDLDR, PDRID: 2})
+				report <- err
+			}()
+			<-reportEntered
+			resp, err := smf.Request(1, true, &SessionModificationRequest{})
+			unit.Unlock()
+			if err != nil {
+				t.Fatalf("modification behind a blocked report: %v", err)
+			}
+			if resp.(*SessionModificationResponse).Cause != CauseAccepted {
+				t.Fatalf("got %+v", resp)
+			}
+			if rtx, timeouts := smf.Stats(); rtx != 0 || timeouts != 0 {
+				t.Fatalf("retransmits = %d, timeouts = %d; the response waited behind the report", rtx, timeouts)
+			}
+			if err := <-report; err != nil {
+				t.Fatalf("report: %v", err)
+			}
+		})
 	}
-	if resp.(*SessionModificationResponse).Cause != CauseAccepted {
-		t.Fatalf("got %+v", resp)
+}
+
+// TestMemDelayedSendLateError is the regression test for the send that
+// returned an error variable its delayed delivery wrote later, from an
+// injector timer (a data race under -race): a request delayed toward a
+// closed peer fails at delivery, after Request has moved on, and only
+// times out.
+func TestMemDelayedSendLateError(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	smf, upf := NewMemPair(8)
+	defer smf.Close()
+	inj := faults.New(5).Add(faults.Rule{Point: "pfcp.smf.tx", Kind: faults.Delay, Delay: 5 * time.Millisecond})
+	smf.SetInjector(inj, "pfcp.smf")
+	smf.SetRetry(RetryConfig{T1: 50 * time.Millisecond, N1: 0, Backoff: 1})
+	upf.Close()
+	if _, err := smf.Request(0, false, &HeartbeatRequest{}); err == nil {
+		t.Fatal("Request to a closed peer succeeded")
 	}
-	if rtx, timeouts := smf.Stats(); rtx != 0 || timeouts != 0 {
-		t.Fatalf("retransmits = %d, timeouts = %d; the response waited behind the report", rtx, timeouts)
-	}
-	if err := <-report; err != nil {
-		t.Fatalf("report: %v", err)
+	if n := inj.Count("pfcp.smf.tx", faults.Delay); n != 1 {
+		t.Fatalf("%d sends delayed, want 1", n)
 	}
 }
 

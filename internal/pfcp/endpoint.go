@@ -175,83 +175,6 @@ func (e *endpoint) roundTrip(root trace.Span, seq uint32, txSpan string, req Mes
 	}
 }
 
-// reqQueue serializes inbound *request* dispatch on a dedicated worker
-// goroutine so the receive loop — which also completes pending Request
-// waiters — is never parked behind a handler. Without this split the
-// association head-of-line deadlocks: an NF that issues a synchronous
-// Request while holding its supervisor unit lock can only make progress
-// once the response is delivered, but if the peer's unsolicited request
-// (e.g. a Session Report racing a modification) arrived first, the
-// single-threaded receive loop is stuck in that handler's ingress tap
-// waiting for the very same lock, and the response sits behind it
-// unread until the retry budget burns out. Requests still run strictly
-// in arrival order; only their execution is decoupled from the reader.
-type reqQueue struct {
-	mu      sync.Mutex
-	q       []udpRequest
-	wake    chan struct{}
-	done    <-chan struct{}
-	stopped chan struct{}
-}
-
-// newReqQueue starts the worker; it drains until done closes. Queued
-// entries remaining at close time are dropped — the peer's
-// retransmission loop covers them, exactly as for a datagram lost in
-// flight.
-func newReqQueue(done <-chan struct{}, run func(udpRequest)) *reqQueue {
-	rq := &reqQueue{wake: make(chan struct{}, 1), done: done,
-		stopped: make(chan struct{})}
-	go rq.loop(run)
-	return rq
-}
-
-// join blocks until the worker goroutine has exited (i.e. done closed and
-// the in-flight handler, if any, returned). Endpoint Close calls this so
-// no queued handler outlives the endpoint.
-func (rq *reqQueue) join() { <-rq.stopped }
-
-// push enqueues one request; it never blocks and is safe from injector
-// timer goroutines.
-func (rq *reqQueue) push(v udpRequest) {
-	rq.mu.Lock()
-	rq.q = append(rq.q, v)
-	rq.mu.Unlock()
-	select {
-	case rq.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (rq *reqQueue) loop(run func(udpRequest)) {
-	defer close(rq.stopped)
-	for {
-		select {
-		case <-rq.done:
-			return
-		case <-rq.wake:
-		}
-		for {
-			// Re-check done between entries: once the endpoint closes,
-			// still-queued requests are dropped rather than dispatched into
-			// handlers whose endpoint is tearing down under them.
-			select {
-			case <-rq.done:
-				return
-			default:
-			}
-			rq.mu.Lock()
-			if len(rq.q) == 0 {
-				rq.mu.Unlock()
-				break
-			}
-			v := rq.q[0]
-			rq.q = rq.q[1:]
-			rq.mu.Unlock()
-			run(v)
-		}
-	}
-}
-
 // --- UDP endpoint (kernel path / free5GC baseline) ---
 
 // UDPEndpoint speaks PFCP over a kernel UDP socket.
@@ -261,10 +184,30 @@ type UDPEndpoint struct {
 	peer atomic.Pointer[net.UDPAddr]
 
 	respCache *respCache[[]byte]
-	reqs      *reqQueue
+	// reqs carries inbound *requests* from the read loop to one dispatch
+	// goroutine, so the read loop — which also completes pending Request
+	// waiters — never runs a handler and never blocks on one. Without
+	// this split the association head-of-line deadlocks: an NF that
+	// issues a synchronous Request while holding its supervisor unit lock
+	// can only make progress once the response is delivered, but if the
+	// peer's unsolicited request (e.g. a Session Report racing a
+	// modification) arrived first, a single-threaded read loop is stuck
+	// in that handler's ingress tap waiting for the very same lock, and
+	// the response sits behind it unread until the retry budget burns
+	// out. Requests still run strictly in arrival order. A request that
+	// finds the channel full is dropped like a datagram lost in flight:
+	// the peer's T1/N1 retransmits it, and the response cache answers it
+	// if it was already served.
+	reqs    chan udpRequest
+	stopped chan struct{} // closed when the dispatch goroutine exits
 
 	closed atomic.Bool
 }
+
+// requestBacklog bounds the inbound requests waiting for dispatch: as many
+// as the request ring of the shm transport a core builds holds, which
+// serves the same N4 association in L²5GC mode.
+const requestBacklog = 1024
 
 // udpRequest is one parsed inbound request awaiting serial dispatch.
 type udpRequest struct {
@@ -283,8 +226,9 @@ func NewUDPEndpoint(addr string) (*UDPEndpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &UDPEndpoint{endpoint: newEndpoint(), conn: conn, respCache: newRespCache[[]byte]()}
-	e.reqs = newReqQueue(e.done, e.handleRequest)
+	e := &UDPEndpoint{endpoint: newEndpoint(), conn: conn, respCache: newRespCache[[]byte](),
+		reqs: make(chan udpRequest, requestBacklog), stopped: make(chan struct{})}
+	go e.dispatch()
 	go e.readLoop()
 	return e, nil
 }
@@ -311,13 +255,10 @@ func (e *UDPEndpoint) send(wire []byte, to *net.UDPAddr) error {
 		_, err := e.conn.WriteToUDP(wire, to)
 		return err
 	}
-	var werr error
-	fc.inj.Transmit(fc.tx, append([]byte(nil), wire...), func(b []byte) {
-		if _, err := e.conn.WriteToUDP(b, to); err != nil {
-			werr = err
-		}
+	return fc.inj.Transmit(fc.tx, append([]byte(nil), wire...), func(b []byte) error {
+		_, err := e.conn.WriteToUDP(b, to)
+		return err
 	})
-	return werr
 }
 
 // Request implements Endpoint.
@@ -350,15 +291,18 @@ func (e *UDPEndpoint) readLoop() {
 		// The injector may defer processing (delay/reorder), so it gets a
 		// private copy of the datagram; handleDatagram is safe to run from
 		// injector timer goroutines.
-		fc.inj.Transmit(fc.rx, append([]byte(nil), buf[:n]...), func(b []byte) {
+		fc.inj.Transmit(fc.rx, append([]byte(nil), buf[:n]...), func(b []byte) error {
 			e.handleDatagram(b, from)
+			return nil
 		})
 	}
 }
 
 // handleDatagram dispatches one received PFCP message: responses complete
 // pending requests inline — the read path must never wait on a handler —
-// while requests are handed to the serial dispatch worker.
+// while requests are handed to the dispatch goroutine. Safe to run from
+// injector timer goroutines, after Close too: nothing runs what is queued
+// then.
 func (e *UDPEndpoint) handleDatagram(data []byte, from *net.UDPAddr) {
 	tk := e.tracec.Load()
 	dec := tk.Start("pfcp.rx.decode")
@@ -371,10 +315,33 @@ func (e *UDPEndpoint) handleDatagram(data []byte, from *net.UDPAddr) {
 		e.calls.Complete(hdr.Seq, msg) // false: duplicate, or nobody waits any more
 		return
 	}
-	e.reqs.push(udpRequest{hdr: hdr, msg: msg, from: from})
+	select {
+	case e.reqs <- udpRequest{hdr: hdr, msg: msg, from: from}:
+	default: // full: lost, as in flight
+	}
 }
 
-// handleRequest runs one inbound request on the dispatch worker, with
+// dispatch runs inbound requests in arrival order until Close. Requests
+// still queued then are dropped — the peer's retransmission covers them —
+// rather than dispatched into handlers whose endpoint is tearing down.
+func (e *UDPEndpoint) dispatch() {
+	defer close(e.stopped)
+	for {
+		select {
+		case <-e.done:
+			return
+		case r := <-e.reqs:
+			select {
+			case <-e.done: // both were ready: Close wins
+				return
+			default:
+			}
+			e.handleRequest(r)
+		}
+	}
+}
+
+// handleRequest runs one inbound request on the dispatch goroutine, with
 // retransmissions (same sequence number) answered from the response
 // cache instead of re-running non-idempotent handlers.
 func (e *UDPEndpoint) handleRequest(r udpRequest) {
@@ -403,13 +370,14 @@ func (e *UDPEndpoint) handleRequest(r udpRequest) {
 }
 
 // Close implements Endpoint: it cancels every in-flight Request waiter
-// (their retransmit timers stop via the done channel) and joins the
-// dispatch worker so no queued handler runs after Close returns.
+// (their retransmit timers stop via the done channel) and waits for the
+// dispatch goroutine — the handler in flight, if any — so no queued
+// handler runs after Close returns.
 func (e *UDPEndpoint) Close() error {
 	if e.closed.CompareAndSwap(false, true) {
 		close(e.done)
 		err := e.conn.Close()
-		e.reqs.join()
+		<-e.stopped
 		return err
 	}
 	return nil
@@ -444,7 +412,7 @@ type memFrame struct {
 // behind the goroutine draining it. Responses never enter a ring — the
 // responder completes the requester's pending call directly — so a
 // response cannot wait behind a request whose handler is blocked (the
-// head-of-line deadlock reqQueue's comment describes).
+// head-of-line deadlock UDPEndpoint.reqs's comment describes).
 type MemEndpoint struct {
 	endpoint
 	peer *MemEndpoint
@@ -483,13 +451,7 @@ func (e *MemEndpoint) send(f memFrame) error {
 	if fc == nil {
 		return e.peer.receive(f)
 	}
-	var err error
-	fc.inj.TransmitMsg(fc.tx, func() {
-		if rerr := e.peer.receive(f); rerr != nil {
-			err = rerr
-		}
-	})
-	return err
+	return fc.inj.Transmit(fc.tx, nil, func([]byte) error { return e.peer.receive(f) })
 }
 
 // receive takes one frame from the peer through the rx fault point: a
@@ -502,13 +464,7 @@ func (e *MemEndpoint) receive(f memFrame) error {
 	if fc == nil {
 		return e.deliver(f)
 	}
-	var err error
-	fc.inj.TransmitMsg(fc.rx, func() {
-		if derr := e.deliver(f); derr != nil {
-			err = derr
-		}
-	})
-	return err
+	return fc.inj.Transmit(fc.rx, nil, func([]byte) error { return e.deliver(f) })
 }
 
 func (e *MemEndpoint) deliver(f memFrame) error {

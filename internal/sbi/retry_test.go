@@ -213,6 +213,28 @@ func TestShmInvokeRecoversFromInjectedLoss(t *testing.T) {
 	}
 }
 
+// TestShmDelayedSendLateError is the regression test for the send that
+// returned an error variable its delayed delivery wrote later, from an
+// injector timer (a data race under -race): an invoke delayed toward a
+// closed producer fails at delivery, after Invoke has moved on, and only
+// times out.
+func TestShmDelayedSendLateError(t *testing.T) {
+	cli, srv := NewShmPair(8, func(op OpID, req codec.Message) (codec.Message, error) {
+		return op.NewResponse(), nil
+	})
+	defer cli.Close()
+	cli.SetTimeout(50 * time.Millisecond)
+	inj := faults.New(5).Add(faults.Rule{Point: "sbi.shm.cli.invoke", Kind: faults.Delay, Delay: 5 * time.Millisecond})
+	cli.SetInjector(inj, "sbi.shm.cli")
+	srv.Close()
+	if _, err := cli.Invoke(OpNFDiscover, &NFDiscoveryRequest{}); err == nil {
+		t.Fatal("invoke of a closed producer succeeded")
+	}
+	if n := inj.Count("sbi.shm.cli.invoke", faults.Delay); n != 1 {
+		t.Fatalf("%d sends delayed, want 1", n)
+	}
+}
+
 func TestResilientConnExportMetrics(t *testing.T) {
 	inner := &flakyConn{failuresLeft: 100}
 	b := NewCircuitBreaker(2, time.Minute)

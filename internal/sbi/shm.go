@@ -88,7 +88,10 @@ func (s *ShmServer) serve(f shmFrame) {
 		}
 	}
 	if s.inj != nil {
-		s.inj.TransmitMsg(s.txPoint, func() { s.replies.Complete(rf.seq, rf) })
+		s.inj.Transmit(s.txPoint, nil, func([]byte) error {
+			s.replies.Complete(rf.seq, rf)
+			return nil
+		})
 		return
 	}
 	s.replies.Complete(rf.seq, rf)
@@ -133,13 +136,7 @@ func (c *ShmConn) send(f shmFrame) error {
 	if c.inj == nil {
 		return c.out.Send(f)
 	}
-	var err error
-	c.inj.TransmitMsg(c.txPoint, func() {
-		if serr := c.out.Send(f); serr != nil {
-			err = serr
-		}
-	})
-	return err
+	return c.inj.Transmit(c.txPoint, nil, func([]byte) error { return c.out.Send(f) })
 }
 
 // Invoke implements Conn. With the producer idle the handler runs right

@@ -347,6 +347,106 @@ func TestDrainSessionBurst(t *testing.T) {
 	waitUntil(t, func() bool { return mgr.Pool().Avail() == 4096 }, "buffer return")
 }
 
+// parkThenRelease parks n downlink packets of session 0 behind a buffering
+// FAR, then sends release — with FAR 2 flipped to forward toward a new
+// tunnel added to it — and returns what the drain handed to the emit path.
+func (p *burstUPF) parkThenRelease(t *testing.T, n int, release *pfcp.SessionModificationRequest) []*pktbuf.Buf {
+	t.Helper()
+	p.c.Handle(100, &pfcp.SessionModificationRequest{
+		UpdateFARs: []*rules.FAR{{ID: 2, Action: rules.FARBuffer, DestInterface: rules.IfAccess}},
+	})
+	var scratch pkt.Parsed
+	for i := 0; i < n; i++ {
+		if p.u.Process(p.dl(t, 0, 72), &scratch) {
+			t.Fatalf("packet %d was not parked", i)
+		}
+	}
+	var emitted []*pktbuf.Buf
+	p.u.SetEmit(func(burst []*pktbuf.Buf) int {
+		emitted = append(emitted, burst...)
+		return len(burst)
+	})
+	release.UpdateFARs = append(release.UpdateFARs, &rules.FAR{ID: 2, Action: rules.FARForward,
+		DestInterface: rules.IfAccess, HasOuterHeader: true, OuterTEID: 0x7777, OuterAddr: gnbIP})
+	if resp, err := p.c.Handle(100, release); err != nil || resp.(*pfcp.SessionModificationResponse).Cause != pfcp.CauseAccepted {
+		t.Fatalf("modify: %v %+v", err, resp)
+	}
+	return emitted
+}
+
+// releaseAll returns emitted descriptors to the pool and counts them by
+// action.
+func releaseAll(emitted []*pktbuf.Buf) (toPort, dropped int) {
+	for _, b := range emitted {
+		if b.Meta.Action == pktbuf.ActionToPort {
+			toPort++
+		} else {
+			dropped++
+		}
+		b.Release()
+	}
+	return toPort, dropped
+}
+
+// TestDrainSessionPolicesQER is the regression test for the drain that
+// released parked packets past the session's DL MBR: a drained burst is
+// policed like any other, and the packets over the rate reach the emit
+// path as drops.
+func TestDrainSessionPolicesQER(t *testing.T) {
+	const n = 30
+	p := newBurstUPF(t, 1, func(int) uint64 { return 80 }) // a bucket of 8000 bits: ~8 packets
+	p.u.nowNano = func() int64 { return 1 }
+	toPort, dropped := releaseAll(p.parkThenRelease(t, n, &pfcp.SessionModificationRequest{}))
+	s := p.u.Stats()
+	if s.RateDropped == 0 || toPort == 0 || toPort+dropped != n || s.RateDropped != uint64(dropped) {
+		t.Fatalf("%d forwarded, %d dropped of %d; stats %+v", toPort, dropped, n, s)
+	}
+	if ctx, _ := p.st.Session(100); ctx.Stats().DLPkts != uint64(toPort) || s.DLForwarded != uint64(toPort) {
+		t.Fatalf("session %+v, upf %+v; %d forwarded", ctx.Stats(), s, toPort)
+	}
+	if p.pool.Avail() != p.pool.Size() {
+		t.Fatalf("%d buffers leaked", p.pool.Size()-p.pool.Avail())
+	}
+}
+
+// TestDrainSessionCountsMisses is the regression test for the drain that
+// released a parked packet matching no PDR without counting it: one whose
+// PDR the releasing modification removes is a miss.
+func TestDrainSessionCountsMisses(t *testing.T) {
+	const n = 5
+	p := newBurstUPF(t, 1, nil)
+	toPort, dropped := releaseAll(p.parkThenRelease(t, n, &pfcp.SessionModificationRequest{RemovePDRs: []uint32{2}}))
+	if s := p.u.Stats(); toPort != 0 || dropped != n || s.Misses != n {
+		t.Fatalf("%d forwarded, %d dropped of %d; stats %+v", toPort, dropped, n, s)
+	}
+	if p.pool.Avail() != p.pool.Size() {
+		t.Fatalf("%d buffers leaked", p.pool.Size()-p.pool.Avail())
+	}
+}
+
+// TestDrainSessionParksAgain: a packet the release finds behind another
+// buffering FAR — the modification points its PDR at one — is parked
+// again, not sent.
+func TestDrainSessionParksAgain(t *testing.T) {
+	const n = 5
+	p := newBurstUPF(t, 1, nil)
+	emitted := p.parkThenRelease(t, n, &pfcp.SessionModificationRequest{
+		CreateFARs: []*rules.FAR{{ID: 3, Action: rules.FARBuffer, DestInterface: rules.IfAccess}},
+		UpdatePDRs: []*rules.PDR{{ID: 2, Precedence: 32, FARID: 3,
+			PDI: rules.PDI{SourceInterface: rules.IfCore, UEIP: p.ips[0], HasUEIP: true}}},
+	})
+	ctx, _ := p.st.Session(100)
+	if s := ctx.Stats(); len(emitted) != 0 || s.QueueLen != n || s.Released != n {
+		t.Fatalf("%d emitted; session %+v", len(emitted), s)
+	}
+	for _, b := range ctx.Drain() {
+		b.Release()
+	}
+	if p.pool.Avail() != p.pool.Size() {
+		t.Fatalf("%d buffers leaked", p.pool.Size()-p.pool.Avail())
+	}
+}
+
 func waitUntil(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {

@@ -198,17 +198,6 @@ func (c *SessCtx) allow(ul bool, bits int, clock *burstClock) bool {
 	return bucket.allow(bits, now)
 }
 
-// Match resolves a packet to its PDR and FAR under the rules read lock.
-func (c *SessCtx) Match(k *classifier.Key) (*rules.PDR, *rules.FAR) {
-	c.rulesMu.RLock()
-	defer c.rulesMu.RUnlock()
-	pdr := c.Cls.Lookup(k)
-	if pdr == nil {
-		return nil, nil
-	}
-	return pdr, c.Sess.FAR(pdr.FARID)
-}
-
 // UpdateRules runs fn with exclusive access to the session's rule state
 // (UPF-C side of the shared store).
 func (c *SessCtx) UpdateRules(fn func()) {

@@ -67,7 +67,8 @@ func NewUPFU(state *State, upfc *UPFC) *UPFU {
 
 // SetEmit installs the egress function used when draining session buffers:
 // it takes a burst in order and returns how many descriptors it accepted;
-// the rest stay with the caller.
+// the rest stay with the caller. A burst can hold descriptors the fast
+// path dropped (Meta.Action not ActionToPort), which it must release.
 func (u *UPFU) SetEmit(fn func(burst []*pktbuf.Buf) int) { u.emit.Store(&fn) }
 
 // SetTracer installs a trace track for fast-path stage spans
@@ -388,32 +389,30 @@ func (u *UPFU) encapTo(buf *pktbuf.Buf, pdr *rules.PDR, far *rules.FAR) error {
 	return nil
 }
 
-// DrainSession releases a session's parked packets in order through the
-// emit path, encapsulating each toward the session's *current* FAR target
-// (the target gNB after a handover). Installed as UPF-C's drain hook. The
-// whole queue goes to the emit function as one burst, which pushes back
-// on a full ring rather than dropping.
+// DrainSession releases a session's parked packets in order. Installed as
+// UPF-C's drain hook. The queue runs through the fast path as one burst,
+// with no flow cache, as Process does: each packet gets the PDR, FAR and
+// QER decision and the counters of any other downlink packet, toward the
+// session's *current* FAR target (the target gNB after a handover), and a
+// FAR that buffers again parks it again. Whatever comes back, dropped
+// descriptors included, goes to the emit function as one burst, which
+// pushes back on a full ring rather than dropping and releases what is
+// not headed for a port.
 func (u *UPFU) DrainSession(ctx *SessCtx) {
 	parked := ctx.Drain()
 	emitp := u.emit.Load()
-	var p pkt.Parsed
-	out := parked[:0]
-	for _, b := range parked {
-		if emitp != nil && p.ParseIPv4(b.Bytes()) == nil {
-			p.TEID, p.FromAccess = 0, false
-			pdr, far := ctx.Match(&p.FlowKey)
-			if pdr != nil && far != nil && far.Action&rules.FARForward != 0 && u.encapTo(b, pdr, far) == nil {
-				out = append(out, b)
-				continue
-			}
+	if emitp == nil {
+		for _, b := range parked {
+			b.Release()
 		}
-		b.Release()
+		return
 	}
+	var p pkt.Parsed
+	var sc scratch
+	out := parked[:u.processBurst(parked, &p, &sc)]
 	if len(out) == 0 {
 		return
 	}
-	ctx.dlPkts.Add(uint64(len(out)))
-	u.dlFwd.Add(uint64(len(out)))
 	for _, b := range out[(*emitp)(out):] {
 		b.Release()
 	}
