@@ -183,13 +183,17 @@ scale-smoke:
 # mode's socket read loops, none per switch hop, none in UPFU.Process, none
 # per packet through an attached UPF-U's flow cache (256 sessions of 8
 # PDRs, hit and forced miss), none in the gNB's UL and DL edges, and the
-# -benchmem rows that say the same —
+# -benchmem rows that say the same (and an inline hop's ns/op) —
 # then, ten times under the race detector, the ring-ownership helper's
 # properties (10^5 lone sends from four producers, nothing stranded at
 # release, one consumer at a time, Hold waiting out the owner; the same
-# for lone offers run in place with later arrivals left to drainers) and the
-# pool's hot-stash conservation and LIFO order; then the bulk-ring,
-# burst-switch and burst-UPF tests three times under it: partial fits and
+# for lone offers run in place with later arrivals left to drainers), the
+# one-flag rule on an NF instance (Inject and SendBurst producers in
+# rounds: each descriptor once, in order, one holder at a time, nothing
+# stranded on either ring) and the owner cache's conservation and LIFO
+# order; then the bulk-ring, burst-switch and burst-UPF tests three times
+# under it: Injects that only looked starting no drainer, the owner caches'
+# conservation through Stop, a flooded Tx ring's drops, partial fits and
 # wrap-around, four bulk producers against the one consumer, a burst mixing
 # destinations, an Rx ring filling mid-burst, Stop during a burst,
 # fault-delayed frames whose timers fire after Stop, 10^5 lone packets
@@ -199,21 +203,22 @@ scale-smoke:
 # burst through the fast path: policed, misses counted, parked again
 # behind a buffering FAR), and the
 # flow cache's invalidations (paging flip, handover retarget, PDR add and
-# remove, QER install, delete and reuse, index takeovers, Reset, two flows
-# of one slot, FAR rewrites while packets flow, rules never written in
+# remove, QER install, delete and reuse, index takeovers, Reset, flows
+# sharing a set, FAR rewrites while packets flow, rules never written in
 # place);
 # and the borrow contract: a sink that keeps its slice reads the poison
 # (pool buffer or socket read buffer), one that copies reads its packet,
 # and the three modes deliver the same bytes in the same order.
 fastpath-smoke:
 	$(GO) test -count=1 -run 'TestFastPathAllocs|TestSocketEdgesAllocateNothingPerFrame' ./internal/core
-	$(GO) test -count=1 -run 'TestHopAllocs' -bench 'BenchmarkDescriptorSwitch/tracer=off' -benchmem ./internal/onvm
+	$(GO) test -count=1 -run 'TestHopAllocs' -bench 'BenchmarkDescriptorSwitch/tracer=off|BenchmarkInlineHop' -benchmem ./internal/onvm
 	$(GO) test -count=1 -run 'TestProcessAllocs|TestFlowCacheAllocs' -bench 'BenchmarkUPFUProcess|BenchmarkUPFUBurst' -benchmem ./internal/upf
 	$(GO) test -count=1 -run 'TestNone' -bench 'BenchmarkSendUplink|BenchmarkHandleDLFrame' -benchmem -cpu 1,2 ./internal/ranue
 	$(GO) test -race -count=10 -run 'TestOwner' ./internal/ring
-	$(GO) test -race -count=10 -run 'TestStash' ./internal/pktbuf
+	$(GO) test -race -count=10 -run 'TestInjectAndSendBurstInterleaved' ./internal/onvm
+	$(GO) test -race -count=10 -run 'TestCache' ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'Bulk' ./internal/ring ./internal/pktbuf
-	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestDelayedTimersAfterStopRelease|TestLonePackets|TestSnapshotSeen|TestCountersBatched|TestInPlaceRunHandsLaterArrivalsToDrainer|TestStopWaitsOutDrainer' ./internal/onvm
+	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestDelayedTimersAfterStopRelease|TestLonePackets|TestSnapshotSeen|TestCountersBatched|TestInPlaceRunHandsLaterArrivalsToDrainer|TestStopWaitsOutDrainer|TestInjectThatOnlyLookedStartsNoDrainer|TestOwnerCacheConservation|TestTxRingOverflowCountsDrops' ./internal/onvm
 	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSession|TestFlowCache|TestInstalledRules' ./internal/upf
 	$(GO) test -race -count=3 -run 'TestSinksSwapWhileDownlinkFlows|TestSinkRetentionGuard|TestModesDeliverIdenticalBytes' ./internal/core
 

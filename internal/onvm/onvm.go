@@ -1,35 +1,35 @@
 // Package onvm is the shared-memory NFV platform underpinning L²5GC: an
 // in-process reproduction of OpenNetVM's architecture. An NF manager owns a
 // packet-buffer pool and per-NF Rx/Tx descriptor rings; NFs attach by
-// service ID, process packets handed to their Rx ring, stamp an action
-// (to-NF / to-port / drop / buffer) into the descriptor metadata and return
-// it through their Tx ring. The manager moves descriptors between rings —
-// packets themselves never move or get serialized.
+// service ID, process packets handed to them, stamp an action (to-NF /
+// to-port / drop / buffer) into the descriptor metadata and hand it back to
+// be switched. The manager moves descriptors between NFs — packets
+// themselves never move or get serialized.
 //
-// No goroutine is resident here. Every ring — an NF's Rx ring, an NF's Tx
-// ring — is consumed by whichever caller finds it unowned (ring.Owner, the
-// consumer-ownership rule shm.Mailbox uses). Inject hands its descriptor
-// to the Rx ring of the instance its flow steers to (§4, Receive Side
-// Scaling), the way ONVM's NIC queue feeds the first NF; a caller that
-// finds the ring empty runs the NF's handler on it in place, and
-// descriptors handed back onto an idle Tx ring are switched and emitted
-// the same way. Uncontended, one Inject carries its packet through the
-// whole chain to the sink with no ring round trip and no goroutine
-// hand-off, the way an ONVM NF polling its ring would. Under contention a
-// descriptor waits in its ring: a caller runs only what was queued when
-// it took the ring, and what arrives meanwhile goes to a drainer, a
-// goroutine started for it that exits once the ring is empty. A flow
-// always steers to the same instance and each ring has one consumer at a
-// time, which keeps per-flow FIFO order end-to-end while unrelated flows
-// run in parallel (DESIGN §11).
+// No goroutine is resident here. Each NF instance has one ownership flag
+// (ring.Owner, the consumer-ownership rule shm.Mailbox uses), and its
+// holder does all of the instance's work: it runs the handler and switches
+// what the handler hands back itself, with buffers from a cache private to
+// the holder (pktbuf.Cache, DPDK's per-lcore mempool cache). Inject steers
+// a frame to the instance its flow maps to (§4, Receive Side Scaling), the
+// way ONVM's NIC queue feeds the first NF; a caller that finds the instance
+// idle takes the flag and carries the packet through the whole chain to the
+// sink in place, with no ring round trip and no goroutine hand-off, the way
+// an ONVM NF polling its ring would. The Rx ring (Inject, switches from
+// other NFs) and the Tx ring (SendBurst) only queue what arrives while the
+// instance is held. A caller runs only its own packets, after whatever was
+// queued ahead of them, and lets go; what arrived meanwhile goes to a
+// drainer, a goroutine started for it that exits once both rings are
+// empty. A flow always steers to the same instance and each instance has
+// one holder at a time, which keeps per-flow FIFO order end-to-end while
+// unrelated flows run in parallel (DESIGN §11).
 //
-// Between the copy in (Inject) and the sink call out, descriptors leave an
-// NF in bursts: a burst is what a caller hands to an empty ring, or
-// whatever a ring holds when its owner looks, up to drainBatch, and is
-// never waited for. Ring operations and counters are
-// paid once per burst, the steering tables are an immutable snapshot
-// loaded once per Tx burst, and nothing on that path takes a mutex or
-// allocates (DESIGN §11).
+// Between the copy in (Inject) and the sink call out, descriptors move in
+// bursts: a burst is what a caller hands to an idle instance, or whatever a
+// ring holds when the holder looks, up to drainBatch, and is never waited
+// for. Ring operations and counters are paid once per burst, the steering
+// tables are an immutable snapshot loaded once per switched burst, and
+// nothing on that path takes a mutex or allocates (DESIGN §11).
 //
 // The platform also carries the paper's deployment features: multiple
 // instances per service with canary-rollout traffic splitting (§4), RSS
@@ -63,7 +63,7 @@ type ServiceID = uint16
 type PortID = uint16
 
 // BurstHandler processes one burst of descriptors, in order, on the caller
-// that owns the instance's Rx ring: one caller at a time, so a handler may
+// that holds the instance: one caller at a time, so a handler may
 // keep state between calls without locking, though not always on the same
 // goroutine. For every descriptor it either sets buf.Meta and hands the
 // descriptor back, or takes ownership of it (e.g. parks the buffer in a
@@ -92,11 +92,12 @@ func (h Handler) burst(burst []*pktbuf.Buf) int {
 
 // PortSink receives frames leaving the platform via ActionToPort. The sink
 // borrows the buffer only for the duration of the call; the manager
-// releases it afterwards. A sink runs on the caller that switches the
-// frame's Tx ring — for an idle chain, the Inject or SendBurst that started
-// it; under contention, possibly a drainer — so it may be invoked
+// releases it afterwards. A sink runs on the caller that holds the instance
+// switching the frame — for an idle chain, the Inject or SendBurst that
+// started it; under contention, possibly a drainer — so it may be invoked
 // concurrently for different flows (frames of one flow arrive in order) and
-// must be goroutine-safe; a sink that blocks blocks that caller.
+// must be goroutine-safe; a sink that blocks blocks that caller and the
+// whole instance.
 type PortSink func(frame []byte, meta pktbuf.Meta)
 
 // Errors returned by the platform.
@@ -108,17 +109,17 @@ var (
 	ErrBadPercent = errors.New("onvm: canary percent out of range")
 )
 
-// drainBatch bounds a burst: how many descriptors a ring's owner takes
-// from it at once.
+// drainBatch bounds a burst: how many descriptors the holder takes from a
+// ring at once.
 const drainBatch = 64
 
-// txEnqueueSpins bounds how long a sender pushes back on a full Tx ring
-// without any slot coming free before it counts what is left of its burst
-// as tx-overflow drops. Each round switches the ring itself if its owner
-// has let go, and otherwise sleeps a microsecond longer than the last —
-// about 2 ms in all, an owner empties the whole ring in a tenth of that —
-// since a plain yield returns at once when the owner runs on another
-// thread.
+// txEnqueueSpins bounds how long a SendBurst caller pushes back on a full
+// Tx ring without any slot coming free before it counts what is left of
+// its burst as tx-overflow drops. Each round takes the instance itself if
+// its holder has let go, and otherwise sleeps a microsecond longer than the
+// last — about 2 ms in all, a holder empties the whole ring in a tenth of
+// that — since a plain yield returns at once when the holder runs on
+// another thread.
 const txEnqueueSpins = 64
 
 // Instance is one running NF instance attached to the platform.
@@ -128,174 +129,221 @@ type Instance struct {
 	name       string
 	spanName   string // "onvm.nf."+name, precomputed off the hot path
 
-	// rx is fed by Inject and by whoever switches a descriptor to the
-	// instance; its owner runs the handler. tx is fed by rx's owner and by
-	// SendBurst callers (session-buffer drains); its owner switches what it
-	// holds.
-	rx rxRing
-	tx txRing
+	// own is the instance's one ownership flag. Its holder runs the handler
+	// on Rx descriptors and switches what the handler hands back; rx and tx
+	// only queue what arrives while the instance is held: rx from Inject
+	// and from switchers delivering here, tx from SendBurst callers. The
+	// holder's Unlock looks at both.
+	own ring.Owner
+	rx  *ring.MPSC[*pktbuf.Buf]
+	tx  *ring.MPSC[*pktbuf.Buf]
 
 	handler BurstHandler
 	mgr     *Manager
 
-	txDrops atomic.Uint64
-	inline  atomic.Uint64 // handled on the caller that delivered them
-	queued  atomic.Uint64 // handled by another caller or a drainer
-}
-
-// lane is what an NF's Rx and Tx rings share: the ring, its ownership
-// flag and the burst array its owner works in.
-type lane struct {
-	own   ring.Owner
-	r     *ring.MPSC[*pktbuf.Buf]
-	mgr   *Manager
-	in    atomic.Uint64 // descriptors put through the ring, queued or in place
+	// What only the holder touches: the switch, the free buffers it takes
+	// for Inject and releases into, and the burst array it works in.
+	sw    switcher
+	cache *pktbuf.Cache
 	batch [drainBatch]*pktbuf.Buf
+
+	rxQueued atomic.Uint64 // descriptors put on the Rx ring
+	txOut    atomic.Uint64 // descriptors switched
+	txDrops  atomic.Uint64
+	inline   atomic.Uint64 // Rx descriptors run in place, never queued
+	queued   atomic.Uint64 // Rx descriptors run off the ring
 }
 
-// burster is a lane's consumer: rxRing runs the NF's handler on a burst,
-// txRing switches it.
-type burster interface {
-	ring.Consumer
-	run(burst []*pktbuf.Buf)
+// rings is an instance's two rings as the ring.Consumer its flag looks at.
+type rings struct{ i *Instance }
+
+func (r rings) Ready() bool { return r.i.rx.Ready() || r.i.tx.Ready() }
+
+// Consume is a drainer's: it runs both rings until they are empty, the Tx
+// handbacks first each round, and publishes the cache before the drainer
+// lets go.
+func (r rings) Consume() (n int) {
+	defer r.i.cache.Publish()
+	for {
+		k := r.i.consume(math.MaxInt, math.MaxInt)
+		if k == 0 {
+			return n
+		}
+		n += k
+	}
 }
 
-func (l *lane) Ready() bool { return l.r.Ready() }
+// Name returns the instance's diagnostic name.
+func (i *Instance) Name() string { return i.name }
 
-// offer hands bufs to the lane's ring in order, running them through c
-// here when the ring is idle. A caller that takes the flag runs what it
-// finds (take), lets go, and hands whatever arrived meanwhile to a
-// drainer; a caller that finds the ring owned queues bufs behind the
-// owner, then tries the flag once more, since the owner may have had its
-// last look before they were published. While the ring is full and owned
-// it pushes back for up to limit rounds without progress — a yield each,
-// or with sleep a sleep a microsecond longer than the last — and then
-// gives up. It returns how many of bufs went in (the caller still owns
-// bufs[took:]) and, of the descriptors this caller ran, how many it had
-// delivered itself and how many other callers had.
-func (l *lane) offer(c burster, bufs []*pktbuf.Buf, limit int, sleep bool) (took, inline, queued int) {
-	mine := 0 // queued by this caller and not yet seen run
+// Stats returns packets received and transmitted by this instance.
+func (i *Instance) Stats() (rx, tx uint64) {
+	return i.inline.Load() + i.rxQueued.Load(), i.txOut.Load()
+}
+
+// TxDrops returns descriptors this instance discarded because its Tx ring
+// stayed full through the enqueue backoff window.
+func (i *Instance) TxDrops() uint64 { return i.txDrops.Load() }
+
+// idle reports whether nothing is queued on either ring, counting a slot a
+// producer has reserved but not yet published.
+func (i *Instance) idle() bool { return i.rx.Len() == 0 && i.tx.Len() == 0 }
+
+// unlock publishes the cache and lets go of the instance, and reports
+// whether a descriptor arrived on either ring meanwhile, which the caller
+// must see run (ring.Owner.Unlock).
+func (i *Instance) unlock() bool {
+	i.cache.Publish()
+	return i.own.Unlock(rings{i})
+}
+
+// offer hands bufs to ring q of the instance (its rx or tx), in order. A
+// caller that takes the flag does the holder's work (take); one that finds
+// the instance held queues bufs behind the holder, then tries the flag once
+// more, since the holder may have had its last look before they were
+// published. While q is full and the instance held it pushes back for up
+// to limit rounds without progress — a yield each, or with sleep a sleep a
+// microsecond longer than the last — and then gives up; it gives up at
+// once if the manager is stopping. It returns how many of bufs went in:
+// the caller still owns bufs[took:].
+func (i *Instance) offer(q *ring.MPSC[*pktbuf.Buf], bufs []*pktbuf.Buf, limit int, sleep bool) (took int) {
 	for spins := 0; ; spins++ {
+		if i.own.TryLock() {
+			return took + i.take(q, bufs[took:])
+		}
+		if took == len(bufs) {
+			return took // queued behind a busy holder
+		}
+		k, live := i.queue(q, bufs[took:])
 		switch {
-		case l.own.TryLock():
-			k, ran := l.take(c, bufs[took:])
-			took, mine = took+k, mine+k
-			in := min(ran, mine)
-			inline, queued, mine = inline+in, queued+ran-in, mine-in
-			if l.own.Unlock(c) {
-				l.handoff(c)
-			}
-			if took == len(bufs) {
-				return
-			}
-			if k+ran > 0 {
-				spins = 0 // the owner's run made room
-			}
-		case took == len(bufs):
-			return // queued behind a busy owner
+		case !live:
+			return took
+		case k > 0:
+			took, spins = took+k, 0
+		case spins >= limit:
+			return took
+		case sleep:
+			time.Sleep(time.Duration(spins+1) * time.Microsecond)
 		default:
-			if k := l.r.EnqueueBulk(bufs[took:]); k > 0 {
-				l.in.Add(uint64(k))
-				took, mine, spins = took+k, mine+k, 0
-			} else if spins >= limit {
-				return
-			} else if sleep {
-				time.Sleep(time.Duration(spins+1) * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
+			runtime.Gosched()
 		}
 	}
 }
 
-// take is the work of a caller that has just taken the lane's flag with
-// bufs in hand. On an empty ring — nothing queued, and no slot reserved by
-// a producer still publishing — it runs bufs in place, a burst at a time:
-// exactly what queueing them and dequeueing them again would do. Otherwise
-// what is queued goes first: bufs join the queue, as many as fit, and the
-// caller runs what the ring held at that moment, its own included, and
-// nothing that arrives later. It returns how many of bufs it took and how
-// many descriptors it ran.
-func (l *lane) take(c burster, bufs []*pktbuf.Buf) (took, ran int) {
-	if l.r.Len() == 0 {
-		if len(bufs) > 0 {
-			l.in.Add(uint64(len(bufs)))
-		}
-		for took < len(bufs) {
-			// The burst goes through the owner's array, never the caller's
+// queue is how a caller that does not hold the instance puts bufs on q: as
+// many as fit, inside the inflight count, so that Stop either waits for it
+// or it sees stopped and queues nothing (live false) on a ring Stop may
+// have emptied already. It returns how many it queued.
+func (i *Instance) queue(q *ring.MPSC[*pktbuf.Buf], bufs []*pktbuf.Buf) (k int, live bool) {
+	m := i.mgr
+	m.inflight.Add(1)
+	defer m.inflight.Add(-1)
+	if m.stopped.Load() {
+		return 0, false
+	}
+	return i.enqueue(q, bufs), true
+}
+
+// enqueue puts as many of bufs on q as fit and returns how many.
+func (i *Instance) enqueue(q *ring.MPSC[*pktbuf.Buf], bufs []*pktbuf.Buf) int {
+	k := q.EnqueueBulk(bufs)
+	if k > 0 && q == i.rx {
+		i.rxQueued.Add(uint64(k))
+	}
+	return k
+}
+
+// take is the work of a caller that has just taken the flag with bufs in
+// hand for ring q (none, for a caller that queued its own and tries the
+// flag again). On an idle instance it runs bufs in place, a burst at a
+// time — exactly what queueing them and dequeueing them again would do.
+// Otherwise what is queued goes first: bufs join q behind it, and the
+// caller runs what both rings held at that moment, its own included, and
+// nothing that arrives later. Either way it then lets go and hands
+// whatever arrived meanwhile to a drainer. It takes all of bufs.
+func (i *Instance) take(q *ring.MPSC[*pktbuf.Buf], bufs []*pktbuf.Buf) int {
+	if i.idle() {
+		for took := 0; took < len(bufs); {
+			// The burst goes through the holder's array, never the caller's
 			// slice, which would escape through the handler.
-			k := copy(l.batch[:], bufs[took:])
-			c.run(l.batch[:k])
+			k := copy(i.batch[:], bufs[took:])
+			if q == i.rx {
+				i.inline.Add(uint64(k))
+				i.handle(i.batch[:k])
+			} else {
+				i.transmit(i.batch[:k])
+			}
 			took += k
 		}
-		return took, took
+	} else {
+		for took := 0; took < len(bufs); {
+			if took += i.enqueue(q, bufs[took:]); took < len(bufs) {
+				i.consume(i.tx.Len(), i.rx.Len()) // make room
+			}
+		}
+		i.consume(i.tx.Len(), i.rx.Len())
 	}
-	if took = l.r.EnqueueBulk(bufs); took > 0 {
-		l.in.Add(uint64(took))
+	if i.unlock() {
+		i.handoff()
 	}
-	return took, l.consume(c, l.r.Len())
+	return len(bufs)
 }
 
-// consume runs up to limit descriptors off the ring, a burst at a time,
-// stopping early at a slot reserved but not yet published (its producer
-// tries the flag once it publishes), and returns how many it ran. Once the
-// manager is stopping, what it dequeues is released and counted dropped
-// instead: Stop is waiting for this owner.
-func (l *lane) consume(c burster, limit int) (ran int) {
-	for n := 0; n < limit; {
-		k := l.r.DequeueBulk(l.batch[:min(limit-n, drainBatch)])
+// consume runs up to tx descriptors off the Tx ring, then up to rx off the
+// Rx ring, and returns how many it took off them.
+func (i *Instance) consume(tx, rx int) int {
+	return i.consumeRing(i.tx, tx) + i.consumeRing(i.rx, rx)
+}
+
+// consumeRing runs up to limit descriptors off ring q, a burst at a time —
+// the handler and the switch for the Rx ring, the switch for the Tx ring —
+// stopping early at an empty ring or a slot reserved but not yet published
+// (its producer tries the flag once it publishes), and returns how many it
+// took off. Once the manager is stopping, what it dequeues is released and
+// counted dropped instead: Stop is waiting for this holder.
+func (i *Instance) consumeRing(q *ring.MPSC[*pktbuf.Buf], limit int) (n int) {
+	m := i.mgr
+	for n < limit {
+		k := q.DequeueBulk(i.batch[:min(limit-n, drainBatch)])
 		if k == 0 {
 			break
 		}
 		n += k
-		if l.mgr.stopped.Load() {
-			l.mgr.dropped.Add(uint64(k))
-			l.mgr.pool.ReleaseBulk(l.batch[:k])
-			continue
+		switch burst := i.batch[:k]; {
+		case m.stopped.Load():
+			m.dropped.Add(uint64(k))
+			i.cache.ReleaseBulk(burst)
+		case q == i.rx:
+			i.queued.Add(uint64(k))
+			i.handle(burst)
+		default:
+			i.transmit(burst)
 		}
-		c.run(l.batch[:k])
-		ran += k
-	}
-	return ran
-}
-
-// handoff starts a drainer for what was queued on the lane's ring while
-// its owner ran: a plain Drain caller on a goroutine of its own, inside
-// the inflight count (its starter is still inside it, so Stop cannot miss
-// it), that exits once the ring is empty.
-func (l *lane) handoff(c burster) {
-	m := l.mgr
-	m.handoffs.Add(1)
-	m.inflight.Add(1)
-	go l.drain(c)
-}
-
-func (l *lane) drain(c burster) {
-	l.own.Drain(c)
-	l.mgr.inflight.Add(-1)
-	l.mgr.yield()
-}
-
-// rxRing is an NF's Rx ring: its owner runs the NF's handler.
-type rxRing struct {
-	lane
-	inst *Instance
-}
-
-// Consume is a drainer's: it runs the ring until it is empty, every
-// descriptor delivered by another caller.
-func (q *rxRing) Consume() int {
-	n := q.consume(q, math.MaxInt)
-	if n > 0 {
-		q.inst.queued.Add(uint64(n))
 	}
 	return n
 }
 
-// run runs the handler on a burst and hands what comes back to the Tx
-// ring in order.
-func (q *rxRing) run(burst []*pktbuf.Buf) {
-	i := q.inst
+// handoff starts a drainer for what was queued on the instance's rings
+// while its holder ran: a plain Drain caller on a goroutine of its own,
+// inside the inflight count, that exits once both rings are empty. One
+// started while Stop runs either holds the instance before Stop takes it,
+// and Stop waits for it, or finds it held for good and exits at once.
+func (i *Instance) handoff() {
+	m := i.mgr
+	m.handoffs.Add(1)
+	m.inflight.Add(1)
+	go i.drain()
+}
+
+func (i *Instance) drain() {
+	i.own.Drain(rings{i})
+	i.mgr.inflight.Add(-1)
+	i.mgr.yield()
+}
+
+// handle runs the handler on a burst of Rx descriptors and switches what
+// comes back, in order.
+func (i *Instance) handle(burst []*pktbuf.Buf) {
 	if tk := i.mgr.tracec.Load(); tk == nil {
 		burst = burst[:i.handler(burst)]
 	} else {
@@ -311,91 +359,86 @@ func (q *rxRing) run(burst []*pktbuf.Buf) {
 		}
 		burst = burst[:h]
 	}
-	if len(burst) == 0 {
-		return
-	}
-	if sent := i.transmit(burst); sent < len(burst) {
-		i.mgr.pool.ReleaseBulk(burst[sent:])
+	if len(burst) > 0 {
+		i.transmit(burst)
 	}
 }
 
-// txRing is an NF's Tx ring: its owner switches what it holds.
-type txRing struct {
-	lane
-	sw switcher
-}
-
-// Consume is a drainer's: it switches the ring until it is empty.
-func (q *txRing) Consume() int { return q.consume(q, math.MaxInt) }
-
-// run switches a burst.
-func (q *txRing) run(burst []*pktbuf.Buf) {
-	q.sw.begin()
+// transmit switches a burst of processed descriptors.
+func (i *Instance) transmit(burst []*pktbuf.Buf) {
+	i.txOut.Add(uint64(len(burst)))
+	w := &i.sw
+	w.begin()
 	for _, buf := range burst {
-		q.sw.process(buf)
+		w.process(buf)
 	}
-	q.sw.end()
+	w.end()
 }
-
-// Name returns the instance's diagnostic name.
-func (i *Instance) Name() string { return i.name }
-
-// Stats returns packets received and transmitted by this instance.
-func (i *Instance) Stats() (rx, tx uint64) { return i.rx.in.Load(), i.tx.in.Load() }
-
-// TxDrops returns descriptors this instance discarded because its Tx ring
-// stayed full through the enqueue backoff window.
-func (i *Instance) TxDrops() uint64 { return i.txDrops.Load() }
 
 // receive hands descriptors to the instance's Rx ring in order and runs
-// the handler on them here if the ring is idle (lane.offer). While the
-// ring is full its owner gets the caller's timeslice, bounded so a wedged
-// NF cannot stall its caller for long, and what still does not fit is
-// released and counted as ring-overflow drops, descriptor for descriptor.
+// the handler on them here if the instance is idle (offer). While the ring
+// is full its holder gets the caller's timeslice, bounded so a wedged NF
+// cannot stall its caller for long, and what still does not fit is
+// released and counted as ring-overflow drops, descriptor for descriptor
+// (once the manager is stopping, as plain drops).
 func (i *Instance) receive(bufs []*pktbuf.Buf) {
 	m := i.mgr
-	took, inline, queued := i.rx.offer(&i.rx, bufs, m.bpSpins, false)
-	if inline > 0 {
-		i.inline.Add(uint64(inline))
-	}
-	if queued > 0 {
-		i.queued.Add(uint64(queued))
-	}
-	if left := bufs[took:]; len(left) > 0 {
-		m.ringDrops.Add(uint64(len(left)))
+	if left := bufs[i.offer(i.rx, bufs, m.bpSpins, false):]; len(left) > 0 {
+		if m.stopped.Load() {
+			m.dropped.Add(uint64(len(left)))
+		} else {
+			m.ringDrops.Add(uint64(len(left)))
+		}
 		m.pool.ReleaseBulk(left)
 	}
 }
 
-// transmit hands a burst of processed descriptors to the instance's Tx
-// ring in order and switches it here if the ring is idle (lane.offer).
-// While the ring is full it backs off; when no slot came free through the
-// whole backoff window, what is left of the burst is counted as
-// tx-overflow drops. It returns how many descriptors went out: the caller
-// still owns burst[sent:].
-func (i *Instance) transmit(burst []*pktbuf.Buf) int {
-	sent, _, _ := i.tx.offer(&i.tx, burst, txEnqueueSpins, true)
-	if left := uint64(len(burst) - sent); left > 0 {
-		i.txDrops.Add(left)
-		i.mgr.txDrops.Add(left)
+// inject carries a frame copied from data, with meta, into the instance.
+// A caller that takes an idle instance copies it into a buffer from the
+// holder's cache and runs it in place; any other caller copies it into one
+// from the shared pool and hands that to receive.
+func (i *Instance) inject(data []byte, meta *pktbuf.Meta) error {
+	get := i.mgr.pool.Get
+	held := i.own.TryLock()
+	if held {
+		get = i.cache.Get
 	}
-	return sent
+	buf, err := get()
+	if err != nil {
+		i.mgr.dropped.Add(1)
+		if held && i.unlock() {
+			i.handoff()
+		}
+		return err
+	}
+	_ = buf.SetData(data) // Inject checked the length
+	buf.Meta = *meta
+	one := [1]*pktbuf.Buf{buf}
+	if held {
+		i.take(i.rx, one[:])
+	} else {
+		i.receive(one[:])
+	}
+	return nil
 }
 
-// SendBurst hands descriptors from the NF back to the manager via its Tx
-// ring, in order (used by handlers that emit packets outside their burst,
-// e.g. draining a session buffer after handover); if no caller owns the
-// ring, this one switches and emits them. It returns how many were
+// SendBurst hands descriptors from the NF back to the manager to be
+// switched, in order (used by handlers that emit packets outside their
+// burst, e.g. draining a session buffer after handover). If the instance
+// is idle this caller switches and emits them; if it is held they queue on
+// the Tx ring for the holder or its drainer. It returns how many were
 // accepted; the caller keeps ownership of burst[sent:], which the manager
 // has already counted as tx drops unless it is stopped.
 func (i *Instance) SendBurst(burst []*pktbuf.Buf) (sent int) {
 	m := i.mgr
-	m.inflight.Add(1)
-	defer m.inflight.Add(-1)
 	if m.stopped.Load() {
 		return 0
 	}
-	sent = i.transmit(burst)
+	sent = i.offer(i.tx, burst, txEnqueueSpins, true)
+	if left := uint64(len(burst) - sent); left > 0 && !m.stopped.Load() {
+		i.txDrops.Add(left)
+		m.txDrops.Add(left)
+	}
 	m.yield()
 	return sent
 }
@@ -476,13 +519,14 @@ type stage struct {
 	bufs [drainBatch]*pktbuf.Buf
 }
 
-// switcher is the state of the descriptor switch for one NF's Tx ring,
-// touched only by that ring's owner: what begin loaded, the last service
-// and port looked up in that tables snapshot, the per-destination stages,
-// the descriptors to give back to the pool and the drops to count when the
-// burst ends.
+// switcher is the state of the descriptor switch for one NF instance,
+// touched only by the instance's holder: what begin loaded, the last
+// service and port looked up in that tables snapshot, the per-destination
+// stages, the descriptors to give back to the holder's cache and the drops
+// to count when the burst ends.
 type switcher struct {
-	m *Manager
+	m     *Manager
+	cache *pktbuf.Cache
 
 	dropped atomic.Uint64
 
@@ -508,19 +552,19 @@ type Manager struct {
 	tabs atomic.Pointer[tables]
 
 	stopped  atomic.Bool
-	inflight atomic.Int64  // deliver, SendBurst, emitDelayed and drainers in progress
+	inflight atomic.Int64  // queueing callers, emitDelayed and drainers in progress
 	handoffs atomic.Uint64 // drainers started
-	yieldReq atomic.Bool   // RequestYield: yield once every ring is let go
+	yieldReq atomic.Bool   // RequestYield: yield once every instance is let go
 
 	nfRingSize int
 	bpSpins    int
 	faultc     atomic.Pointer[injConf]
 	tracec     atomic.Pointer[trace.Track]
 
-	// dropped counts drops outside any Tx-ring switcher: pool exhaustion
-	// at Inject, fault drops and unknown services on the way in, delayed
-	// frames that outlive Stop or their sink, what owners dequeue once
-	// Stop has begun, teardown releases.
+	// dropped counts drops outside any instance's switcher: pool
+	// exhaustion at Inject, fault drops and unknown services on the way in,
+	// delayed frames that outlive Stop or their sink, what holders dequeue
+	// once Stop has begun, teardown releases.
 	dropped atomic.Uint64
 	// txDrops and ringDrops count descriptors discarded on full Tx and Rx
 	// rings, both folded into the dropped aggregate.
@@ -569,7 +613,8 @@ func NewManager(cfg Config) *Manager {
 }
 
 // Pool exposes the shared packet pool (NFs allocate response packets
-// from the same hugepage-analogue pool).
+// from the same hugepage-analogue pool). Its Avail and Stats count what
+// the instances' caches held when their holders last let go.
 func (m *Manager) Pool() *pktbuf.Pool { return m.pool }
 
 // RingDrops exposes the ring-overflow drop counter: descriptors the
@@ -639,14 +684,15 @@ func (m *Manager) sumInstances(f func(*Instance) uint64) uint64 {
 	return n
 }
 
-// switchedTotal counts descriptors put on NF Rx rings.
+// switchedTotal counts descriptors delivered to NF instances, queued or
+// run in place.
 func (m *Manager) switchedTotal() uint64 {
-	return m.sumInstances(func(i *Instance) uint64 { return i.rx.in.Load() })
+	return m.sumInstances(func(i *Instance) uint64 { rx, _ := i.Stats(); return rx })
 }
 
 func (m *Manager) droppedTotal() uint64 {
 	n := m.dropped.Load() + m.txDrops.Load() + m.ringDrops.Load()
-	return n + m.sumInstances(func(i *Instance) uint64 { return i.tx.sw.dropped.Load() })
+	return n + m.sumInstances(func(i *Instance) uint64 { return i.sw.dropped.Load() })
 }
 
 // ringSize returns the per-NF ring capacity.
@@ -687,8 +733,9 @@ func (m *Manager) RegisterBurst(sid ServiceID, name string, h BurstHandler) (*In
 		handler:  h,
 		mgr:      m,
 	}
-	inst.rx.r, inst.rx.mgr, inst.rx.inst = ring.NewMPSC[*pktbuf.Buf](m.ringSize()), m, inst
-	inst.tx.r, inst.tx.mgr, inst.tx.sw.m = ring.NewMPSC[*pktbuf.Buf](m.ringSize()), m, m
+	inst.rx, inst.tx = ring.NewMPSC[*pktbuf.Buf](m.ringSize()), ring.NewMPSC[*pktbuf.Buf](m.ringSize())
+	inst.cache = m.pool.NewCache()
+	inst.sw.m, inst.sw.cache = m, inst.cache
 	m.update(func(t *tables) {
 		ent := serviceEntry{}
 		if old := t.service(sid); old != nil {
@@ -745,21 +792,14 @@ func (m *Manager) Inject(pid PortID, data []byte, meta pktbuf.Meta) error {
 	if !ok {
 		return ErrNoPort
 	}
-	buf, err := m.pool.Get()
-	if err != nil {
-		m.dropped.Add(1)
-		return err
+	if len(data) > pktbuf.MaxFrame-pktbuf.Headroom {
+		return pktbuf.ErrFrameTooLarge
 	}
-	if err := buf.SetData(data); err != nil {
-		buf.Release()
-		return err
+	meta.Port = pid
+	if meta.RSS == 0 {
+		meta.RSS = rssHash(data)
 	}
-	buf.Meta = meta
-	buf.Meta.Port = pid
-	if buf.Meta.RSS == 0 {
-		buf.Meta.RSS = rssHash(data)
-	}
-	return m.deliver(buf, sid)
+	return m.deliver(sid, nil, data, &meta)
 }
 
 // flowKey derives the steering hash every instance-selection decision
@@ -770,40 +810,64 @@ func flowKey(meta *pktbuf.Meta) uint64 {
 	return meta.RSS ^ uint64(meta.TEID)*2654435761
 }
 
-// deliver puts a descriptor on the Rx ring of the instance of service sid
-// its flow steers to, and runs the chain from there if it is idle: the way
-// in for Inject and for a fault-delayed delivery. The fault decision, the
-// service lookup and the instance choice are one onvm.deliver span. The
-// inflight count brackets the whole call, so Stop can wait out every
-// caller already past the stopped check; a call that starts after Stop
-// flips stopped releases the descriptor and counts it dropped. A
-// descriptor dropped on the way, a full Rx ring included, is counted, and
-// deliver still returns nil.
-func (m *Manager) deliver(buf *pktbuf.Buf, sid ServiceID) error {
-	m.inflight.Add(1)
-	defer m.inflight.Add(-1)
+// deliver carries a frame to the instance of service sid its flow steers
+// to, and runs the chain from there if it is idle: the way in for Inject
+// and for a fault-delayed delivery. The frame is buf or, when buf is nil,
+// data with meta, copied into a buffer only once it is known to go on —
+// from the instance's cache if this caller takes the instance idle. The
+// fault decision, the service lookup and the instance choice are one
+// onvm.deliver span. A call that starts after Stop flips stopped releases
+// the descriptor and counts it dropped; one already past that check is
+// waited out by Stop, which takes every instance, or queues nothing once
+// Stop has begun (Instance.queue). A frame dropped on the way, a full Rx
+// ring included, is counted, and deliver still returns nil; it returns an
+// error only when no buffer was to be had for data.
+func (m *Manager) deliver(sid ServiceID, buf *pktbuf.Buf, data []byte, meta *pktbuf.Meta) error {
 	if m.stopped.Load() {
 		m.drop(buf)
 		return ErrStopped
 	}
+	if buf != nil {
+		data, meta = buf.Bytes(), &buf.Meta
+	}
 	sp := m.tracec.Load().Start("onvm.deliver")
-	inst, drop := m.steer(m.faultc.Load(), m.tabs.Load().service(sid), buf, sid)
+	inst, delay := m.steer(m.faultc.Load(), m.tabs.Load().service(sid), data, meta)
 	sp.End()
-	if drop {
+	var err error
+	switch {
+	case delay > 0:
+		if buf == nil {
+			if buf, err = m.pool.Get(); err != nil {
+				m.dropped.Add(1)
+				break
+			}
+			_ = buf.SetData(data) // Inject checked the length
+			buf.Meta = *meta
+		}
+		m.deliverAfter(delay, sid, buf)
+	case inst == nil:
 		m.drop(buf)
-	} else if inst != nil {
+	case buf == nil:
+		err = inst.inject(data, meta)
+	default:
 		one := [1]*pktbuf.Buf{buf}
 		inst.receive(one[:])
 	}
 	m.yield()
-	return nil
+	return err
+}
+
+// deliverAfter delivers buf to service sid afresh once delay has passed.
+func (m *Manager) deliverAfter(delay time.Duration, sid ServiceID, buf *pktbuf.Buf) {
+	time.AfterFunc(delay, func() { m.deliver(sid, buf, nil, nil) })
 }
 
 // RequestYield asks the caller running the handler that calls it to give
-// up its timeslice once it has let go of every ring: for a handler that
-// has just started a goroutine which should run soon (the UPF-U's paging
-// report), without the caller holding an NF's ring while that goroutine
-// runs. The outermost Inject, SendBurst or drainer yields on its way out.
+// up its timeslice once it has let go of every instance: for a handler
+// that has just started a goroutine which should run soon (the UPF-U's
+// paging report), without the caller holding an NF instance while that
+// goroutine runs. The outermost Inject, SendBurst or drainer yields on its
+// way out.
 func (m *Manager) RequestYield() { m.yieldReq.Store(true) }
 
 // yield gives up the caller's timeslice if a handler asked for it.
@@ -813,30 +877,30 @@ func (m *Manager) yield() {
 	}
 }
 
-// steer makes fc's deliver decision on buf, headed for service sid, and
-// picks the instance of ent its flow steers to. It returns drop when buf
-// is to be dropped (there is no such service), and no instance either
-// when a fault delayed buf: a timer then owns it and delivers it afresh.
-func (m *Manager) steer(fc *injConf, ent *serviceEntry, buf *pktbuf.Buf, sid ServiceID) (inst *Instance, drop bool) {
+// steer makes fc's deliver decision on a frame (its bytes and metadata)
+// headed for a service, and picks the instance of the service's entry ent
+// its flow steers to. It returns no instance when the frame is to be
+// dropped (a fault, or no such service), and a delay when a fault holds
+// the frame back: it is then delivered afresh once the delay has passed.
+func (m *Manager) steer(fc *injConf, ent *serviceEntry, data []byte, meta *pktbuf.Meta) (inst *Instance, delay time.Duration) {
 	if fc != nil {
-		act := fc.inj.Decide(fc.deliver, buf.Bytes())
+		act := fc.inj.Decide(fc.deliver, data)
 		if act.Drop {
-			return nil, true
+			return nil, 0
 		}
 		if act.Delay > 0 {
-			time.AfterFunc(act.Delay, func() { m.deliver(buf, sid) })
-			return nil, false
+			return nil, act.Delay
 		}
 	}
 	if ent == nil {
-		return nil, true
+		return nil, 0
 	}
-	return pickInstance(ent, flowKey(&buf.Meta)), false
+	return pickInstance(ent, flowKey(meta)), 0
 }
 
 // emitDelayed emits a frame whose egress a fault delayed, on its timer,
 // through the sink of the current tables snapshot. It is bracketed by the
-// inflight count like deliver; after Stop, or with no sink left on its
+// inflight count, so Stop waits for it; after Stop, or with no sink left on its
 // port, the frame is released and counted dropped.
 func (m *Manager) emitDelayed(buf *pktbuf.Buf) {
 	m.inflight.Add(1)
@@ -852,9 +916,11 @@ func (m *Manager) emitDelayed(buf *pktbuf.Buf) {
 	buf.Release()
 }
 
-// drop releases a descriptor and counts it dropped.
+// drop releases a descriptor, if there is one, and counts it dropped.
 func (m *Manager) drop(buf *pktbuf.Buf) {
-	buf.Release()
+	if buf != nil {
+		buf.Release()
+	}
 	m.dropped.Add(1)
 }
 
@@ -960,7 +1026,7 @@ func (w *switcher) release(buf *pktbuf.Buf) {
 
 func (w *switcher) releaseSpent() {
 	if w.nspent > 0 {
-		w.m.pool.ReleaseBulk(w.spent[:w.nspent])
+		w.cache.ReleaseBulk(w.spent[:w.nspent])
 		w.nspent = 0
 	}
 }
@@ -984,11 +1050,13 @@ func (w *switcher) stageFor(buf *pktbuf.Buf, sid ServiceID) {
 	if w.svc == nil || w.svcID != sid {
 		w.svc, w.svcID = w.tabs.service(sid), sid
 	}
-	inst, drop := w.m.steer(w.fc, w.svc, buf, sid)
-	if drop {
-		w.drop(buf)
+	inst, delay := w.m.steer(w.fc, w.svc, buf.Bytes(), &buf.Meta)
+	if delay > 0 {
+		w.m.deliverAfter(delay, sid, buf)
+		return
 	}
 	if inst == nil {
+		w.drop(buf)
 		return
 	}
 	var s *stage
@@ -1032,7 +1100,7 @@ func (w *switcher) emitPort(buf *pktbuf.Buf) {
 	}
 }
 
-// process executes one descriptor action from an NF's Tx ring.
+// process executes the action an NF stamped on one descriptor.
 func (w *switcher) process(buf *pktbuf.Buf) {
 	switch buf.Meta.Action {
 	case pktbuf.ActionToNF:
@@ -1047,7 +1115,7 @@ func (w *switcher) process(buf *pktbuf.Buf) {
 			if act.Delay > 0 {
 				// Emit on a timer instead of sleeping here: a
 				// fault-delayed frame must never stall every other flow
-				// behind this ring.
+				// behind this instance.
 				time.AfterFunc(act.Delay, func() { w.m.emitDelayed(buf) })
 				return
 			}
@@ -1066,13 +1134,15 @@ func (m *Manager) Stats() (switched, dropped uint64) {
 	return m.switchedTotal(), m.droppedTotal()
 }
 
-// Stop refuses new work, waits out every caller already inside Inject,
-// SendBurst or a delayed delivery or egress, and every drainer — an owner
-// finishes the burst in hand and releases what it dequeues after that —
-// then takes every ring for good and releases the descriptors still queued
-// in NF rings, so teardown cannot race in-flight switching. A delayed
-// descriptor whose timer fires later is released and counted dropped.
-// Every descriptor released here is counted dropped.
+// Stop refuses new work, waits out every caller queueing on a ring, every
+// delayed egress and every drainer — a holder finishes the burst in hand
+// and releases what it dequeues after that — then takes every instance for
+// good, which waits out its holder, releases the descriptors still queued
+// on its rings and gives its cache back to the pool, so teardown cannot
+// race in-flight switching. A caller past its stopped check that has not
+// taken an instance by then finds it held for good and queues nothing. A delayed descriptor whose timer fires
+// later is released and counted dropped. Every descriptor released here is
+// counted dropped.
 func (m *Manager) Stop() {
 	if !m.stopped.CompareAndSwap(false, true) {
 		return
@@ -1081,9 +1151,8 @@ func (m *Manager) Stop() {
 		runtime.Gosched()
 	}
 	for _, i := range m.tabs.Load().instances {
-		i.rx.own.Hold()
-		i.tx.own.Hold()
-		for _, r := range []*ring.MPSC[*pktbuf.Buf]{i.rx.r, i.tx.r} {
+		i.own.Hold()
+		for _, r := range []*ring.MPSC[*pktbuf.Buf]{i.rx, i.tx} {
 			for {
 				b, ok := r.Dequeue()
 				if !ok {
@@ -1092,6 +1161,7 @@ func (m *Manager) Stop() {
 				m.drop(b)
 			}
 		}
+		i.cache.Flush()
 	}
 }
 

@@ -302,6 +302,33 @@ func benchSwitch(b *testing.B, tr *trace.Tracer) {
 	}
 }
 
+// BenchmarkInlineHop is one Inject through an idle one-NF chain to a sink
+// that only counts: the whole per-packet cost of the platform on its
+// caller (buffer, handler, switch, release), with no hand-off to measure.
+func BenchmarkInlineHop(b *testing.B) {
+	m := NewManager(Config{PoolSize: 1024, PoolPrefix: "bench"})
+	defer m.Stop()
+	m.Register(1, "fwd", func(buf *pktbuf.Buf) bool {
+		buf.Meta.Action, buf.Meta.Port = pktbuf.ActionToPort, 2
+		return true
+	})
+	var out int
+	m.RegisterPort(2, func([]byte, pktbuf.Meta) { out++ })
+	m.BindPortNF(1, 1)
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A stamped flow hash: the frame is not parsed for one.
+		if err := m.Inject(1, payload, pktbuf.Meta{RSS: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if out != b.N {
+		b.Fatalf("%d of %d packets out", out, b.N)
+	}
+}
+
 func TestRingSizeHonored(t *testing.T) {
 	m := NewManager(Config{PoolSize: 64, RingSize: 4, PoolPrefix: "t"})
 	defer m.Stop()

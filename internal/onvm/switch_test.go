@@ -79,16 +79,17 @@ func TestDelayedEgressDoesNotStallOtherNFs(t *testing.T) {
 }
 
 // TestTxRingOverflowCountsDrops is the regression test for silent
-// descriptor loss: when an NF's Tx ring stays full, the released
-// descriptors must show up in txDrops and the dropped aggregate.
+// descriptor loss: when an NF's Tx ring stays full, the descriptors
+// SendBurst could not hand over must show up in txDrops and the dropped
+// aggregate, and go back to the caller.
 func TestTxRingOverflowCountsDrops(t *testing.T) {
-	const total = 48
+	const total, burst = 48, 8
 	m := NewManager(Config{PoolSize: 256, RingSize: 4, PoolPrefix: "t", BackpressureSpins: 4})
 	defer m.Stop()
 
 	release := make(chan struct{})
 	unwedge := sync.OnceFunc(func() { close(release) })
-	defer unwedge() // before Stop, which waits the wedged owner out
+	defer unwedge() // before Stop, which waits the wedged holder out
 	blocked := make(chan struct{})
 	var once sync.Once
 	var egressed atomic.Uint64
@@ -97,48 +98,54 @@ func TestTxRingOverflowCountsDrops(t *testing.T) {
 		once.Do(func() { first = true })
 		if first {
 			close(blocked)
-			<-release // wedge the Tx ring's owner inside the egress sink
+			<-release // wedge the instance's holder inside the egress sink
 		}
 		egressed.Add(1)
 	})
-	inst, err := m.Register(1, "fwd", func(b *pktbuf.Buf) bool {
-		b.Meta.Action = pktbuf.ActionToPort
-		b.Meta.Port = 9
-		return true
-	})
+	inst, err := m.Register(1, "fwd", func(b *pktbuf.Buf) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.BindPortNF(1, 1)
-
-	// Primer: one frame handed straight to the Tx ring from another
-	// goroutine, which then owns the ring and wedges in the sink.
-	primer, err := m.Pool().Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	primer.SetData([]byte("primer"))
-	primer.Meta.Action, primer.Meta.Port = pktbuf.ActionToPort, 9
-	go inst.SendBurst([]*pktbuf.Buf{primer})
-	<-blocked
-	// Flood: deliveries and the handler still run on this goroutine, while
-	// the NF's Tx ring backs up behind its wedged owner.
-	for i := 0; i < total; i++ {
-		for {
-			err := m.Inject(1, []byte("flood"), pktbuf.Meta{})
-			if err == nil {
-				break
-			}
-			runtime.Gosched()
+	frame := func(data string) *pktbuf.Buf {
+		b, err := m.Pool().Get()
+		if err != nil {
+			t.Fatal(err)
 		}
+		b.SetData([]byte(data))
+		b.Meta.Action, b.Meta.Port = pktbuf.ActionToPort, 9
+		return b
 	}
-	if m.TxDrops() == 0 {
-		t.Fatal("no tx-overflow drops counted")
+
+	// Primer: one frame handed back from another goroutine, which then
+	// holds the instance and wedges in the sink.
+	go inst.SendBurst([]*pktbuf.Buf{frame("primer")})
+	<-blocked
+	// Flood: from another goroutine, bursts handed back while the
+	// instance's Tx ring backs up behind its wedged holder. What SendBurst
+	// did not take stays with its caller, which releases it.
+	flooded := make(chan uint64)
+	bufs := make([]*pktbuf.Buf, total)
+	for i := range bufs {
+		bufs[i] = frame("flood")
+	}
+	go func() {
+		var sent uint64
+		for i := 0; i < total; i += burst {
+			b := bufs[i : i+burst]
+			n := inst.SendBurst(b)
+			sent += uint64(n)
+			m.Pool().ReleaseBulk(b[n:])
+		}
+		flooded <- sent
+	}()
+	sent := <-flooded
+	if m.TxDrops() == 0 || m.TxDrops() != total-sent {
+		t.Fatalf("tx-overflow drops %d, want %d (the part SendBurst did not take)", m.TxDrops(), total-sent)
 	}
 	unwedge()
 
-	// Conservation: every injected frame either egressed or is accounted in
-	// a drop counter, and all buffers come home.
+	// Conservation: every frame handed back either egressed or is
+	// accounted in a drop counter, and all buffers come home.
 	waitFor(t, func() bool {
 		return egressed.Load()+m.TxDrops()+m.RingDrops().Load() == total+1
 	}, "full accounting")
@@ -227,7 +234,7 @@ func TestStopWaitsOutOwnersAndReleasesQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idle.tx.r.Enqueue(left) {
+	if !idle.tx.Enqueue(left) {
 		t.Fatal("tx enqueue failed")
 	}
 	go m.Inject(1, []byte("x"), pktbuf.Meta{})

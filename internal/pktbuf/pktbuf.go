@@ -11,6 +11,7 @@ package pktbuf
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"l25gc/internal/ring"
@@ -178,33 +179,22 @@ var (
 	ErrPoolEmpty     = errors.New("pktbuf: pool exhausted")
 )
 
-// stashSize bounds the pool's hot stash: about one burst of buffers.
-const stashSize = 64
-
 // Pool is a fixed-size pool of packet buffers shared by all NFs of one
 // 5GC unit. The free list is a lock-free MPMC ring, so any goroutine may
 // allocate or release concurrently. The ring's own cursors are the
 // lifetime get/put counts: the pool keeps no counter of its own on the
 // ring path.
 //
-// In front of the ring sits a stash of the last freed buffers, handed out
-// again first (LIFO). A FIFO ring hands out the buffer freed longest ago —
-// with 8192 buffers, one whose 1.6 KB are cold in every cache — while a
-// packet carried through the whole chain on one core frees a buffer that
-// core has just touched. The stash is guarded by a CAS flag that nobody
-// waits for: a Get or put that finds it taken goes to the ring, except a
-// Get that finds the ring empty, for which the stash is the last place to
-// look.
+// In front of the ring sit the pool's caches (Cache), each the private
+// free list of one owner at a time, the way a DPDK mempool has one cache
+// per lcore.
 type Pool struct {
 	free   *ring.MPMC[*Buf]
 	bufs   []Buf
 	prefix string // security-domain file prefix (DPDK --file-prefix analog)
 
-	stashMu   atomic.Bool // held for a few instructions; never waited on by put
-	nstash    int
-	stash     [stashSize]*Buf
-	stashGets uint64 // lifetime counts of the stash, under stashMu
-	stashPuts uint64
+	cachesMu sync.Mutex
+	caches   []*Cache
 }
 
 // NewPool creates a pool of n buffers. prefix names the private memory
@@ -229,55 +219,34 @@ func (p *Pool) Prefix() string { return p.prefix }
 // Size returns the total number of buffers owned by the pool.
 func (p *Pool) Size() int { return len(p.bufs) }
 
-// lockStash takes the stash flag, waiting for the holder.
-func (p *Pool) lockStash() {
-	for !p.stashMu.CompareAndSwap(false, true) {
-		runtime.Gosched()
+// Avail returns the approximate number of free buffers: those in the free
+// ring and those its caches held when they last published.
+func (p *Pool) Avail() int { return p.free.Len() + int(p.cached()) }
+
+// cached sums the buffers the pool's caches held when they last published.
+func (p *Pool) cached() (n int64) {
+	p.cachesMu.Lock()
+	defer p.cachesMu.Unlock()
+	for _, c := range p.caches {
+		n += c.pubFree.Load()
 	}
-}
-
-func (p *Pool) unlockStash() { p.stashMu.Store(false) }
-
-// Avail returns the approximate number of free buffers.
-func (p *Pool) Avail() int {
-	p.lockStash()
-	n := p.free.Len() + p.nstash
-	p.unlockStash()
 	return n
 }
 
 // Get allocates a buffer, or returns ErrPoolEmpty when exhausted.
 func (p *Pool) Get() (*Buf, error) {
-	var b *Buf
-	if p.stashMu.CompareAndSwap(false, true) {
-		b = p.popStash()
-		p.unlockStash()
+	b, ok := p.free.Dequeue()
+	if !ok {
+		return nil, ErrPoolEmpty
 	}
-	if b == nil {
-		var ok bool
-		if b, ok = p.free.Dequeue(); !ok {
-			p.lockStash()
-			b = p.popStash()
-			p.unlockStash()
-			if b == nil {
-				return nil, ErrPoolEmpty
-			}
-		}
-	}
-	b.Reset()
-	b.refcnt.Store(1)
+	b.take()
 	return b, nil
 }
 
-// popStash takes the most recently freed buffer, or returns nil if the
-// stash is empty. The caller holds the stash flag.
-func (p *Pool) popStash() (b *Buf) {
-	if p.nstash > 0 {
-		p.nstash--
-		b = p.stash[p.nstash]
-		p.stashGets++
-	}
-	return b
+// take readies a free buffer for the caller that got it.
+func (b *Buf) take() {
+	b.Reset()
+	b.refcnt.Store(1)
 }
 
 func (p *Pool) put(b *Buf) {
@@ -285,29 +254,19 @@ func (p *Pool) put(b *Buf) {
 	p.putBulk(one[:])
 }
 
-// putBulk returns buffers whose last reference is gone: the last ones freed
-// to the stash as far as it has room, the rest to the free ring, one bulk
-// enqueue per attempt.
+// putBulk returns buffers whose last reference is gone to the free ring,
+// one bulk enqueue per attempt.
 func (p *Pool) putBulk(bufs []*Buf) {
 	if poisonOnFree {
 		for _, b := range bufs {
 			Poison(b.mem[:])
 		}
 	}
-	if len(bufs) > 0 && p.stashMu.CompareAndSwap(false, true) {
-		// The ring's length never counts more than it holds (tail is read
-		// before head), so more free buffers than the pool owns is a
-		// buffer released once too often.
-		if p.free.Len()+p.nstash+len(bufs) > len(p.bufs) {
-			p.unlockStash()
-			panic("pktbuf: over-release: more buffers free than the pool holds (foreign buffer?)")
-		}
-		k := min(len(bufs), stashSize-p.nstash)
-		p.nstash += copy(p.stash[p.nstash:], bufs[len(bufs)-k:])
-		p.stashPuts += uint64(k)
-		p.unlockStash()
-		bufs = bufs[:len(bufs)-k]
-	}
+	p.enqueue(bufs)
+}
+
+// enqueue puts free buffers on the ring.
+func (p *Pool) enqueue(bufs []*Buf) {
 	for len(bufs) > 0 {
 		bufs = bufs[p.free.EnqueueBulk(bufs):]
 		if len(bufs) == 0 {
@@ -330,6 +289,13 @@ func (p *Pool) putBulk(bufs []*Buf) {
 // must not use the slice's contents afterwards. Buffers of another pool (or
 // of none) are released one by one.
 func (p *Pool) ReleaseBulk(bufs []*Buf) {
+	p.putBulk(p.unref(bufs))
+}
+
+// unref drops one reference on every buffer of bufs and returns, moved to
+// the front of bufs, those of p with none left. Buffers of another pool
+// (or of none) are released one by one.
+func (p *Pool) unref(bufs []*Buf) []*Buf {
 	n := 0
 	for _, b := range bufs {
 		if b.pool != p {
@@ -344,13 +310,15 @@ func (p *Pool) ReleaseBulk(bufs []*Buf) {
 			panic("pktbuf: double release")
 		}
 	}
-	p.putBulk(bufs[:n])
+	return bufs[:n]
 }
 
-// Stats reports lifetime get/put counts, useful for leak detection in tests.
+// Stats reports lifetime get/put counts of the pool's free ring, useful for
+// leak detection in tests: buffers taken off it and buffers given back to
+// it, a buffer a cache holds counting as given back (as its owner last
+// published). A get and a release through a cache are private to its
+// owner and not counted. Once every cache has published (its owner let
+// go), gets - puts == Size - Avail exactly.
 func (p *Pool) Stats() (gets, puts uint64) {
-	p.lockStash()
-	gets, puts = p.stashGets, p.stashPuts
-	p.unlockStash()
-	return gets + p.free.Dequeued(), puts + p.free.Enqueued() - uint64(len(p.bufs))
+	return p.free.Dequeued(), p.free.Enqueued() - uint64(len(p.bufs)) + uint64(p.cached())
 }

@@ -298,65 +298,90 @@ func TestReleaseBulk(t *testing.T) {
 	p.ReleaseBulk([]*Buf{b})
 }
 
-// TestStashHandsOutLastFreed: the buffer freed last is the next one out,
-// ahead of every buffer waiting in the free ring, and a burst freed
-// together comes back last-first.
-func TestStashHandsOutLastFreed(t *testing.T) {
-	p := NewPool(256, "t")
-	a, _ := p.Get()
-	b, _ := p.Get()
-	a.Release()
-	b.Release()
-	if got, _ := p.Get(); got != b {
-		t.Fatal("Get did not hand out the buffer freed last")
+// TestCacheHandsOutLastFreed: a cache hands out the buffer released into
+// it last, ahead of every buffer waiting in the pool's ring, and a burst
+// released together comes back last-first; past its capacity it gives its
+// older half back to the ring.
+func TestCacheHandsOutLastFreed(t *testing.T) {
+	p := NewPool(2048, "t")
+	c := p.NewCache()
+	a, _ := c.Get()
+	b, _ := c.Get()
+	c.ReleaseBulk([]*Buf{a})
+	c.ReleaseBulk([]*Buf{b})
+	if got, _ := c.Get(); got != b {
+		t.Fatal("Get did not hand out the buffer released last")
 	}
-	if got, _ := p.Get(); got != a {
-		t.Fatal("Get did not hand out the buffer freed before it")
+	if got, _ := c.Get(); got != a {
+		t.Fatal("Get did not hand out the buffer released before it")
 	}
-	var burst [stashSize + 8]*Buf
+	var burst [cacheSize + 8]*Buf
 	for i := range burst {
 		burst[i], _ = p.Get()
 	}
+	burst[0], burst[1] = a, b
 	want := burst[len(burst)-1]
-	p.ReleaseBulk(burst[:])
-	if got, _ := p.Get(); got != want {
+	c.ReleaseBulk(burst[:])
+	if c.n > cacheSize {
+		t.Fatalf("cache holds %d, over its capacity %d", c.n, cacheSize)
+	}
+	if got, _ := c.Get(); got != want {
 		t.Fatal("after a burst release, Get did not hand out the burst's last buffer")
 	}
 }
 
-// TestStashConservation has four goroutines take and give back buffers in
-// bursts of every size, singly and in bulk, so the stash flag is contended
-// and both the stash and the free ring see every path. Nothing is lost or
-// made up: the lifetime counts agree with what the pool holds,
-// gets - puts == Size - Avail, with and without buffers still out.
-func TestStashConservation(t *testing.T) {
-	const size, workers, rounds = 256, 4, 2000
+// TestCacheConservation has four goroutines, each the owner of a cache of
+// its own, take and give back buffers in bursts of every size through
+// their cache and the pool directly, publishing at random points, so every
+// path — refill from an empty cache, spill from a full one, the ring on
+// its own — runs concurrently. Nothing is lost or made up: once every
+// cache has published, the lifetime counts agree with what the pool holds,
+// gets - puts == Size - Avail, with and without buffers still out, and
+// Avail == Size once the caches are flushed.
+func TestCacheConservation(t *testing.T) {
+	const size, workers, rounds = 1024, 4, 2000
 	p := NewPool(size, "t")
+	caches := make([]*Cache, workers)
+	for w := range caches {
+		caches[w] = p.NewCache()
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var held [stashSize + 16]*Buf
+			c := caches[w]
+			var held [cacheSize + 16]*Buf
 			for r := 0; r < rounds; r++ {
 				n := (r*7 + w) % len(held)
 				got := 0
 				for got < n {
-					b, err := p.Get()
+					get := c.Get
+					if r%5 == 0 {
+						get = p.Get
+					}
+					b, err := get()
 					if err != nil {
 						break
 					}
 					held[got] = b
 					got++
 				}
-				if r%3 == 0 {
+				switch r % 3 {
+				case 0:
 					for _, b := range held[:got] {
 						b.Release()
 					}
-				} else {
+				case 1:
 					p.ReleaseBulk(held[:got])
+				default:
+					c.ReleaseBulk(held[:got])
+				}
+				if r%4 == w {
+					c.Publish()
 				}
 			}
+			c.Publish()
 		}(w)
 	}
 	wg.Wait()
@@ -370,11 +395,22 @@ func TestStashConservation(t *testing.T) {
 	}
 	check(0)
 	var out []*Buf
-	for i := 0; i < stashSize/2; i++ {
-		b, _ := p.Get()
+	for i := 0; i < cacheSize/2; i++ {
+		b, _ := caches[i%workers].Get()
 		out = append(out, b)
 	}
+	for _, c := range caches {
+		c.Publish()
+	}
 	check(len(out))
-	p.ReleaseBulk(out)
+	caches[0].ReleaseBulk(out)
+	caches[0].Publish()
 	check(0)
+	for _, c := range caches {
+		c.Flush()
+	}
+	check(0)
+	if p.free.Len() != size {
+		t.Fatalf("free ring holds %d after every cache flushed, want %d", p.free.Len(), size)
+	}
 }

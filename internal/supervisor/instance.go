@@ -357,13 +357,34 @@ type UPFInstance struct {
 func NewUPFInstance(n3 pkt.Addr) *UPFInstance {
 	st := upf.NewState("ps", 0)
 	c := upf.NewUPFC(st, n3, nil)
-	return &UPFInstance{
+	u := &UPFInstance{
 		state: st,
 		upfc:  c,
 		upfu:  upf.NewUPFU(st, c),
 		pool:  pktbuf.NewPool(4096, "supervised-upf"),
 		snap:  resilience.NewUPFSnapshotter(st, n3),
 	}
+	u.upfu.SetEmit(u.emit)
+	return u
+}
+
+// emit is the UPF-U's egress for a session buffer released by a
+// buffer→forward flip: the same fate as a packet Deliver runs through the
+// fast path, counted if it reached the egress port, then released.
+func (u *UPFInstance) emit(burst []*pktbuf.Buf) int {
+	for _, b := range burst {
+		u.egress(b)
+	}
+	return len(burst)
+}
+
+// egress counts a descriptor the fast path handed back if it is headed for
+// a port, and releases it.
+func (u *UPFInstance) egress(b *pktbuf.Buf) {
+	if b.Meta.Action == pktbuf.ActionToPort {
+		u.forwarded.Add(1)
+	}
+	b.Release()
 }
 
 // State exposes the generation's session state for assertions.
@@ -407,10 +428,7 @@ func (u *UPFInstance) Deliver(class resilience.Class, _ uint64, data []byte) err
 		buf.Meta.Uplink = class == resilience.ULData
 		var scratch pkt.Parsed
 		if u.upfu.Process(buf, &scratch) {
-			if buf.Meta.Action == pktbuf.ActionToPort {
-				u.forwarded.Add(1)
-			}
-			buf.Release()
+			u.egress(buf)
 		}
 		return nil
 	}

@@ -224,11 +224,16 @@ func (s Span) Child(name string) Span {
 	return s.t.startSpan(s.track, name, s)
 }
 
-// End closes the span at the current clock reading.
+// End closes the span at the current clock reading. Small enough to be
+// inlined, so ending the zero span on an untraced hot path costs a nil
+// check, not a call.
 func (s Span) End() {
-	if s.t == nil {
-		return
+	if s.t != nil {
+		s.end()
 	}
+}
+
+func (s Span) end() {
 	now := s.t.clock()
 	if s.idx >= 0 {
 		s.t.mu.Lock()

@@ -252,23 +252,28 @@ func TestFlowCacheReset(t *testing.T) {
 	p.checkNoLeak(t)
 }
 
-// TestFlowCacheSharedSlot: two flows of one session that hash to the same
-// slot, each with its own PDR, take turns: each packet misses (it evicts
-// the other) and gets its own flow's FAR.
-func TestFlowCacheSharedSlot(t *testing.T) {
+// TestFlowCacheSharedSet: two flows of one session whose keys fall in the
+// same set, each with its own PDR, both hit once each has missed once, and
+// each gets its own flow's FAR. Past its four ways the set evicts the
+// entry filled longest ago, and that flow still gets its FAR, the long way.
+func TestFlowCacheSharedSet(t *testing.T) {
 	p := newCachedUPF(t, 1)
 	key := func(sport uint16) pkt.FlowKey {
 		return pkt.FlowKey{Tuple: pkt.FiveTuple{Src: dnIP, Dst: p.ips[0], SrcPort: sport, DstPort: 40000,
 			Protocol: pkt.ProtoUDP}}
 	}
-	const portA = 9000
-	ka := key(portA)
-	portB := uint16(1)
-	for kb := key(portB); portB == portA || p.sc.flows.slot(&kb) != p.sc.flows.slot(&ka); kb = key(portB) {
-		if portB++; portB == 0 {
-			t.Fatal("no source port shares flow A's slot")
+	// Source ports of flowWays+1 flows whose keys share one set, A's first.
+	ka := key(9000)
+	ports := []uint16{9000}
+	for port := uint16(1); len(ports) <= flowWays; port++ {
+		if port == 0 {
+			t.Fatal("too few source ports share flow A's set")
+		}
+		if kb := key(port); port != ports[0] && p.sc.flows.set(&kb) == p.sc.flows.set(&ka) {
+			ports = append(ports, port)
 		}
 	}
+	portA, portB := ports[0], ports[1]
 	far := dlFAR(0x8001, rules.FARForward)
 	far.ID = 3
 	p.modify(t, 100, &pfcp.SessionModificationRequest{
@@ -278,18 +283,41 @@ func TestFlowCacheSharedSlot(t *testing.T) {
 			SDF: rules.SDFFilter{SrcPorts: rules.PortRange{Lo: portB, Hi: portB}, DstPorts: rules.AnyPort,
 				Protocol: pkt.ProtoUDP}}}},
 	})
-	misses := p.u.flowMisses.Load()
+	fates := map[uint16]string{portB: "to 0x8001" + atGNB}
+	send := func(port uint16) {
+		t.Helper()
+		want, ok := fates[port]
+		if !ok {
+			want = "to 0x5001" + atGNB
+		}
+		p.want(t, p.dlFrom(t, 0, port, 40), want)
+	}
+	misses := func() uint64 { return p.u.flowMisses.Load() }
+	base := misses()
 	const turns = 8
 	for i := 0; i < turns; i++ {
-		p.want(t, p.dlFrom(t, 0, portA, 40), "to 0x5001"+atGNB)
-		p.want(t, p.dlFrom(t, 0, portB, 40), "to 0x8001"+atGNB)
+		send(portA)
+		send(portB)
 	}
-	if got := p.u.flowMisses.Load() - misses; got != 2*turns {
-		t.Fatalf("flow_misses %d, want %d: two flows of one slot evict each other", got, 2*turns)
+	if got := misses() - base; got != 2 {
+		t.Fatalf("flow_misses %d over %d turns, want 2: two flows of one set evict each other", got, turns)
 	}
-	p.want(t, p.dlFrom(t, 0, portB, 40), "to 0x8001"+atGNB)
-	if got := p.u.flowMisses.Load() - misses; got != 2*turns {
-		t.Fatalf("flow_misses %d, want %d: the slot's own flow hits", got, 2*turns)
+	// Fill the set, then one flow more: it evicts A, the oldest.
+	for _, port := range ports[2:] {
+		send(port)
+	}
+	if got := misses() - base; got != uint64(len(ports)) {
+		t.Fatalf("flow_misses %d, want %d: one per flow", got, len(ports))
+	}
+	for _, port := range ports[1:] {
+		send(port)
+	}
+	if got := misses() - base; got != uint64(len(ports)) {
+		t.Fatalf("flow_misses %d, want %d: the set's newest four hit", got, len(ports))
+	}
+	send(portA)
+	if got := misses() - base; got != uint64(len(ports))+1 {
+		t.Fatalf("flow_misses %d, want %d: the evicted flow misses", got, len(ports)+1)
 	}
 	p.checkNoLeak(t)
 }
@@ -492,7 +520,8 @@ func flowBenchRun(t testing.TB, p *burstUPF, frames [][]byte, miss bool) func() 
 // instance's handler on the flowBench UPF, each packet of the next of its
 // 512 flows: served by the flow cache (hit), or after its session's rules
 // generation moved (miss: index, read lock, classifier, FAR map, and the
-// bump itself).
+// bump itself). flow_misses/op is the share of packets that took the long
+// path.
 func BenchmarkUPFUBurst(b *testing.B) {
 	p, frames := flowBench(b)
 	for _, miss := range []bool{false, true} {
@@ -506,10 +535,12 @@ func BenchmarkUPFUBurst(b *testing.B) {
 				run() // fill the cache
 			}
 			b.ReportAllocs()
+			misses := p.u.flowMisses.Load()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				run()
 			}
+			b.ReportMetric(float64(p.u.flowMisses.Load()-misses)/float64(b.N), "flow_misses/op")
 		})
 	}
 }

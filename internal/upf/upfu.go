@@ -113,14 +113,24 @@ type scratch struct {
 // flow key of 256 bidirectional sessions.
 const flowSlots = 1 << 12
 
-// flowCache is a direct-mapped, exact-match cache from a packet's flow key
-// to what the long path resolved it to. It belongs to the owner of one
-// UPF-U instance's Rx ring, so it is read and written without a lock.
+// flowWays is how many slots of a flow cache a key may occupy: the slots
+// of one set.
+const flowWays = 4
+
+// flowCache is a 4-way set-associative, exact-match cache from a packet's
+// flow key to what the long path resolved it to. It belongs to the holder
+// of one UPF-U instance, so it is read and written without a lock. A set
+// keeps its entries newest first and evicts the oldest: with 512 keys over
+// 1024 sets, keys that share a set all stay, where one slot per key made
+// every sharer miss every time under round-robin traffic.
 //
 // The key decides the session: an uplink key carries the G-PDU's TEID, a
 // downlink key the UE address. An entry is valid while its session's
 // rules generation still reads gen (DESIGN §11, "The flow cache").
-type flowCache [flowSlots]flowEntry
+type flowCache [flowSlots / flowWays]flowSet
+
+// flowSet is the slots one key may occupy.
+type flowSet [flowWays]flowEntry
 
 // flowEntry is one slot of a flowCache.
 type flowEntry struct {
@@ -132,8 +142,8 @@ type flowEntry struct {
 	limited bool // the key's direction has an MBR
 }
 
-// slot returns the one slot k may occupy.
-func (c *flowCache) slot(k *pkt.FlowKey) *flowEntry {
+// set returns the set k belongs to.
+func (c *flowCache) set(k *pkt.FlowKey) *flowSet {
 	t := &k.Tuple
 	a := uint64(binary.BigEndian.Uint32(t.Src[:]))<<32 | uint64(binary.BigEndian.Uint32(t.Dst[:]))
 	b := uint64(t.SrcPort)<<48 | uint64(t.DstPort)<<32 | uint64(k.TEID)
@@ -142,15 +152,33 @@ func (c *flowCache) slot(k *pkt.FlowKey) *flowEntry {
 		x |= 1
 	}
 	h := ring.Fmix64(a*0x9e3779b97f4a7c15 ^ b*0xc2b2ae3d27d4eb4f ^ x)
-	return &c[h&(flowSlots-1)]
+	return &c[h&(uint64(len(c))-1)]
 }
 
-// hits reports whether e holds k's resolution under its session's current
-// rules. A slot never filled has no session. An entry can outlive its
-// session, but its generation moved when the session went and is never
+// find returns the entry of the set keyed k, nil if there is none.
+func (s *flowSet) find(k *pkt.FlowKey) *flowEntry {
+	for i := range s {
+		if s[i].key == *k {
+			return &s[i]
+		}
+	}
+	return nil
+}
+
+// insert puts f first in the set, evicting the oldest entry, and returns
+// its slot.
+func (s *flowSet) insert(f *flowEntry) *flowEntry {
+	copy(s[1:], s[:flowWays-1])
+	s[0] = *f
+	return &s[0]
+}
+
+// current reports whether e holds its key's resolution under its session's
+// current rules. A slot never filled has no session. An entry can outlive
+// its session, but its generation moved when the session went and is never
 // handed out again.
-func (e *flowEntry) hits(k *pkt.FlowKey) bool {
-	return e.key == *k && e.ctx != nil && e.ctx.rulesGen.Load() == e.gen
+func (e *flowEntry) current() bool {
+	return e.ctx != nil && e.ctx.rulesGen.Load() == e.gen
 }
 
 // Process runs the fast path on one packet buffer: a burst of one, with no
@@ -256,11 +284,13 @@ func (u *UPFU) handle(buf *pktbuf.Buf, p *pkt.Parsed, sc *scratch, tk *trace.Tra
 		return true
 	}
 	p.TEID, p.FromAccess = teid, ul
+	var set *flowSet
 	var e *flowEntry
 	if sc.flows != nil {
-		e = sc.flows.slot(&p.FlowKey)
+		set = sc.flows.set(&p.FlowKey)
+		e = set.find(&p.FlowKey)
 	}
-	if e == nil || !e.hits(&p.FlowKey) {
+	if e == nil || !e.current() {
 		b.flowMisses++
 		var f flowEntry
 		if parked, back := u.resolve(buf, p, sc, tk, cls, &f); parked {
@@ -273,10 +303,14 @@ func (u *UPFU) handle(buf *pktbuf.Buf, p *pkt.Parsed, sc *scratch, tk *trace.Tra
 		}
 		// Cached unless no PDR matched, or the key's index entry moved
 		// while it was resolved: the move's generation bump may have come
-		// before resolve read the generation.
-		if e == nil || f.pdr == nil || u.state.indexed(&p.FlowKey) != f.ctx {
+		// before resolve read the generation. A stale entry of the key is
+		// refilled in place.
+		switch {
+		case set == nil || f.pdr == nil || u.state.indexed(&p.FlowKey) != f.ctx:
 			e = &f
-		} else {
+		case e == nil:
+			e = set.insert(&f)
+		default:
 			*e = f
 		}
 	}
@@ -429,11 +463,11 @@ func (u *UPFU) miss(buf *pktbuf.Buf) {
 }
 
 // AttachONVM registers the UPF-U as an NF on the platform under service
-// sid, wiring the emit path through the instance's Tx ring.
+// sid, wiring the emit path through the instance's SendBurst.
 func (u *UPFU) AttachONVM(m *onvm.Manager, sid onvm.ServiceID) (*onvm.Instance, error) {
 	// The report goroutine waits in this P's run-next slot, and the caller
 	// running the fast path does not park: it hands the report the CPU
-	// once it has let go of every ring.
+	// once it has let go of every instance.
 	inst, err := m.RegisterBurst(sid, "upf-u", u.burstHandler(m.RequestYield))
 	if err != nil {
 		return nil, err
@@ -443,8 +477,8 @@ func (u *UPFU) AttachONVM(m *onvm.Manager, sid onvm.ServiceID) (*onvm.Instance, 
 }
 
 // burstHandler returns the handler of one UPF-U instance, with its own
-// parse state, scratch and flow cache: the owner of the instance's Rx ring
-// is the handler's only caller at any time. yield is called after a burst
+// parse state, scratch and flow cache: the instance's holder is the
+// handler's only caller at any time. yield is called after a burst
 // that started a paging report.
 func (u *UPFU) burstHandler(yield func()) onvm.BurstHandler {
 	p, sc := new(pkt.Parsed), &scratch{flows: new(flowCache)}
