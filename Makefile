@@ -190,8 +190,11 @@ scale-smoke:
 # for lone offers run in place with later arrivals left to drainers), the
 # one-flag rule on an NF instance (Inject and SendBurst producers in
 # rounds: each descriptor once, in order, one holder at a time, nothing
-# stranded on either ring) and the owner cache's conservation and LIFO
-# order; then the bulk-ring, burst-switch and burst-UPF tests three times
+# stranded on either ring), the owner cache's conservation and LIFO
+# order, and the pool's population on demand (Get failing exactly at Size
+# out, four goroutines growing it at once with no buffer handed out twice,
+# the lifetime counts while part-populated, a fully used pool's frames
+# outside the scanned heap); then the bulk-ring, burst-switch and burst-UPF tests three times
 # under it: Injects that only looked starting no drainer, the owner caches'
 # conservation through Stop, a flooded Tx ring's drops, partial fits and
 # wrap-around, four bulk producers against the one consumer, a burst mixing
@@ -216,7 +219,7 @@ fastpath-smoke:
 	$(GO) test -count=1 -run 'TestNone' -bench 'BenchmarkSendUplink|BenchmarkHandleDLFrame' -benchmem -cpu 1,2 ./internal/ranue
 	$(GO) test -race -count=10 -run 'TestOwner' ./internal/ring
 	$(GO) test -race -count=10 -run 'TestInjectAndSendBurstInterleaved' ./internal/onvm
-	$(GO) test -race -count=10 -run 'TestCache' ./internal/pktbuf
+	$(GO) test -race -count=10 -run 'TestPool|TestCache' ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'Bulk' ./internal/ring ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestDelayedTimersAfterStopRelease|TestLonePackets|TestSnapshotSeen|TestCountersBatched|TestInPlaceRunHandsLaterArrivalsToDrainer|TestStopWaitsOutDrainer|TestInjectThatOnlyLookedStartsNoDrainer|TestOwnerCacheConservation|TestTxRingOverflowCountsDrops' ./internal/onvm
 	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSession|TestFlowCache|TestInstalledRules' ./internal/upf

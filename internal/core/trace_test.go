@@ -124,6 +124,7 @@ func TestRegistryNameSet(t *testing.T) {
 	}{
 		{ModeL25GC, append([]string{
 			"onvm.switched", "onvm.dropped", "onvm.ring_overflow_drops",
+			"onvm.pool.size", "onvm.pool.in_use", "onvm.pool.populated",
 			"upf.ul_fwd", "upf.dl_fwd", "upf.buffered", "upf.dropped",
 			"upf.misses", "upf.rate_dropped", "upf.flow_misses",
 			"sbi.udm.served_inline", "sbi.udm.served_queued",
@@ -162,6 +163,9 @@ func TestRegistryNameSet(t *testing.T) {
 				t.Errorf("served inline/queued: sbi.udm %d/%d, pfcp.upf %d/%d",
 					snap.Counters["sbi.udm.served_inline"], snap.Counters["sbi.udm.served_queued"],
 					snap.Counters["pfcp.upf.served_inline"], snap.Counters["pfcp.upf.served_queued"])
+			}
+			if pop, size := snap.Counters["onvm.pool.populated"], snap.Counters["onvm.pool.size"]; pop > size {
+				t.Errorf("onvm.pool.populated = %d, over onvm.pool.size %d", pop, size)
 			}
 			if snap.Counters["upf.sessions"] != 1 {
 				t.Errorf("upf.sessions = %d, want 1", snap.Counters["upf.sessions"])

@@ -68,6 +68,7 @@ var LintNames = []string{
 	"onvm.handoffs",
 	"onvm.pool.size",
 	"onvm.pool.in_use",
+	"onvm.pool.populated",
 	// Packet-pool overflow drops carry the pool's security-domain
 	// prefix, which is unit-chosen ("l25gc", "amf", ...).
 	"*.ring_overflow_drops",

@@ -123,16 +123,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, loads := range r.counters {
-		var v uint64
-		for _, load := range loads {
-			v += load()
-		}
-		if base := r.base[name]; v >= base {
-			v -= base
-		}
-		snap.Counters[name] = v
-	}
+	r.readCounters(snap.Counters)
 	for name, h := range r.hists {
 		w := h.Window()
 		if base := r.histBase[name]; base != nil {
@@ -141,6 +132,35 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms[name] = w.Stats()
 	}
 	return snap
+}
+
+// Counters reads every registered counter/gauge like Snapshot, without
+// summarizing the histograms: for readers that take their own histogram
+// windows (the telemetry sampler).
+func (r *Registry) Counters() map[string]uint64 {
+	out := make(map[string]uint64)
+	if r == nil {
+		return out
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.readCounters(out)
+	return out
+}
+
+// readCounters stores every counter's value, shared names summed and the
+// Reset baseline subtracted, in dst. The caller holds r.mu.
+func (r *Registry) readCounters(dst map[string]uint64) {
+	for name, loads := range r.counters {
+		var v uint64
+		for _, load := range loads {
+			v += load()
+		}
+		if base := r.base[name]; v >= base {
+			v -= base
+		}
+		dst[name] = v
+	}
 }
 
 // Histograms returns the registered histograms by name, for readers that

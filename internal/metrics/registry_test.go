@@ -24,6 +24,9 @@ func TestRegistryNilIsInert(t *testing.T) {
 	if r.Names() != nil {
 		t.Fatal("nil registry has names")
 	}
+	if got := r.Counters(); len(got) != 0 {
+		t.Fatalf("nil registry counters = %v", got)
+	}
 }
 
 func TestRegistrySnapshotSumsSharedNames(t *testing.T) {
@@ -73,6 +76,10 @@ func TestRegistryResetBaselines(t *testing.T) {
 	v.Store(9)
 	if got := r.Snapshot().Counters["pfcp.retransmits"]; got != 5 {
 		t.Fatalf("delta since baseline = %d, want 5", got)
+	}
+	// Counters reads the same values, and no histogram.
+	if got, want := r.Counters(), r.Snapshot().Counters; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counters() = %v, Snapshot().Counters = %v", got, want)
 	}
 }
 

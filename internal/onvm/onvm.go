@@ -662,11 +662,13 @@ func (m *Manager) ExportMetrics(reg *metrics.Registry, prefix string) {
 		return m.sumInstances(func(i *Instance) uint64 { return i.queued.Load() })
 	})
 	reg.RegisterGauge(prefix+".handoffs", m.handoffs.Load)
-	// Packet-pool occupancy levels: size is fixed, in_use = size - avail
-	// is the instantaneous occupancy the telemetry sampler tracks for the
-	// soak's bounded-pool invariant (a leak shows as in_use never
-	// returning to zero at quiesce).
+	// Packet-pool occupancy levels: size is fixed, populated (at most
+	// size) the buffers allocated so far, in_use = size - avail the
+	// instantaneous occupancy the telemetry sampler tracks for the soak's
+	// bounded-pool invariant (a leak shows as in_use never returning to
+	// zero at quiesce).
 	reg.RegisterGauge(prefix+".pool.size", func() uint64 { return uint64(m.pool.Size()) })
+	reg.RegisterGauge(prefix+".pool.populated", func() uint64 { return uint64(m.pool.Populated()) })
 	reg.RegisterGauge(prefix+".pool.in_use", func() uint64 {
 		if n := m.pool.Size() - m.pool.Avail(); n > 0 {
 			return uint64(n)

@@ -34,7 +34,7 @@ type Cache struct {
 // gets a small cache, so that caches hold at most an eighth of its buffers
 // each.
 func (p *Pool) NewCache() *Cache {
-	c := &Cache{pool: p, max: min(cacheSize, max(len(p.bufs)/8, 1))}
+	c := &Cache{pool: p, max: min(cacheSize, max(p.size/8, 1))}
 	p.cachesMu.Lock()
 	p.caches = append(p.caches, c)
 	p.cachesMu.Unlock()
@@ -55,11 +55,15 @@ func (c *Cache) Get() (*Buf, error) {
 }
 
 // refill takes up to half the cache's capacity from the pool's ring into
-// the empty cache and returns how many it took.
+// the empty cache and returns how many it took. It populates a chunk of
+// the pool only when the ring has none to give.
 func (c *Cache) refill() int {
 	for c.n < max(c.max/2, 1) {
 		b, ok := c.pool.free.Dequeue()
 		if !ok {
+			if c.n == 0 && c.pool.grow() {
+				continue
+			}
 			break
 		}
 		c.bufs[c.n] = b

@@ -1,11 +1,12 @@
 // Package pktbuf implements the shared packet-buffer pool of the NFV
 // platform: the in-process equivalent of a DPDK hugepage mempool of mbufs.
 //
-// A Buf carries both the raw frame bytes and the descriptor metadata
-// (action, destination service, tunnel fields, timestamps) that NFs attach
-// before handing the descriptor back to the manager. Passing a *Buf through
-// a ring is the zero-copy communication path of L²5GC: the payload is never
-// copied or serialized between NFs on the same node.
+// A Buf is a descriptor: the descriptor metadata (action, destination
+// service, tunnel fields, timestamps) that NFs attach before handing it
+// back to the manager, and a window onto its frame bytes in a slab of the
+// pool, the way an mbuf header points at its data room. Passing a *Buf
+// through a ring is the zero-copy communication path of L²5GC: the payload
+// is never copied or serialized between NFs on the same node.
 package pktbuf
 
 import (
@@ -70,11 +71,15 @@ type Meta struct {
 	TsNano  int64   // generator timestamp (nanoseconds) for latency measurement
 }
 
+// chunkBufs is how many buffers a pool populates at a time: one array of
+// Buf headers and one frame slab of 400 KiB.
+const chunkBufs = 256
+
 // Buf is one pooled packet buffer.
 type Buf struct {
-	mem  [MaxFrame]byte
-	off  int // start of valid data within mem
-	blen int // length of valid data
+	mem  *[MaxFrame]byte // the buffer's frame in its chunk's slab
+	off  int             // start of valid data within mem
+	blen int             // length of valid data
 
 	Meta Meta
 
@@ -185,43 +190,74 @@ var (
 // lifetime get/put counts: the pool keeps no counter of its own on the
 // ring path.
 //
+// Buffers are allocated when first needed, chunkBufs at a time: a Get
+// (or a cache refill) that finds the ring empty populates the next chunk
+// onto it, until Size buffers exist. A chunk's frames live in one
+// pointer-free slab, which the garbage collector does not scan; only the
+// small headers are. Buffers not yet populated count as free.
+//
 // In front of the ring sit the pool's caches (Cache), each the private
 // free list of one owner at a time, the way a DPDK mempool has one cache
 // per lcore.
 type Pool struct {
-	free   *ring.MPMC[*Buf]
-	bufs   []Buf
-	prefix string // security-domain file prefix (DPDK --file-prefix analog)
+	free      *ring.MPMC[*Buf]
+	size      int
+	populated atomic.Int64 // buffers allocated so far; never shrinks, at most size
+	prefix    string       // security-domain file prefix (DPDK --file-prefix analog)
 
 	cachesMu sync.Mutex
 	caches   []*Cache
 }
 
-// NewPool creates a pool of n buffers. prefix names the private memory
-// domain; pools with different prefixes model isolated operators on one node.
+// NewPool creates a pool of n buffers, none of them allocated yet. prefix
+// names the private memory domain; pools with different prefixes model
+// isolated operators on one node.
 func NewPool(n int, prefix string) *Pool {
-	p := &Pool{
-		free:   ring.NewMPMC[*Buf](n),
-		bufs:   make([]Buf, n),
-		prefix: prefix,
-	}
-	for i := range p.bufs {
-		p.bufs[i].pool = p
-		p.bufs[i].Reset()
-		p.free.Enqueue(&p.bufs[i])
-	}
-	return p
+	return &Pool{free: ring.NewMPMC[*Buf](n), size: n, prefix: prefix}
 }
+
+// grow populates the next chunk of buffers onto the free ring and reports
+// whether there was one: false once Size buffers exist. Concurrent callers
+// claim distinct chunks by a CAS on the populated count.
+func (p *Pool) grow() bool {
+	var n, k int
+	for {
+		n = int(p.populated.Load())
+		if n >= p.size {
+			return false
+		}
+		k = min(chunkBufs, p.size-n)
+		if p.populated.CompareAndSwap(int64(n), int64(n+k)) {
+			break
+		}
+	}
+	hdrs := make([]Buf, k)
+	slab := make([]byte, k*MaxFrame)
+	var fresh [chunkBufs]*Buf
+	for i := range hdrs {
+		hdrs[i].mem = (*[MaxFrame]byte)(slab[i*MaxFrame:])
+		hdrs[i].pool = p
+		fresh[i] = &hdrs[i]
+	}
+	p.enqueue(fresh[:k])
+	return true
+}
+
+// Populated returns how many of the pool's buffers have been allocated.
+func (p *Pool) Populated() int { return int(p.populated.Load()) }
 
 // Prefix returns the pool's security-domain prefix.
 func (p *Pool) Prefix() string { return p.prefix }
 
 // Size returns the total number of buffers owned by the pool.
-func (p *Pool) Size() int { return len(p.bufs) }
+func (p *Pool) Size() int { return p.size }
 
 // Avail returns the approximate number of free buffers: those in the free
-// ring and those its caches held when they last published.
-func (p *Pool) Avail() int { return p.free.Len() + int(p.cached()) }
+// ring, those its caches held when they last published, and those not yet
+// populated.
+func (p *Pool) Avail() int {
+	return p.free.Len() + int(p.cached()) + p.size - p.Populated()
+}
 
 // cached sums the buffers the pool's caches held when they last published.
 func (p *Pool) cached() (n int64) {
@@ -236,8 +272,11 @@ func (p *Pool) cached() (n int64) {
 // Get allocates a buffer, or returns ErrPoolEmpty when exhausted.
 func (p *Pool) Get() (*Buf, error) {
 	b, ok := p.free.Dequeue()
-	if !ok {
-		return nil, ErrPoolEmpty
+	for !ok {
+		if !p.grow() {
+			return nil, ErrPoolEmpty
+		}
+		b, ok = p.free.Dequeue()
 	}
 	b.take()
 	return b, nil
@@ -317,8 +356,9 @@ func (p *Pool) unref(bufs []*Buf) []*Buf {
 // leak detection in tests: buffers taken off it and buffers given back to
 // it, a buffer a cache holds counting as given back (as its owner last
 // published). A get and a release through a cache are private to its
-// owner and not counted. Once every cache has published (its owner let
-// go), gets - puts == Size - Avail exactly.
+// owner and not counted, nor is a buffer's first trip onto the ring when
+// it is populated. Once every cache has published (its owner let go),
+// gets - puts == Size - Avail exactly.
 func (p *Pool) Stats() (gets, puts uint64) {
-	return p.free.Dequeued(), p.free.Enqueued() - uint64(len(p.bufs)) + uint64(p.cached())
+	return p.free.Dequeued(), p.free.Enqueued() - uint64(p.Populated()) + uint64(p.cached())
 }

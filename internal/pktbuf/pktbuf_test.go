@@ -2,6 +2,8 @@ package pktbuf
 
 import (
 	"bytes"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -410,7 +412,229 @@ func TestCacheConservation(t *testing.T) {
 		c.Flush()
 	}
 	check(0)
-	if p.free.Len() != size {
-		t.Fatalf("free ring holds %d after every cache flushed, want %d", p.free.Len(), size)
+	if pop := p.Populated(); p.free.Len() != pop || pop > size {
+		t.Fatalf("free ring holds %d after every cache flushed, want the %d populated (of %d)",
+			p.free.Len(), pop, size)
 	}
+}
+
+// TestPoolPopulatesOnDemand: a new pool has allocated no buffer and counts
+// them all free; the first Get populates one chunk, and a Get that finds
+// the ring empty the next.
+func TestPoolPopulatesOnDemand(t *testing.T) {
+	const size = 8192
+	p := NewPool(size, "t")
+	if p.Populated() != 0 || p.Avail() != size {
+		t.Fatalf("new pool: Populated %d, Avail %d; want 0, %d", p.Populated(), p.Avail(), size)
+	}
+	var held []*Buf
+	for i := 0; i <= chunkBufs; i++ {
+		b, err := p.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, b)
+		want := chunkBufs
+		if i == chunkBufs {
+			want = 2 * chunkBufs
+		}
+		if p.Populated() != want {
+			t.Fatalf("after %d gets Populated = %d, want %d", i+1, p.Populated(), want)
+		}
+	}
+	if p.Avail() != size-len(held) {
+		t.Fatalf("Avail = %d, want %d", p.Avail(), size-len(held))
+	}
+	p.ReleaseBulk(held)
+	if p.Avail() != size || p.Populated() != 2*chunkBufs {
+		t.Fatalf("after release: Avail %d, Populated %d; want %d, %d", p.Avail(), p.Populated(), size, 2*chunkBufs)
+	}
+}
+
+// TestPoolEmptyExactlyAtSize takes buffers through a cache and from the
+// pool directly, interleaved, from a pool whose size is neither a power
+// of two nor a whole number of chunks. A Get fails only once every buffer
+// is out or held by the cache, and both ways fail exactly when Size are
+// out.
+func TestPoolEmptyExactlyAtSize(t *testing.T) {
+	const size = 3*chunkBufs + 37
+	p := NewPool(size, "t")
+	c := p.NewCache()
+	var out []*Buf
+	for cacheDone, poolDone := false, false; !cacheDone || !poolDone; {
+		viaPool := len(out)%3 == 0
+		if viaPool && poolDone || !viaPool && cacheDone {
+			viaPool = !viaPool
+		}
+		get := c.Get
+		if viaPool {
+			get = p.Get
+		}
+		b, err := get()
+		if err == nil {
+			out = append(out, b)
+			if p.Populated() > size {
+				t.Fatalf("Populated = %d, over Size %d", p.Populated(), size)
+			}
+			continue
+		}
+		if err != ErrPoolEmpty {
+			t.Fatal(err)
+		}
+		if viaPool {
+			if len(out)+c.n != size {
+				t.Fatalf("Pool.Get failed with %d out and %d cached, want %d together", len(out), c.n, size)
+			}
+			poolDone = true
+		} else {
+			if len(out) != size {
+				t.Fatalf("Cache.Get failed with %d out, want %d", len(out), size)
+			}
+			cacheDone = true
+		}
+	}
+	if p.Populated() != size {
+		t.Fatalf("Populated = %d, want %d", p.Populated(), size)
+	}
+	if _, err := p.Get(); err != ErrPoolEmpty {
+		t.Fatalf("Get with Size out = %v, want ErrPoolEmpty", err)
+	}
+	c.ReleaseBulk(out)
+	c.Flush()
+	if p.Avail() != size {
+		t.Fatalf("Avail = %d after every buffer came back, want %d", p.Avail(), size)
+	}
+}
+
+// TestPoolConcurrentGrowth has four goroutines take, stamp and give back
+// buffers through caches of their own and the pool directly while the
+// pool populates under them. No buffer is handed out twice, no two
+// buffers share frame bytes, and population stops at Size.
+func TestPoolConcurrentGrowth(t *testing.T) {
+	const size, workers, rounds = 4*chunkBufs + 100, 4, 50
+	p := NewPool(size, "t")
+	var (
+		mu     sync.Mutex
+		holder = map[*Buf]int{}
+		frames = map[*byte]bool{}
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := p.NewCache()
+			defer c.Flush()
+			var held []*Buf
+			for r := 0; r < rounds; r++ {
+				for len(held) < size/2 {
+					get := c.Get
+					if len(held)%2 == 0 {
+						get = p.Get
+					}
+					b, err := get()
+					if err != nil {
+						break
+					}
+					mu.Lock()
+					h, twice := holder[b]
+					holder[b] = w
+					frames[&b.mem[0]] = true
+					mu.Unlock()
+					if twice {
+						t.Errorf("buffer handed to %d while %d holds it", w, h)
+						return
+					}
+					b.SetData(bytes.Repeat([]byte{byte(w)}, 100))
+					held = append(held, b)
+				}
+				for _, b := range held {
+					if b.Bytes()[0] != byte(w) || b.Bytes()[99] != byte(w) {
+						t.Errorf("frame of a buffer %d holds was overwritten", w)
+						return
+					}
+					mu.Lock()
+					delete(holder, b)
+					mu.Unlock()
+				}
+				if r%2 == 0 {
+					c.ReleaseBulk(held)
+				} else {
+					p.ReleaseBulk(held)
+				}
+				held = held[:0]
+			}
+		}(w)
+	}
+	wg.Wait()
+	if p.Populated() > size {
+		t.Fatalf("Populated = %d, over Size %d", p.Populated(), size)
+	}
+	if len(frames) != p.Populated() {
+		t.Fatalf("%d distinct frames handed out, %d buffers populated", len(frames), p.Populated())
+	}
+	if p.Avail() != size {
+		t.Fatalf("Avail = %d after every buffer came back, want %d", p.Avail(), size)
+	}
+}
+
+// TestPoolStatsPartPopulated: the lifetime counts agree with Avail while
+// the pool has populated only some of its buffers.
+func TestPoolStatsPartPopulated(t *testing.T) {
+	const size = 8192
+	p := NewPool(size, "t")
+	c := p.NewCache()
+	var held []*Buf
+	for i := 0; i < 300; i++ {
+		get := p.Get
+		if i%2 == 0 {
+			get = c.Get
+		}
+		b, err := get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, b)
+	}
+	c.ReleaseBulk(held[:50])
+	p.ReleaseBulk(held[50:100])
+	c.Publish()
+	if p.Populated() >= size {
+		t.Fatalf("Populated = %d: the pool is not part-populated", p.Populated())
+	}
+	gets, puts := p.Stats()
+	if int(gets-puts) != size-p.Avail() || p.Avail() != size-200 {
+		t.Fatalf("gets %d - puts %d = %d, Size - Avail = %d - %d; want equal, with 200 out",
+			gets, puts, gets-puts, size, p.Avail())
+	}
+}
+
+// TestPoolFramesNotScanned: the frames of a fully used pool live in
+// pointer-free slabs, so the heap the garbage collector scans grows by
+// the buffer headers and the free ring only, not by 8192 frames of
+// MaxFrame bytes (13 MB).
+func TestPoolFramesNotScanned(t *testing.T) {
+	scan := []rtmetrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	runtime.GC()
+	rtmetrics.Read(scan)
+	before := scan[0].Value.Uint64()
+	p := NewPool(8192, "t")
+	held := make([]*Buf, 0, p.Size())
+	for {
+		b, err := p.Get()
+		if err != nil {
+			break
+		}
+		held = append(held, b)
+	}
+	runtime.GC()
+	rtmetrics.Read(scan)
+	grown := int64(scan[0].Value.Uint64()) - int64(before)
+	if len(held) != p.Size() {
+		t.Fatalf("took %d buffers, want %d", len(held), p.Size())
+	}
+	if grown >= 2<<20 {
+		t.Fatalf("scannable heap grew by %.2f MB for a fully used pool, want under 2 MB", float64(grown)/(1<<20))
+	}
+	runtime.KeepAlive(held)
 }

@@ -101,7 +101,7 @@ func (s *Sampler) SampleNow() Sample {
 	vals[nameGCPause] = float64(ms.PauseTotalNs)
 	vals[nameGCCount] = float64(ms.NumGC)
 
-	for name, v := range s.cfg.Registry.Snapshot().Counters {
+	for name, v := range s.cfg.Registry.Counters() {
 		vals[name] = float64(v)
 	}
 
