@@ -235,11 +235,14 @@ fastpath-smoke:
 # handler sending to its own ring, full, closed, Close with a handler in
 # flight), the reply table, who serves an shm invoke / N4 request and what
 # the deadline bounds, the endpoint lifecycle, the head-of-line scenario
-# on both N4 transports, a delayed send's late error (N4 and SBI), and the
-# census of an idle core's goroutines.
+# on both N4 transports, a delayed send's late error (N4 and SBI), the
+# census of an idle core's goroutines, and the plain and supervised
+# assembly paths agreeing (NRF registrations, SBI transport, one admission
+# gate) with a supervised core riding out an SMF crash.
 cp-smoke:
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkUECycle' -benchtime 2000x -cpu 1,2 ./internal/core
 	$(GO) test -race -count=3 ./internal/shm
 	$(GO) test -race -count=3 -run 'TestShmInvokeInlineAndQueued|TestShmConcurrentInvokes|TestShmInvokeRecoversFromInjectedLoss|TestShmDelayedSendLateError' ./internal/sbi
 	$(GO) test -race -count=3 -run 'TestEndpointCloseLifecycle|TestMemResponseBypassesBlockedReport|TestMemRequestServedInlineNeverWaits|TestMemRetransmissionAndDedup|TestMemDelayedSendLateError' ./internal/pfcp
 	$(GO) test -race -count=3 -run 'TestL25GCCoreHasNoTransportGoroutines' ./internal/core
+	$(GO) test -race -count=3 -run 'TestAssemblyPathsAgree|TestCoreResilienceServesAndSurvivesSMFCrash' ./internal/core

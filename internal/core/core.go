@@ -82,7 +82,6 @@ var upfN3IP = pkt.AddrFrom(10, 100, 0, 2)
 type Config struct {
 	Mode        Mode
 	ClsAlgo     string // "ll", "tss", "ps"; defaults: free5GC="ll", others="ps"
-	BufferPkts  uint16 // UPF per-session DL buffer (default 3000)
 	Subscribers []udr.Subscriber
 	PoolPrefix  string // shared-memory security domain (default "l25gc")
 	// NFShards stripes the AMF and SMF UE/session state (maps, locks, ID
@@ -302,7 +301,7 @@ func (c *Core) start() error {
 	if cfg.N4Assoc {
 		c.exportN4AssocMetrics(reg)
 	}
-	c.UPFState = upf.NewState(cfg.ClsAlgo, int(cfg.BufferPkts))
+	c.UPFState = upf.NewState(cfg.ClsAlgo, 0)
 	c.UPFState.ExportMetrics(reg, "upf")
 	c.UPFC = upf.NewUPFC(c.UPFState, upfN3IP, upfEP)
 	c.UPFC.SetOverload(c.OverloadUPF)
@@ -363,12 +362,7 @@ func (c *Core) start() error {
 		return err
 	}
 
-	if cfg.Resilience {
-		err = c.startSupervised()
-	} else {
-		err = c.startPlain()
-	}
-	if err != nil {
+	if err := c.startCP(); err != nil {
 		return err
 	}
 	return c.startDN()
@@ -446,21 +440,113 @@ func (c *Core) connTo(nfType string, h sbi.Handler) (sbi.Conn, error) {
 	return conn, nil
 }
 
-// newSMF builds one SMF instance over the shared neighbors: the plain
-// path's only one, or one supervised generation. Its AMF connection
-// resolves lazily through c.amfConn — the AMF is built after the SMF
-// because it needs the SMF's conn. With Config.N4Assoc the instance gets
-// its own association state machine over the (shared) N4 endpoint,
-// attached for degraded-mode gating and snapshot persistence but not
-// ticking until armN4. Reconciliation is the OnUp hook, so a heal never
-// advertises Up before the SEID tables agree; association down snapshots
-// the telemetry flight ring.
-func (c *Core) newSMF(nodeID string) *smf.SMF {
+// spawnFunc builds one SMF or AMF instance. With u nil it builds a plain
+// core's only instance and returns its producer handler; otherwise it
+// builds generation gen of the supervised unit u, with the NF's NGAP/N4
+// ingress tapped through the unit's packet log, and returns it as the
+// unit's Instance. Generation 0, either way, is the Core's SMF or AMF.
+type spawnFunc func(u *supervisor.Unit, gen int) (sbi.Handler, supervisor.Instance, error)
+
+// startCP builds the SMF, then the AMF over the SMF's conn. With
+// Config.Resilience each runs as a supervised unit: an active generation
+// and a frozen standby, built by the same spawn function, with state
+// checkpointed per applied message (output commit — a message whose SBI
+// side effects already ran is never re-externalized by replay).
+func (c *Core) startCP() error {
+	if c.cfg.Resilience {
+		supCfg := supervisor.Config{Tracer: c.cfg.Tracer, Metrics: c.cfg.Metrics}
+		if tel := c.cfg.Telemetry; tel != nil {
+			supCfg.OnRecovery = func(unit string, _ supervisor.RecoveryStats) {
+				tel.DumpNow("supervisor.promote." + unit)
+			}
+		}
+		c.sup = supervisor.New(supCfg)
+	}
+	// Generations share the N4 endpoint; the active one must hold its
+	// inbound handler or session reports (paging triggers) would land on
+	// the empty standby. Likewise only the active generation's association
+	// heartbeats — the standby's stays in manual mode until promotion, and
+	// the retired one is stopped via its closer.
+	smfConn, err := c.startNF("SMF", c.OverloadSMF, c.spawnSMF, func(active supervisor.Instance) {
+		s := active.(*supervisor.SMFInstance).S
+		s.BindN4()
+		c.armN4(s)
+	})
+	if err != nil {
+		return err
+	}
+	amfConn, err := c.startNF("AMF", c.OverloadAMF, func(u *supervisor.Unit, gen int) (sbi.Handler, supervisor.Instance, error) {
+		return c.spawnAMF(u, gen, smfConn)
+	}, nil)
+	if err != nil {
+		return err
+	}
+	c.amfConn.Store(&amfConn)
+	return nil
+}
+
+// startNF builds one NF with spawn and publishes its producer handler over
+// the mode's SBI transport behind the NF's admission gate. The handler is
+// the NF's own in a plain core and the unit conn's Invoke in a supervised
+// one: the logged, deduplicated ingress that rides out a failover by
+// waiting for recovery and retrying into the promoted generation's dedup
+// cache. So a supervised NF has the same wire, NRF registration and
+// sbi.<nf>.* counters and spans as a plain one, with the packet log
+// behind the wire and in front of the NF. Admission runs once, at this
+// boundary and never inside Handle: shed work is never logged, and
+// replay, which re-enters Handle, never re-runs an admission decision.
+func (c *Core) startNF(nfType string, ctrl *overload.Controller, spawn spawnFunc, onPromote func(supervisor.Instance)) (sbi.Conn, error) {
+	var h sbi.Handler
+	if c.sup == nil {
+		var err error
+		if h, _, err = spawn(nil, 0); err != nil {
+			return nil, err
+		}
+	} else {
+		u, err := c.sup.Register(supervisor.UnitConfig{
+			Name: strings.ToLower(nfType), Injector: c.cfg.FaultInjector,
+			CheckpointEvery: 1, Overload: ctrl, OnPromote: onPromote,
+			Spawn: func(u *supervisor.Unit, gen int) (supervisor.Instance, error) {
+				_, inst, err := spawn(u, gen)
+				return inst, err
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+		// Closed where the plain NF is, so a unit's procedures in flight
+		// at Stop still reach the conns they were built over.
+		c.closers = append(c.closers, u.Close)
+		h = u.Conn().Invoke
+	}
+	return c.connTo(nfType, overload.WrapSBI(ctrl, h))
+}
+
+// nodeName names an NF instance: "<nf>.l25gc", and ".g<gen>" after it for
+// a supervised generation.
+func nodeName(nf string, u *supervisor.Unit, gen int) string {
+	if u == nil {
+		return nf + ".l25gc"
+	}
+	return fmt.Sprintf("%s.l25gc.g%d", nf, gen)
+}
+
+// spawnSMF is the SMF's spawnFunc. The instance is built over the shared
+// neighbors; its AMF connection resolves lazily through c.amfConn — the
+// AMF is built after the SMF because it needs the SMF's conn. With
+// Config.N4Assoc it gets its own association state machine over the
+// (shared) N4 endpoint, attached for degraded-mode gating and snapshot
+// persistence but not ticking until armN4: at once in a plain core, on
+// promotion in a supervised one. Reconciliation is the OnUp hook, so a
+// heal never advertises Up before the SEID tables agree; association down
+// snapshots the telemetry flight ring.
+func (c *Core) spawnSMF(u *supervisor.Unit, gen int) (sbi.Handler, supervisor.Instance, error) {
 	cfg := c.cfg
+	nodeID := nodeName("smf", u, gen)
 	s := smf.New(smf.Config{
 		NodeID: nodeID, UPFN3IP: upfN3IP,
 		UEPoolBase: pkt.AddrFrom(10, 60, 0, 1),
-		BufferPkts: cfg.BufferPkts, Shards: cfg.NFShards,
+		Shards:     cfg.NFShards,
 	}, c.nb.udmSmf, c.nb.pcfSmf, c.nb.n4, func() sbi.Conn {
 		if p := c.amfConn.Load(); p != nil {
 			return *p
@@ -485,7 +571,16 @@ func (c *Core) newSMF(nodeID string) *smf.SMF {
 		a.SetTracer(c.track("pfcp.smf"))
 		s.SetAssociation(a)
 	}
-	return s
+	if gen == 0 {
+		c.SMF = s
+	}
+	if u == nil {
+		c.closers = append(c.closers, func() { stopN4(s) })
+		c.armN4(s)
+		return s.Handle, nil, nil
+	}
+	supervisor.AttachSMF(u, s)
+	return nil, supervisor.NewSMFInstance(s, func() error { stopN4(s); return nil }), nil
 }
 
 // armN4 makes s the SMF whose association drives N4: the pfcp.assoc.*
@@ -513,42 +608,26 @@ func stopN4(s *smf.SMF) {
 	}
 }
 
-// newAMF builds one AMF instance over the shared neighbors and smfConn.
-func (c *Core) newAMF(name string, smfConn sbi.Conn) (*amf.AMF, error) {
+// spawnAMF is the AMF's spawnFunc, over the shared neighbors and smfConn.
+func (c *Core) spawnAMF(u *supervisor.Unit, gen int, smfConn sbi.Conn) (sbi.Handler, supervisor.Instance, error) {
 	a, err := amf.New(amf.Config{
-		Name: name, Guami: "5G:mnc093.mcc208", Addr: "127.0.0.1:0",
+		Name: nodeName("amf", u, gen), Guami: "5G:mnc093.mcc208", Addr: "127.0.0.1:0",
 		Shards: c.cfg.NFShards,
 	}, c.nb.ausf, c.nb.udmAmf, c.nb.pcfAmf, smfConn)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a.SetTracer(c.track("amf"))
 	a.SetOverload(c.OverloadAMF)
-	return a, nil
-}
-
-// startPlain assembles one AMF and one SMF behind SBI conns. Admission
-// runs at the transport boundary (not inside Handle): in resilience mode
-// replay re-enters Handle, and replayed work must never be re-admitted.
-// The plain path has no replay, so the wrapper is the boundary.
-func (c *Core) startPlain() error {
-	c.SMF = c.newSMF("smf.l25gc")
-	c.closers = append(c.closers, func() { stopN4(c.SMF) })
-	c.armN4(c.SMF)
-	smfConn, err := c.connTo("SMF", overload.WrapSBI(c.OverloadSMF, nil, c.SMF.Handle))
-	if err != nil {
-		return err
+	if gen == 0 {
+		c.AMF = a
 	}
-	if c.AMF, err = c.newAMF("amf.l25gc", smfConn); err != nil {
-		return err
+	if u == nil {
+		c.closers = append(c.closers, func() { a.Close() })
+		return a.Handle, nil, nil
 	}
-	c.closers = append(c.closers, func() { c.AMF.Close() })
-	amfConn, err := c.connTo("AMF", overload.WrapSBI(c.OverloadAMF, nil, c.AMF.Handle))
-	if err != nil {
-		return err
-	}
-	c.amfConn.Store(&amfConn)
-	return nil
+	supervisor.AttachAMF(u, a)
+	return nil, supervisor.NewAMFInstance(a), nil
 }
 
 // exportN4AssocMetrics registers the pfcp.assoc.* family exactly once,
@@ -634,70 +713,6 @@ func (c *Core) startDN() error {
 		return err
 	}
 	go readLoop(dn, c.n6Egress)
-	return nil
-}
-
-// startSupervised assembles the AMF and SMF as supervised units: each
-// generation is a full NF spawned over the shared neighbor connections,
-// with its inbound traffic tapped through the unit's packet log and its
-// state checkpointed per applied message (output commit — a message
-// whose SBI side effects already ran is never re-externalized by
-// replay). Peers reach the units through unit conns, which ride out
-// failovers by waiting for recovery and retrying into the promoted
-// generation's dedup cache.
-func (c *Core) startSupervised() error {
-	cfg := c.cfg
-	supCfg := supervisor.Config{Tracer: cfg.Tracer, Metrics: cfg.Metrics}
-	if tel := cfg.Telemetry; tel != nil {
-		supCfg.OnRecovery = func(unit string, stats supervisor.RecoveryStats) {
-			tel.DumpNow("supervisor.promote." + unit)
-		}
-	}
-	c.sup = supervisor.New(supCfg)
-	c.closers = append(c.closers, c.sup.Close)
-
-	smfUnit, err := c.sup.Register(supervisor.UnitConfig{
-		Name: "smf", Injector: cfg.FaultInjector, CheckpointEvery: 1,
-		Overload: c.OverloadSMF,
-		Spawn: func(su *supervisor.Unit, gen int) (supervisor.Instance, error) {
-			s := c.newSMF(fmt.Sprintf("smf.l25gc.g%d", gen))
-			supervisor.AttachSMF(su, s)
-			return supervisor.NewSMFInstance(s, func() error { stopN4(s); return nil }), nil
-		},
-		// Generations share the N4 endpoint; the active one must hold its
-		// inbound handler or session reports (paging triggers) would land
-		// on the empty standby. Likewise only the active generation's
-		// association heartbeats — the standby's stays in manual mode
-		// until promotion, and the retired one is stopped via its closer.
-		OnPromote: func(active supervisor.Instance) {
-			s := active.(*supervisor.SMFInstance).S
-			s.BindN4()
-			c.armN4(s)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	c.SMF = smfUnit.Active().(*supervisor.SMFInstance).S
-
-	amfUnit, err := c.sup.Register(supervisor.UnitConfig{
-		Name: "amf", Injector: cfg.FaultInjector, CheckpointEvery: 1,
-		Overload: c.OverloadAMF,
-		Spawn: func(su *supervisor.Unit, gen int) (supervisor.Instance, error) {
-			a, err := c.newAMF(fmt.Sprintf("amf.l25gc.g%d", gen), smfUnit.Conn())
-			if err != nil {
-				return nil, err
-			}
-			supervisor.AttachAMF(su, a)
-			return supervisor.NewAMFInstance(a), nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	amfConn := amfUnit.Conn()
-	c.amfConn.Store(&amfConn)
-	c.AMF = amfUnit.Active().(*supervisor.AMFInstance).A
 	return nil
 }
 

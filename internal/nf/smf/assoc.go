@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"l25gc/internal/metrics"
 	"l25gc/internal/overload"
 	"l25gc/internal/pfcp"
 	"l25gc/internal/rules"
@@ -142,25 +141,6 @@ func (s *SMF) RejectedWhileDown() uint64 { return s.rejectedDown.Load() }
 // LastReconcile returns the stats of the most recent reconciliation pass
 // (nil if none has run).
 func (s *SMF) LastReconcile() *ReconcileStats { return s.lastRec.Load() }
-
-// ExportAssocMetrics registers the SMF-side pfcp.assoc gauges (the
-// transport-side family is registered by pfcp.Association itself).
-func (s *SMF) ExportAssocMetrics(reg *metrics.Registry, prefix string) {
-	reg.RegisterGauge(prefix+".rejected_down", s.rejectedDown.Load)
-	reg.RegisterGauge(prefix+".journal", func() uint64 { return uint64(s.JournalLen()) })
-	reg.RegisterGauge(prefix+".reconcile.rebuilt", func() uint64 {
-		if r := s.lastRec.Load(); r != nil {
-			return uint64(r.Rebuilt)
-		}
-		return 0
-	})
-	reg.RegisterGauge(prefix+".reconcile.purged", func() uint64 {
-		if r := s.lastRec.Load(); r != nil {
-			return uint64(r.Purged)
-		}
-		return 0
-	})
-}
 
 // dlFARFromState renders ctx's current DL forwarding decision as a FAR —
 // the replay payload for sync intents and the DL rule for rebuilds.

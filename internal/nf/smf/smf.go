@@ -114,9 +114,9 @@ type SMF struct {
 }
 
 // SetOverload installs the SMF's overload controller. The SMF does NOT
-// gate admission here — that happens at the transport boundary (WrapSBI
-// in plain cores, the unit conn in supervised ones) so supervisor replay
-// never re-runs an admission decision. The controller is used for
+// gate admission here — that happens at the transport boundary
+// (overload.WrapSBI in front of the producer handler, plain or supervised)
+// so supervisor replay never re-runs an admission decision. The controller is used for
 // latency feedback and for the Retry-After advice attached when the UPF
 // answers N4 establishment with CauseCongestion.
 func (s *SMF) SetOverload(c *overload.Controller) {

@@ -261,17 +261,25 @@ func TestOwnerCacheConservation(t *testing.T) {
 			}
 		}(p)
 	}
+	// An Inject that only queued returns before its descriptor is handled,
+	// so a drainer can still be sending to kept after the producers are
+	// done: the releaser runs until the pool is quiet, which needs every
+	// kept buffer back.
 	var released sync.WaitGroup
+	quiet := make(chan struct{})
 	released.Add(1)
 	go func() {
 		defer released.Done()
-		for b := range kept {
-			b.Release()
+		for {
+			select {
+			case b := <-kept:
+				b.Release()
+			case <-quiet:
+				return
+			}
 		}
 	}()
 	wg.Wait()
-	close(kept)
-	released.Wait()
 	check := func(out int) {
 		t.Helper()
 		gets, puts := m.Pool().Stats()
@@ -282,6 +290,8 @@ func TestOwnerCacheConservation(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool { return reg.Snapshot().Counters["onvm.pool.in_use"] == 0 }, "quiet pool")
+	close(quiet)
+	released.Wait()
 	check(0)
 	held, err := m.Pool().Get()
 	if err != nil {

@@ -25,19 +25,16 @@ func ClassifyOp(op sbi.OpID) Class {
 	}
 }
 
-// WrapSBI gates an SBI producer handler with the controller: shed
-// operations answer 503 with the controller's advised Retry-After instead
-// of executing, which the consumer-side RetryPolicy honors as a
-// prescribed delay. classify may be nil (defaults to ClassifyOp).
-func WrapSBI(c *Controller, classify func(sbi.OpID) Class, h sbi.Handler) sbi.Handler {
+// WrapSBI gates an SBI producer handler with the controller, classing
+// each operation by ClassifyOp: shed operations answer 503 with the
+// controller's advised Retry-After instead of executing. The gate does
+// not observe latency; each NF observes its own procedures.
+func WrapSBI(c *Controller, h sbi.Handler) sbi.Handler {
 	if c == nil {
 		return h
 	}
-	if classify == nil {
-		classify = ClassifyOp
-	}
 	return func(op sbi.OpID, req codec.Message) (codec.Message, error) {
-		cl := classify(op)
+		cl := ClassifyOp(op)
 		if !c.Admit(cl) {
 			return nil, &sbi.StatusError{
 				Code:       sbi.StatusServiceUnavailable,

@@ -124,6 +124,9 @@ type HTTPConn struct {
 // DefaultSBITimeout is the default per-request deadline.
 const DefaultSBITimeout = 5 * time.Second
 
+// ErrInjected marks a transport failure produced by the fault injector.
+var ErrInjected = errors.New("sbi: injected transport fault")
+
 // NewHTTPConn dials a producer at host:port.
 func NewHTTPConn(addr string, c codec.Codec) *HTTPConn {
 	h := &HTTPConn{

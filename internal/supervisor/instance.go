@@ -10,7 +10,6 @@ import (
 	"l25gc/internal/codec"
 	"l25gc/internal/faults"
 	"l25gc/internal/metrics"
-	"l25gc/internal/overload"
 	"l25gc/internal/pfcp"
 	"l25gc/internal/pkt"
 	"l25gc/internal/pktbuf"
@@ -174,27 +173,11 @@ func (u *Unit) Conn() sbi.Conn { return &unitConn{u: u} }
 // nextReqID hands out unit-unique request IDs.
 func (u *Unit) nextReqID() uint64 { return u.reqID.Add(1) }
 
-// Invoke implements sbi.Conn. When the unit carries an overload
-// controller, admission runs here — before the frame is stamped into
-// the packet log — so shed work is never logged and replay only ever
-// re-executes admitted requests.
+// Invoke implements sbi.Conn. It admits nothing: a core publishes the
+// conn behind the NF's SBI admission gate, which sheds work before it is
+// stamped into the packet log, so replay only re-executes admitted
+// requests.
 func (c *unitConn) Invoke(op sbi.OpID, req codec.Message) (codec.Message, error) {
-	if ctrl := c.u.cfg.Overload; ctrl != nil {
-		if cl := overload.ClassifyOp(op); cl != overload.ClassDrain {
-			if !ctrl.Admit(cl) {
-				return nil, &sbi.StatusError{
-					Code:       sbi.StatusServiceUnavailable,
-					RetryAfter: ctrl.Backoff(cl),
-					Reason:     "overload: " + c.u.cfg.Name + " shed " + cl.Name(),
-				}
-			}
-			start := c.u.sup.clock()
-			defer func() {
-				ctrl.Observe(c.u.sup.clock() - start)
-				ctrl.Release(cl)
-			}()
-		}
-	}
 	reqID := c.u.nextReqID()
 	frame, err := EncodeSBIFrame(op, reqID, req)
 	if err != nil {

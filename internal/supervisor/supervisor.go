@@ -6,9 +6,10 @@
 //
 // Each registered unit runs one active instance (generation g0) and one
 // frozen standby (g1). Every inbound message is stamped through the
-// unit's packet-log counter before it is applied; periodic checkpoints
-// synchronize the active state into the standby's replica and release
-// the covered log prefix (bounding replay memory). When the detector
+// unit's packet-log counter before it is applied; checkpoints (every
+// CheckpointEvery applied messages, or on request) synchronize the active
+// state into the standby's replica and release the covered log prefix
+// (bounding replay memory). When the detector
 // declares the active instance dead — from heartbeat loss or an
 // internal/faults crash/freeze — the supervisor promotes the standby
 // (restore checkpoint, replay the log tail in counter order), spins up
@@ -59,6 +60,13 @@ var ErrUnitDown = errors.New("supervisor: active instance down")
 // ErrNoStandby reports a failover with no spawned standby to promote.
 var ErrNoStandby = errors.New("supervisor: no standby to promote")
 
+// The failure detector probes the active generation every probeInterval
+// and declares it dead after probeMisses consecutive failed probes.
+const (
+	probeInterval = 200 * time.Microsecond
+	probeMisses   = 3
+)
+
 // UnitConfig parameterizes one supervised NF unit.
 type UnitConfig struct {
 	// Name of the unit ("upf", "amf", "smf"); generations are named
@@ -76,15 +84,8 @@ type UnitConfig struct {
 	// receives the current active target name.
 	Probe func(target string) bool
 	// CheckpointEvery triggers an automatic checkpoint after this many
-	// applied messages (0 = checkpoints are explicit or interval-driven).
+	// applied messages (0 = checkpoints are explicit: Unit.Checkpoint).
 	CheckpointEvery int
-	// CheckpointInterval drives time-based checkpoints (0 = none).
-	CheckpointInterval time.Duration
-	// LogCap bounds each packet-log class queue (0 = unbounded).
-	LogCap int
-	// ProbeInterval and ProbeMisses tune the failure detector.
-	ProbeInterval time.Duration
-	ProbeMisses   int
 	// RemoteApply, when set, receives every checkpoint in encoded form —
 	// the §3.5.1 delta sync toward a remote replica, performed off the
 	// primary's critical path by the supervisor.
@@ -96,10 +97,10 @@ type UnitConfig struct {
 	// one N4 endpoint — re-claim it here so inbound traffic reaches live
 	// state instead of the frozen standby.
 	OnPromote func(active Instance)
-	// Overload, when set, gates the unit conn's SBI ingress (shed work is
-	// rejected before it reaches the packet log, so replay only ever
-	// re-executes admitted messages) and is forced to drain-only for the
-	// duration of promote→replay→resync, bounding recovery time.
+	// Overload, when set, is the NF's admission controller: it is forced
+	// to drain-only for the duration of promote→replay→resync, bounding
+	// recovery time. The admission gate itself sits in front of the unit
+	// conn (overload.WrapSBI), not in the supervisor.
 	Overload *overload.Controller
 }
 
@@ -178,8 +179,6 @@ type Supervisor struct {
 
 	mu    sync.Mutex
 	units map[string]*Unit
-	stopC chan struct{}
-	wg    sync.WaitGroup
 }
 
 // New creates a supervisor.
@@ -199,7 +198,6 @@ func New(cfg Config) *Supervisor {
 		sleep:      sleep,
 		onRecovery: cfg.OnRecovery,
 		units:      make(map[string]*Unit),
-		stopC:      make(chan struct{}),
 	}
 }
 
@@ -210,16 +208,10 @@ func (s *Supervisor) Register(cfg UnitConfig) (*Unit, error) {
 	if cfg.Name == "" || cfg.Spawn == nil {
 		return nil, errors.New("supervisor: unit needs Name and Spawn")
 	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 200 * time.Microsecond
-	}
-	if cfg.ProbeMisses <= 0 {
-		cfg.ProbeMisses = 3
-	}
 	u := &Unit{
 		cfg:          cfg,
 		sup:          s,
-		log:          resilience.NewPacketLogger(cfg.LogCap),
+		log:          resilience.NewPacketLogger(0),
 		detectHist:   metrics.NewHistogram(),
 		downtimeHist: metrics.NewHistogram(),
 	}
@@ -245,8 +237,8 @@ func (s *Supervisor) Register(cfg UnitConfig) (*Unit, error) {
 	probe := func() bool { return u.probeActive() }
 	u.det = &resilience.Detector{
 		Probe:     probe,
-		Interval:  cfg.ProbeInterval,
-		Misses:    cfg.ProbeMisses,
+		Interval:  probeInterval,
+		Misses:    probeMisses,
 		OnFailure: func(dt time.Duration) { u.failover(dt) },
 	}
 	u.det.Start()
@@ -255,11 +247,6 @@ func (s *Supervisor) Register(cfg UnitConfig) (*Unit, error) {
 	s.units[cfg.Name] = u
 	s.mu.Unlock()
 	s.exportMetrics(u)
-
-	if cfg.CheckpointInterval > 0 {
-		s.wg.Add(1)
-		go u.checkpointLoop(cfg.CheckpointInterval, s.stopC, &s.wg)
-	}
 	return u, nil
 }
 
@@ -298,50 +285,55 @@ func (s *Supervisor) Unit(name string) *Unit {
 	return s.units[name]
 }
 
-// Stop disarms every detector and checkpoint loop. Units stay queryable;
-// no further automatic recovery happens.
+// Stop disarms every detector. Units stay queryable; no further automatic
+// recovery happens.
 func (s *Supervisor) Stop() {
-	s.mu.Lock()
-	select {
-	case <-s.stopC:
-	default:
-		close(s.stopC)
+	for _, u := range s.sortedUnits() {
+		u.disarm()
 	}
-	units := make([]*Unit, 0, len(s.units))
-	for _, u := range s.units {
-		units = append(units, u)
-	}
-	sort.Slice(units, func(i, j int) bool { return units[i].cfg.Name < units[j].cfg.Name })
-	s.mu.Unlock()
-	for _, u := range units {
-		u.detMu.Lock()
-		u.closed = true
-		u.detMu.Unlock()
-		u.det.Stop()
-	}
-	s.wg.Wait()
 }
 
-// Close stops the supervisor and closes every unit's live instances
-// (active and standby) that hold external resources. Used by embedders
-// (core.Core) that own the supervisor's whole lifecycle.
+// Close stops the supervisor and closes every unit (Unit.Close).
 func (s *Supervisor) Close() {
 	s.Stop()
+	for _, u := range s.sortedUnits() {
+		u.Close()
+	}
+}
+
+// sortedUnits returns the registered units in name order.
+func (s *Supervisor) sortedUnits() []*Unit {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	units := make([]*Unit, 0, len(s.units))
 	for _, u := range s.units {
 		units = append(units, u)
 	}
 	sort.Slice(units, func(i, j int) bool { return units[i].cfg.Name < units[j].cfg.Name })
-	s.mu.Unlock()
-	for _, u := range units {
-		u.mu.Lock()
-		insts := []Instance{u.active, u.standby}
-		u.mu.Unlock()
-		for _, in := range insts {
-			if c, ok := in.(Closer); ok {
-				c.Close()
-			}
+	return units
+}
+
+// disarm stops the unit's detector for good: a failover in flight does
+// not re-arm it.
+func (u *Unit) disarm() {
+	u.detMu.Lock()
+	u.closed = true
+	u.detMu.Unlock()
+	u.det.Stop()
+}
+
+// Close disarms the unit and closes its live instances (active and
+// standby) that hold external resources. An embedder that owns the units'
+// lifecycles (core.Core) closes each one where it would close the plain
+// NF: an AMF before the SMF connection its in-flight procedures still use.
+func (u *Unit) Close() {
+	u.disarm()
+	u.mu.Lock()
+	insts := []Instance{u.active, u.standby}
+	u.mu.Unlock()
+	for _, in := range insts {
+		if c, ok := in.(Closer); ok {
+			c.Close()
 		}
 	}
 }
@@ -500,21 +492,6 @@ func (u *Unit) checkpointLocked() error {
 	return nil
 }
 
-// checkpointLoop drives interval checkpoints until the supervisor stops.
-func (u *Unit) checkpointLoop(every time.Duration, stop <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	t := time.NewTicker(every) //l25gc:allow determinism checkpoint cadence is wall-time machinery; the checkpointed state itself is counter-stamped
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			u.Checkpoint()
-		}
-	}
-}
-
 // --- failover ---
 
 // failover runs on the detector goroutine when the active generation is
@@ -582,7 +559,7 @@ func (u *Unit) failover(detect time.Duration) {
 	u.standby, u.replica = nil, nil
 
 	// Re-protect: spawn a fresh standby and resync it immediately so a
-	// follow-up crash is survivable without waiting for the next periodic
+	// follow-up crash is survivable without waiting for the next
 	// checkpoint.
 	resync := root.Child("supervisor.resync")
 	if fresh, serr := u.cfg.Spawn(u, u.nextSpawn); serr == nil {
