@@ -202,16 +202,21 @@ scale-smoke:
 # fault-delayed frames whose timers fire after Stop, 10^5 lone packets
 # from four producers through the chain, a rollout while traffic flows,
 # counters batched but not lost, an in-place run leaving later arrivals to
-# a drainer, Stop waiting out a drainer, the session-buffer drain (one
-# burst through the fast path: policed, misses counted, parked again
-# behind a buffering FAR), and the
-# flow cache's invalidations (paging flip, handover retarget, PDR add and
-# remove, QER install, delete and reuse, index takeovers, Reset, flows
-# sharing a set, FAR rewrites while packets flow, rules never written in
-# place);
+# a drainer, Stop waiting out a drainer, the session-buffer drain (in
+# sub-bursts through the fast path: policed, misses counted, parked again
+# behind a buffering FAR), the parked-bytes budget (given back by a drain,
+# a re-park, a deletion, a drain out of buffers and Reset; its reserve for
+# sessions within their share), and the
+# flow cache's invalidations (paging flip, parks racing the flip, handover
+# retarget, PDR add and remove, QER install, delete and reuse, index
+# takeovers, Reset, flows sharing a set, FAR rewrites while packets flow,
+# rules never written in place);
 # and the borrow contract: a sink that keeps its slice reads the poison
 # (pool buffer or socket read buffer), one that copies reads its packet,
-# and the three modes deliver the same bytes in the same order.
+# and the three modes deliver the same bytes in the same order; last, in
+# all three modes, idle sessions filled to their cap past the pool's size
+# leaving an active UE forwarding both ways, and a 2 048-packet paging
+# drain arriving in order with the pool populating one chunk or two.
 fastpath-smoke:
 	$(GO) test -count=1 -run 'TestFastPathAllocs|TestSocketEdgesAllocateNothingPerFrame' ./internal/core
 	$(GO) test -count=1 -run 'TestHopAllocs' -bench 'BenchmarkDescriptorSwitch/tracer=off|BenchmarkInlineHop' -benchmem ./internal/onvm
@@ -222,8 +227,8 @@ fastpath-smoke:
 	$(GO) test -race -count=10 -run 'TestPool|TestCache' ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'Bulk' ./internal/ring ./internal/pktbuf
 	$(GO) test -race -count=3 -run 'TestRSSHash|TestBurst|TestRxRingFillsMidBurst|TestSendBurst|TestStopDuringBurst|TestDelayedTimersAfterStopRelease|TestLonePackets|TestSnapshotSeen|TestCountersBatched|TestInPlaceRunHandsLaterArrivalsToDrainer|TestStopWaitsOutDrainer|TestInjectThatOnlyLookedStartsNoDrainer|TestOwnerCacheConservation|TestTxRingOverflowCountsDrops' ./internal/onvm
-	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSession|TestFlowCache|TestInstalledRules' ./internal/upf
-	$(GO) test -race -count=3 -run 'TestSinksSwapWhileDownlinkFlows|TestSinkRetentionGuard|TestModesDeliverIdenticalBytes' ./internal/core
+	$(GO) test -race -count=3 -run 'TestUnlimitedSession|TestBurstCounters|TestDrainSession|TestParkedBytesConserved|TestParkBudgetReserve|TestFlowCache|TestInstalledRules' ./internal/upf
+	$(GO) test -race -count=3 -run 'TestSinksSwapWhileDownlinkFlows|TestSinkRetentionGuard|TestModesDeliverIdenticalBytes|TestParkedSessionsLeavePoolHeadroom|TestPagingDrainPopulatesNothing' ./internal/core
 
 # Control-plane transport gate (DESIGN §17), and the local loop for
 # control-plane work: 2000 full UE cycles (register, session, handover,

@@ -116,7 +116,7 @@ func TestRegistryNameSet(t *testing.T) {
 		"sbi.smf.invokes", "sbi.smf.errors",
 		"sbi.amf.invokes", "sbi.amf.errors",
 		"sbi.udr.invokes", "sbi.udr.errors",
-		"upf.sessions", "upf.buffer_depth",
+		"upf.sessions", "upf.buffer_depth", "upf.parked_bytes", "upf.park_dropped",
 	}
 	cases := []struct {
 		mode Mode

@@ -82,7 +82,7 @@ func New(u *upf.UPFU) (*KernelUPF, error) {
 		n6:       n6,
 		gnbAddrs: make(map[pkt.Addr]netip.AddrPort),
 	}
-	u.SetEmit(k.sendBurst)
+	u.SetEmit(k.sendBurst, k.pool)
 	k.wg.Add(2)
 	go k.loop(n3, true)
 	go k.loop(n6, false)
@@ -186,7 +186,7 @@ func (k *KernelUPF) decide(fc *injConf, p faults.Point, data []byte) bool {
 // loop reads one socket's datagrams — GTP-U frames from gNBs on N3
 // (uplink), plain IP packets from the DN on N6 — copies each into a pool
 // buffer and runs it through the UPF-U handler. What the handler hands
-// back goes to send; what it parks stays with the session buffer.
+// back goes to send; what it parks it has copied and released.
 func (k *KernelUPF) loop(sock *net.UDPConn, uplink bool) {
 	defer k.wg.Done()
 	raw := make([]byte, 64*1024)

@@ -52,6 +52,11 @@ var LintNames = []string{
 	"upf.flow_misses",
 	"upf.sessions",
 	"upf.buffer_depth",
+	// Smart buffering: the bytes parked across sessions, and packets a
+	// session buffer refused (its cap or the parked-bytes budget) or a
+	// drain found no pool buffer for.
+	"upf.parked_bytes",
+	"upf.park_dropped",
 
 	// Kernel-path socket-side losses and injected faults.
 	"kern.dropped",

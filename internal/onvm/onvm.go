@@ -66,8 +66,8 @@ type PortID = uint16
 // that holds the instance: one caller at a time, so a handler may
 // keep state between calls without locking, though not always on the same
 // goroutine. For every descriptor it either sets buf.Meta and hands the
-// descriptor back, or takes ownership of it (e.g. parks the buffer in a
-// session queue). It moves the descriptors it hands back to the front of
+// descriptor back, or takes ownership of it (e.g. releases it once its
+// packet is parked). It moves the descriptors it hands back to the front of
 // burst, keeping their order, and returns how many there are. A handler
 // that blocks blocks the caller that delivered to it — for an idle chain,
 // the Inject at its head — and every descriptor queued behind it.

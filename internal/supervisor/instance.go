@@ -347,7 +347,7 @@ func NewUPFInstance(n3 pkt.Addr) *UPFInstance {
 		pool:  pktbuf.NewPool(4096, "supervised-upf"),
 		snap:  resilience.NewUPFSnapshotter(st, n3),
 	}
-	u.upfu.SetEmit(u.emit)
+	u.upfu.SetEmit(u.emit, u.pool)
 	return u
 }
 

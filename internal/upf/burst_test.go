@@ -365,7 +365,7 @@ func (p *burstUPF) parkThenRelease(t *testing.T, n int, release *pfcp.SessionMod
 	p.u.SetEmit(func(burst []*pktbuf.Buf) int {
 		emitted = append(emitted, burst...)
 		return len(burst)
-	})
+	}, p.pool)
 	release.UpdateFARs = append(release.UpdateFARs, &rules.FAR{ID: 2, Action: rules.FARForward,
 		DestInterface: rules.IfAccess, HasOuterHeader: true, OuterTEID: 0x7777, OuterAddr: gnbIP})
 	if resp, err := p.c.Handle(100, release); err != nil || resp.(*pfcp.SessionModificationResponse).Cause != pfcp.CauseAccepted {
@@ -439,9 +439,7 @@ func TestDrainSessionParksAgain(t *testing.T) {
 	if s := ctx.Stats(); len(emitted) != 0 || s.QueueLen != n || s.Released != n {
 		t.Fatalf("%d emitted; session %+v", len(emitted), s)
 	}
-	for _, b := range ctx.Drain() {
-		b.Release()
-	}
+	ctx.drain()
 	if p.pool.Avail() != p.pool.Size() {
 		t.Fatalf("%d buffers leaked", p.pool.Size()-p.pool.Avail())
 	}

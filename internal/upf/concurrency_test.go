@@ -73,12 +73,10 @@ func TestControlDataConcurrency(t *testing.T) {
 		t.Fatal("fast path starved during control churn")
 	}
 	// No buffer leak: all pool buffers returned.
-	for _, b := range func() []*SessCtx {
+	func() []*SessCtx {
 		ctx, _ := st.Session(100)
 		return []*SessCtx{ctx}
-	}()[0].Drain() {
-		b.Release()
-	}
+	}()[0].drain()
 	if pool.Avail() != pool.Size() {
 		t.Fatalf("buffer leak: %d/%d", pool.Avail(), pool.Size())
 	}

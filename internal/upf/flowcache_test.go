@@ -1,11 +1,14 @@
 package upf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"l25gc/internal/gtp"
 	"l25gc/internal/pfcp"
 	"l25gc/internal/pkt"
 	"l25gc/internal/pktbuf"
@@ -104,6 +107,92 @@ func TestFlowCachePagingFlip(t *testing.T) {
 	if s := ctx.Stats(); s.Buffered != 2 || s.Released != 2 || s.QueueLen != 0 {
 		t.Fatalf("session stats %+v, want 2 parked and released", s)
 	}
+	p.checkNoLeak(t)
+}
+
+// TestFlowCachePagingFlipRace: downlink packets from several callers,
+// each with its own flow cache, race FAR 2's flips between buffer and
+// forward. A packet parks under its session's rules read lock, so each
+// buffer→forward flip drains every packet parked before it: once the
+// last flip has returned, nothing is parked, no parked byte is charged,
+// and every packet sent has left exactly once, straight or drained.
+func TestFlowCachePagingFlipRace(t *testing.T) {
+	const senders, perSender = 4, 500
+	p := newCachedUPF(t, 1)
+	var mu sync.Mutex
+	seen := make([]int, senders*perSender)
+	var stray atomic.Uint64
+	// note counts a descriptor handed back or drained, and releases it.
+	note := func(b *pktbuf.Buf) {
+		defer b.Release()
+		var parsed pkt.Parsed
+		if _, err := gtp.Decap(b); err != nil || b.Meta.Action != pktbuf.ActionToPort ||
+			parsed.ParseIPv4(b.Bytes()) != nil || len(parsed.Payload) != 4 {
+			stray.Add(1)
+			return
+		}
+		mu.Lock()
+		seen[binary.BigEndian.Uint32(parsed.Payload)]++
+		mu.Unlock()
+	}
+	p.u.SetEmit(func(burst []*pktbuf.Buf) int {
+		for _, b := range burst {
+			note(b)
+		}
+		return len(burst)
+	}, p.pool)
+
+	var running atomic.Int32
+	running.Store(senders)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			defer running.Add(-1)
+			parsed, sc := new(pkt.Parsed), &scratch{flows: new(flowCache)}
+			raw := make([]byte, 64)
+			var seq [4]byte
+			for i := 0; i < perSender; i++ {
+				binary.BigEndian.PutUint32(seq[:], uint32(s*perSender+i))
+				n, err := pkt.BuildUDPv4(raw, dnIP, p.ips[0], uint16(9000+s), 40000, 0, seq[:])
+				b, gerr := p.pool.Get()
+				if err != nil || gerr != nil {
+					t.Errorf("sender %d: %v %v", s, err, gerr)
+					return
+				}
+				b.SetData(raw[:n])
+				if p.u.processBurst([]*pktbuf.Buf{b}, parsed, sc) == 1 {
+					note(b)
+				}
+				if i%8 == 0 {
+					runtime.Gosched()
+				}
+			}
+		}(s)
+	}
+	flips := 0
+	for ; running.Load() > 0 || flips < 20; flips++ {
+		p.modify(t, 100, &pfcp.SessionModificationRequest{UpdateFARs: []*rules.FAR{dlFAR(0x5001, rules.FARBuffer)}})
+		runtime.Gosched()
+		p.modify(t, 100, &pfcp.SessionModificationRequest{UpdateFARs: []*rules.FAR{dlFAR(0x5001, rules.FARForward)}})
+		runtime.Gosched()
+	}
+	wg.Wait()
+
+	ctx, _ := p.st.Session(100)
+	if d, b := p.st.BufferDepth(), p.st.ParkedBytes(); d != 0 || b != 0 {
+		t.Fatalf("after the last flip: %d packets (%d bytes) stranded in the session buffer", d, b)
+	}
+	for seq, n := range seen {
+		if n != 1 {
+			t.Fatalf("packet %d left %d times, want once", seq, n)
+		}
+	}
+	if s := ctx.Stats(); stray.Load() != 0 || s.Buffered != s.Released || s.BufferDropped != 0 {
+		t.Fatalf("%d stray descriptors; session %+v", stray.Load(), s)
+	}
+	t.Logf("%d flips, %d packets parked and drained", flips, ctx.Stats().Released)
 	p.checkNoLeak(t)
 }
 

@@ -23,7 +23,6 @@ import (
 	"l25gc/internal/metrics"
 	"l25gc/internal/pfcp"
 	"l25gc/internal/pkt"
-	"l25gc/internal/pktbuf"
 	"l25gc/internal/rules"
 )
 
@@ -37,6 +36,92 @@ var (
 // DefaultBufferCap is the default per-session DL buffer (the paper's
 // experiments use a 3K-packet buffer at the UPF).
 const DefaultBufferCap = 3000
+
+// The parked-bytes budget of a State. Parked packets hold no pool buffer,
+// so what bounds their memory is this budget over every session, beside
+// each session's packet cap. A park past the budget is refused, and the
+// last parkReserve bytes of it are kept for sessions holding less than
+// parkShare: sessions that filled their share cannot take them, so a
+// paging episode's first packets park however much others hold.
+const (
+	parkBudget  = 16 << 20
+	parkReserve = 4 << 20
+	parkShare   = 64 << 10
+)
+
+// parked is the parked-bytes total of one State, shared by its sessions.
+type parked struct{ bytes atomic.Int64 }
+
+// charge takes n bytes from the budget for a session that holds held
+// bytes, and reports whether the budget had them.
+func (b *parked) charge(held, n int) bool {
+	limit := int64(parkBudget - parkReserve)
+	if held+n <= parkShare {
+		limit = parkBudget
+	}
+	for {
+		t := b.bytes.Load()
+		if t+int64(n) > limit {
+			return false
+		}
+		if b.bytes.CompareAndSwap(t, t+int64(n)) {
+			return true
+		}
+	}
+}
+
+// parkQueue is a session's parked packets, oldest first: records of a
+// packet's length (two bytes, big-endian) then its bytes, in pages of
+// plain bytes that the garbage collector does not scan. A record never
+// spans pages. The first page is small, so that a paging episode of a
+// packet or two costs little; each later one is twice the last, up to
+// maxPage.
+type parkQueue struct {
+	pages [][]byte // each page's length is its filled part
+	head  int      // read offset into pages[0]
+	n     int      // records
+	bytes int      // record bytes, length prefixes included
+}
+
+const (
+	recHdr    = 2
+	firstPage = 512
+	maxPage   = 64 << 10
+)
+
+// recSize is what a record of p takes in a page and charges the budget.
+func recSize(p []byte) int { return recHdr + len(p) }
+
+// push appends a record of p.
+func (q *parkQueue) push(p []byte) {
+	last := len(q.pages) - 1
+	if last < 0 || cap(q.pages[last])-len(q.pages[last]) < recSize(p) {
+		size := firstPage
+		if last >= 0 {
+			size = min(2*cap(q.pages[last]), maxPage)
+		}
+		q.pages = append(q.pages, make([]byte, 0, max(size, recSize(p))))
+		last++
+	}
+	pg := binary.BigEndian.AppendUint16(q.pages[last], uint16(len(p)))
+	q.pages[last] = append(pg, p...)
+	q.n++
+	q.bytes += recSize(p)
+}
+
+// pop removes the oldest record and returns its bytes, a window on the
+// queue's page. The queue must not be empty.
+func (q *parkQueue) pop() []byte {
+	if q.head == len(q.pages[0]) {
+		q.pages[0] = nil
+		q.pages, q.head = q.pages[1:], 0
+	}
+	pg := q.pages[0][q.head:]
+	rec := pg[recHdr : recHdr+int(binary.BigEndian.Uint16(pg))]
+	q.head += recSize(rec)
+	q.n--
+	return rec
+}
 
 // tokenBucket enforces a QER maximum bit rate.
 type tokenBucket struct {
@@ -98,10 +183,13 @@ type SessCtx struct {
 	// touches its own index entries only. Guarded by State.mu.
 	teids []uint32
 
-	// Smart buffering state.
-	buffer   []*pktbuf.Buf
+	// Smart buffering state, guarded by mu: the parked packets' bytes,
+	// charged to their State's budget.
+	queue    parkQueue
+	budget   *parked
 	bufCap   int
 	nocpSent bool // one SessionReport per buffering episode
+	closed   bool // the session left its State: nothing parks any more
 
 	// Buckets are guarded by mu. The limited flags say whether a bucket has
 	// a rate at all; they are written with the rules (under rulesMu, where
@@ -129,7 +217,7 @@ type SessStats struct {
 // Stats returns the session counter snapshot.
 func (c *SessCtx) Stats() SessStats {
 	c.mu.Lock()
-	q := len(c.buffer)
+	q := c.queue.n
 	c.mu.Unlock()
 	return SessStats{
 		ULPkts: c.ulPkts.Load(), DLPkts: c.dlPkts.Load(),
@@ -138,31 +226,49 @@ func (c *SessCtx) Stats() SessStats {
 	}
 }
 
-// park appends a DL packet to the session buffer, honouring the cap.
-func (c *SessCtx) Park(buf *pktbuf.Buf) (stored bool, firstOfEpisode bool) {
+// park copies a DL packet into the session buffer, honouring the cap and
+// the budget. first says whether it is the buffering episode's first.
+func (c *SessCtx) park(p []byte) (stored, first bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	first := !c.nocpSent
+	first = !c.nocpSent
 	c.nocpSent = true
-	if len(c.buffer) >= c.bufCap {
+	if c.closed || c.queue.n >= c.bufCap || !c.budget.charge(c.queue.bytes, recSize(p)) {
 		c.bufDroppedPkts.Add(1)
 		return false, first
 	}
-	c.buffer = append(c.buffer, buf)
+	c.queue.push(p)
 	c.bufferedPkts.Add(1)
 	return true, first
 }
 
-// drain removes all parked packets in arrival order and resets the
-// buffering episode.
-func (c *SessCtx) Drain() []*pktbuf.Buf {
+// drain detaches the parked packets, in arrival order, gives their bytes
+// back to the budget and ends the buffering episode.
+func (c *SessCtx) drain() parkQueue {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := c.buffer
-	c.buffer = nil
+	return c.detach()
+}
+
+// close discards the parked packets of a session leaving its State, and
+// refuses every park after: a fast-path caller that found the session in
+// an index before it left may still park into it, and nothing would
+// drain that.
+func (c *SessCtx) close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.detach()
+	c.closed = true
+}
+
+// detach is drain with mu held.
+func (c *SessCtx) detach() parkQueue {
+	q := c.queue
+	c.queue = parkQueue{}
 	c.nocpSent = false
-	c.releasedPkts.Add(uint64(len(out)))
-	return out
+	c.releasedPkts.Add(uint64(q.n))
+	c.budget.bytes.Add(-int64(q.bytes))
+	return q
 }
 
 // rulesGenSeq hands out rules generations: process-wide and from 1 on, so
@@ -221,6 +327,7 @@ type State struct {
 
 	clsAlgo  string
 	bufCap   int
+	parked   parked
 	teidNext atomic.Uint32
 	seidNext atomic.Uint64
 }
@@ -255,6 +362,7 @@ func (s *State) CreateSession(cpSEID uint64, ueIP pkt.Addr) (*SessCtx, error) {
 		Sess:   rules.NewSession(cpSEID, ueIP),
 		Cls:    classifier.New(s.clsAlgo),
 		UPSEID: s.seidNext.Add(1),
+		budget: &s.parked,
 		bufCap: s.bufCap,
 	}
 	s.bySEID[cpSEID] = ctx
@@ -388,16 +496,21 @@ func (s *State) BufferDepth() int {
 	depth := 0
 	for _, c := range ctxs {
 		c.mu.Lock()
-		depth += len(c.buffer)
+		depth += c.queue.n
 		c.mu.Unlock()
 	}
 	return depth
 }
 
+// ParkedBytes returns the bytes parked across every session, length
+// prefixes included: what the sessions hold of the parked-bytes budget.
+func (s *State) ParkedBytes() int { return int(s.parked.bytes.Load()) }
+
 // ExportMetrics registers the session-store gauges under prefix.
 func (s *State) ExportMetrics(reg *metrics.Registry, prefix string) {
 	reg.RegisterGauge(prefix+".sessions", func() uint64 { return uint64(s.Sessions()) })
 	reg.RegisterGauge(prefix+".buffer_depth", func() uint64 { return uint64(s.BufferDepth()) })
+	reg.RegisterGauge(prefix+".parked_bytes", func() uint64 { return uint64(s.ParkedBytes()) })
 }
 
 // Export returns, for every installed session, the PFCP establishment
@@ -432,7 +545,7 @@ func (s *State) Export() []*pfcp.SessionEstablishmentRequest {
 	return out
 }
 
-// Reset removes every session, releasing any buffered packets.
+// Reset removes every session, discarding any parked packets.
 func (s *State) Reset() {
 	s.mu.Lock()
 	ctxs := make([]*SessCtx, 0, len(s.bySEID))
@@ -449,8 +562,6 @@ func (s *State) Reset() {
 	s.mu.Unlock()
 	for _, c := range ctxs {
 		c.bumpGen()
-		for _, b := range c.Drain() {
-			b.Release()
-		}
+		c.close()
 	}
 }

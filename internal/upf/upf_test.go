@@ -231,7 +231,7 @@ func TestSmartBufferingEpisode(t *testing.T) {
 	u.SetEmit(func(burst []*pktbuf.Buf) int {
 		released = append(released, burst...)
 		return len(burst)
-	})
+	}, pool)
 
 	// Complete handover: forward to the target gNB with a new TEID.
 	resp, err = c.Handle(100, &pfcp.SessionModificationRequest{
@@ -392,12 +392,12 @@ func TestSessionDeletionReleasesBuffers(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		u.Process(dlPacket(t, pool, 16), &scratch)
 	}
-	if pool.Avail() == pool.Size() {
-		t.Fatal("expected parked buffers")
+	if st.BufferDepth() != 3 || st.ParkedBytes() == 0 {
+		t.Fatalf("expected 3 parked packets, have %d (%d bytes)", st.BufferDepth(), st.ParkedBytes())
 	}
 	c.Handle(100, &pfcp.SessionDeletionRequest{})
-	if pool.Avail() != pool.Size() {
-		t.Fatalf("deletion leaked buffers: %d/%d", pool.Avail(), pool.Size())
+	if pool.Avail() != pool.Size() || st.ParkedBytes() != 0 {
+		t.Fatalf("deletion leaked buffers: %d/%d, %d parked bytes", pool.Avail(), pool.Size(), st.ParkedBytes())
 	}
 	if st.Sessions() != 0 {
 		t.Fatal("session not removed")

@@ -267,9 +267,7 @@ func (c *UPFC) delete(seid uint64) (pfcp.Message, error) {
 	if err != nil {
 		return &pfcp.SessionDeletionResponse{Cause: pfcp.CauseSessionNotFound}, nil
 	}
-	// Release anything still parked.
-	for _, b := range ctx.Drain() {
-		b.Release()
-	}
+	// Discard anything still parked.
+	ctx.close()
 	return &pfcp.SessionDeletionResponse{Cause: pfcp.CauseAccepted}, nil
 }

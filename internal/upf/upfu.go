@@ -38,11 +38,10 @@ type UPFU struct {
 	state *State
 	upfc  *UPFC
 
-	// emit re-injects a burst of drained packets into the egress path and
-	// returns how many it took; installed when the UPF-U attaches to a
-	// platform. Atomic: canary instances re-install it while drains may be
-	// running.
-	emit atomic.Pointer[func([]*pktbuf.Buf) int]
+	// emit is where drained packets go; installed when the UPF-U attaches
+	// to a platform. Atomic: canary instances re-install it while drains
+	// may be running.
+	emit atomic.Pointer[emitPath]
 
 	nowNano func() int64
 	tracec  atomic.Pointer[trace.Track]
@@ -53,6 +52,17 @@ type UPFU struct {
 	misses       atomic.Uint64
 	rateDropped  atomic.Uint64
 	flowMisses   atomic.Uint64 // added once per burst: a hit pays no shared atomic
+	// parkDropped counts packets a session buffer refused (its cap or the
+	// parked-bytes budget) and parked packets a drain found no buffer for.
+	parkDropped atomic.Uint64
+}
+
+// emitPath is the egress of drained packets: send takes a burst in order
+// and returns how many descriptors it accepted, and pool is where the
+// buffers the packets are rebuilt in come from.
+type emitPath struct {
+	send func([]*pktbuf.Buf) int
+	pool *pktbuf.Pool
 }
 
 // NewUPFU creates the fast path over shared state. upfc may be nil when no
@@ -65,11 +75,14 @@ func NewUPFU(state *State, upfc *UPFC) *UPFU {
 	return u
 }
 
-// SetEmit installs the egress function used when draining session buffers:
-// it takes a burst in order and returns how many descriptors it accepted;
-// the rest stay with the caller. A burst can hold descriptors the fast
-// path dropped (Meta.Action not ActionToPort), which it must release.
-func (u *UPFU) SetEmit(fn func(burst []*pktbuf.Buf) int) { u.emit.Store(&fn) }
+// SetEmit installs the egress used when draining session buffers: parked
+// packets are rebuilt in buffers from pool, and send takes a burst of them
+// in order and returns how many descriptors it accepted; the rest stay
+// with the caller. A burst can hold descriptors the fast path dropped
+// (Meta.Action not ActionToPort), which send must release.
+func (u *UPFU) SetEmit(send func(burst []*pktbuf.Buf) int, pool *pktbuf.Pool) {
+	u.emit.Store(&emitPath{send: send, pool: pool})
+}
 
 // SetTracer installs a trace track for fast-path stage spans
 // ("upf.classify", "upf.buffer"); nil disables tracing.
@@ -84,6 +97,7 @@ func (u *UPFU) ExportMetrics(reg *metrics.Registry, prefix string) {
 	reg.RegisterGauge(prefix+".misses", u.misses.Load)
 	reg.RegisterGauge(prefix+".rate_dropped", u.rateDropped.Load)
 	reg.RegisterGauge(prefix+".flow_misses", u.flowMisses.Load)
+	reg.RegisterGauge(prefix+".park_dropped", u.parkDropped.Load)
 }
 
 // Stats returns the counter snapshot.
@@ -185,9 +199,9 @@ func (e *flowEntry) current() bool {
 // flow cache. p is the caller's reusable parse state (one per goroutine,
 // zero allocation); its embedded key is the classifier key, so none is
 // built per packet. The return value reports whether the descriptor was
-// handed back with Meta set (true) or ownership was retained — parked in a
-// session buffer (false). A packet that starts a paging report yields to
-// the report before Process returns.
+// handed back with Meta set (true) or taken: its packet parked in a
+// session buffer and the descriptor released (false). A packet that
+// starts a paging report yields to the report before Process returns.
 func (u *UPFU) Process(buf *pktbuf.Buf, p *pkt.Parsed) bool {
 	one := [1]*pktbuf.Buf{buf}
 	var sc scratch
@@ -200,7 +214,7 @@ func (u *UPFU) Process(buf *pktbuf.Buf, p *pkt.Parsed) bool {
 
 // processBurst runs the fast path on a burst of descriptors, in order. It
 // moves the descriptors it hands back (Meta set) to the front of burst and
-// returns how many there are; the others were parked in session buffers.
+// returns how many there are; the others it took, their packets parked.
 // The forwarded counters are added once per run of one session's packets,
 // the flow-cache misses once per burst.
 func (u *UPFU) processBurst(burst []*pktbuf.Buf, p *pkt.Parsed, sc *scratch) int {
@@ -261,7 +275,7 @@ func (c *burstClock) now() int64 {
 // (stripping the GTP-U header of an uplink one), resolves the key to a
 // session, PDR and FAR — from the flow cache on a hit, the long way on a
 // miss — and applies the FAR. It reports whether the descriptor goes back
-// to the caller (Meta set) or was parked in a session buffer.
+// to the caller (Meta set) or was taken, its packet parked.
 func (u *UPFU) handle(buf *pktbuf.Buf, p *pkt.Parsed, sc *scratch, tk *trace.Track, b *burstState) bool {
 	ul := buf.Meta.Uplink
 	var teid uint32
@@ -384,13 +398,14 @@ func (u *UPFU) resolve(buf *pktbuf.Buf, p *pkt.Parsed, sc *scratch, tk *trace.Tr
 	return true, u.park(ctx, buf, f.pdr, f.far, sc, tk)
 }
 
-// park puts a downlink packet whose FAR buffers in its session buffer and
-// starts the paging report on an episode's first packet. It reports
-// whether the descriptor goes back to the caller: dropped, the buffer
-// being full. The caller holds the rules read lock.
+// park copies a downlink packet whose FAR buffers into its session
+// buffer, releasing the descriptor, and starts the paging report on an
+// episode's first packet. It reports whether the descriptor goes back to
+// the caller: dropped, the buffer being full or the budget spent. The
+// caller holds the rules read lock.
 func (u *UPFU) park(ctx *SessCtx, buf *pktbuf.Buf, pdr *rules.PDR, far *rules.FAR, sc *scratch, tk *trace.Track) bool {
 	sp := tk.Start("upf.buffer")
-	stored, first := ctx.Park(buf)
+	stored, first := ctx.park(buf.Bytes())
 	sp.End()
 	if first && far.Action&rules.FARNotifyCP != 0 && u.upfc != nil {
 		// Fire the paging trigger off the fast path.
@@ -399,8 +414,10 @@ func (u *UPFU) park(ctx *SessCtx, buf *pktbuf.Buf, pdr *rules.PDR, far *rules.FA
 	}
 	if stored {
 		u.buffered.Add(1)
-		return false // ownership retained by the session buffer
+		buf.Release()
+		return false
 	}
+	u.parkDropped.Add(1)
 	u.drop(buf)
 	return true
 }
@@ -423,32 +440,61 @@ func (u *UPFU) encapTo(buf *pktbuf.Buf, pdr *rules.PDR, far *rules.FAR) error {
 	return nil
 }
 
+// drainBurst is how many parked packets a drain holds in pool buffers at
+// a time.
+const drainBurst = 64
+
 // DrainSession releases a session's parked packets in order. Installed as
-// UPF-C's drain hook. The queue runs through the fast path as one burst,
-// with no flow cache, as Process does: each packet gets the PDR, FAR and
-// QER decision and the counters of any other downlink packet, toward the
-// session's *current* FAR target (the target gNB after a handover), and a
-// FAR that buffers again parks it again. Whatever comes back, dropped
-// descriptors included, goes to the emit function as one burst, which
-// pushes back on a full ring rather than dropping and releases what is
-// not headed for a port.
+// UPF-C's drain hook. It detaches the session buffer, then rebuilds its
+// packets drainBurst at a time in buffers from the emit path's pool, runs
+// each such burst through the fast path, with no flow cache, as Process
+// does, and emits it before building the next: a drain holds at most
+// drainBurst buffers of its own, however many packets were parked. Each
+// packet gets the PDR, FAR and QER decision and the counters of any other
+// downlink packet, toward the session's *current* FAR target (the target
+// gNB after a handover), and a FAR that buffers again parks it again.
+// Whatever comes back, dropped descriptors included, goes to the emit
+// function, which pushes back on a full ring rather than dropping and
+// releases what is not headed for a port. Packets the pool has no buffer
+// for, or that find no emit path installed, are dropped and counted.
 func (u *UPFU) DrainSession(ctx *SessCtx) {
-	parked := ctx.Drain()
-	emitp := u.emit.Load()
-	if emitp == nil {
-		for _, b := range parked {
-			b.Release()
-		}
-		return
-	}
+	q := ctx.drain()
+	e := u.emit.Load()
 	var p pkt.Parsed
 	var sc scratch
-	out := parked[:u.processBurst(parked, &p, &sc)]
-	if len(out) == 0 {
-		return
+	var burst [drainBurst]*pktbuf.Buf
+	for e != nil && q.n > 0 {
+		k := 0
+		for k < len(burst) && q.n > 0 {
+			b, err := e.pool.Get()
+			if err != nil {
+				break
+			}
+			if b.SetData(q.pop()) != nil { // too long to leave headroom
+				b.Release()
+				u.dropParked(ctx, 1)
+				continue
+			}
+			burst[k] = b
+			k++
+		}
+		if k == 0 {
+			break // the pool is empty
+		}
+		out := burst[:u.processBurst(burst[:k], &p, &sc)]
+		for _, b := range out[e.send(out):] {
+			b.Release()
+		}
 	}
-	for _, b := range out[(*emitp)(out):] {
-		b.Release()
+	u.dropParked(ctx, q.n)
+}
+
+// dropParked counts n parked packets of ctx a drain could not send.
+func (u *UPFU) dropParked(ctx *SessCtx, n int) {
+	if n > 0 {
+		u.parkDropped.Add(uint64(n))
+		u.dropped.Add(uint64(n))
+		ctx.bufDroppedPkts.Add(uint64(n))
 	}
 }
 
@@ -472,7 +518,7 @@ func (u *UPFU) AttachONVM(m *onvm.Manager, sid onvm.ServiceID) (*onvm.Instance, 
 	if err != nil {
 		return nil, err
 	}
-	u.SetEmit(inst.SendBurst)
+	u.SetEmit(inst.SendBurst, m.Pool())
 	return inst, nil
 }
 
