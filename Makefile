@@ -49,7 +49,7 @@ check:
 # TestSmoke runs with every assertion enforced but one: it wants each
 # end-to-end metric positive, and pkt_allocs has been exactly 0 since the
 # egress copy went (PR 18). benchmark/ is only edited by benchmark PRs
-# (ROADMAP 4(d) owes the fix), so until TestSmoke accepts 0 a run whose
+# (ROADMAP 1(c) owes the fix), so until TestSmoke accepts 0 a run whose
 # only complaints are "pkt_allocs = {Value:0 ..." passes; any other log
 # line, panic or build failure fails as before.
 bench-build:
@@ -58,7 +58,7 @@ bench-build:
 		/^ok / { passed = 1 } \
 		/: pkt_allocs = \{Value:0 Unit:1\/pkt / { known++; next } \
 		/^ +[a-z_]+\.go:[0-9]+: |^panic: |^fatal error: |\[(build|setup) failed\]/ { other++ } \
-		END { if (!passed && known && !other) print "bench-build: TestSmoke failed only on pkt_allocs = 0 (known, ROADMAP 4(d))"; \
+		END { if (!passed && known && !other) print "bench-build: TestSmoke failed only on pkt_allocs = 0 (known, ROADMAP 1(c))"; \
 		      exit !(passed || (known && !other)) }'
 
 # Repo-local invariant analyzers (DESIGN §13): determinism, replaysafe,
@@ -243,7 +243,9 @@ fastpath-smoke:
 # on both N4 transports, a delayed send's late error (N4 and SBI), the
 # census of an idle core's goroutines, and the plain and supervised
 # assembly paths agreeing (NRF registrations, SBI transport, one admission
-# gate) with a supervised core riding out an SMF crash.
+# gate) with a supervised core riding out an SMF crash; last, the
+# supervisor and resilience packages whole (checkpoint, replica, packet
+# log, replay, the logged retrying call and its dedup cache).
 cp-smoke:
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkUECycle' -benchtime 2000x -cpu 1,2 ./internal/core
 	$(GO) test -race -count=3 ./internal/shm
@@ -251,3 +253,4 @@ cp-smoke:
 	$(GO) test -race -count=3 -run 'TestEndpointCloseLifecycle|TestMemResponseBypassesBlockedReport|TestMemRequestServedInlineNeverWaits|TestMemRetransmissionAndDedup|TestMemDelayedSendLateError' ./internal/pfcp
 	$(GO) test -race -count=3 -run 'TestL25GCCoreHasNoTransportGoroutines' ./internal/core
 	$(GO) test -race -count=3 -run 'TestAssemblyPathsAgree|TestCoreResilienceServesAndSurvivesSMFCrash' ./internal/core
+	$(GO) test -race -count=3 ./internal/supervisor ./internal/resilience

@@ -46,19 +46,22 @@ func Ablation() (*Result, error) {
 	}
 
 	// A4: checkpoint cadence — per-event sync vs periodic delta, measured
-	// as time to push 200 control events through a checkpointing UPF.
+	// as time to push 200 control events through a checkpointing UPF whose
+	// checkpoints reach a replica on another node: snapshot, encode,
+	// decode, install.
 	{
 		const events = 200
 		run := func(everyN int) time.Duration {
 			st := upf.NewState("ps", 0)
 			snap := resilience.NewUPFSnapshotter(st, benchDN)
-			remote := resilience.NewRemoteReplica(resilience.NewUPFSnapshotter(upf.NewState("ps", 0), benchDN))
+			replica := resilience.NewLocalReplica(resilience.NewUPFSnapshotter(upf.NewState("ps", 0), benchDN))
 			start := time.Now()
 			for i := 1; i <= events; i++ {
 				st.CreateSession(uint64(i), benchDN)
 				if i%everyN == 0 {
 					b, _ := snap.Snapshot()
-					remote.Apply(resilience.Checkpoint{Counter: uint64(i), State: b}.Encode())
+					cp, _ := resilience.DecodeCheckpoint(resilience.Checkpoint{Counter: uint64(i), State: b}.Encode())
+					replica.Sync(cp)
 				}
 			}
 			return time.Since(start)

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"l25gc/internal/core"
 )
@@ -81,23 +83,34 @@ func TestSmartBufMatchesPaperNumbers(t *testing.T) {
 	}
 }
 
+// TestFig8OrderingHolds: L²5GC must beat free5GC on the SBI-heavy
+// events. One run per mode is a single sample of a host-noisy latency, so
+// the modes run five times each, interleaved, and their medians compare.
 func TestFig8OrderingHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cores are not short")
 	}
-	// One run per mode: L²5GC must beat free5GC on the SBI-heavy events.
-	free, err := eventTimes(core.ModeFree5GC)
-	if err != nil {
-		t.Fatal(err)
+	const runs = 5
+	var reg, sess [2][]time.Duration // indexed free5GC, L²5GC
+	for i := 0; i < runs; i++ {
+		for m, mode := range []core.Mode{core.ModeFree5GC, core.ModeL25GC} {
+			times, err := eventTimes(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("run %d %v: registration %v, session %v", i, mode, times.Registration, times.Session)
+			reg[m] = append(reg[m], times.Registration)
+			sess[m] = append(sess[m], times.Session)
+		}
 	}
-	l25, err := eventTimes(core.ModeL25GC)
-	if err != nil {
-		t.Fatal(err)
+	median := func(d []time.Duration) time.Duration {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		return d[len(d)/2]
 	}
-	if l25.Registration >= free.Registration {
-		t.Errorf("registration: L25GC %v !< free5GC %v", l25.Registration, free.Registration)
+	if free, l25 := median(reg[0]), median(reg[1]); l25 >= free {
+		t.Errorf("registration median: L25GC %v !< free5GC %v", l25, free)
 	}
-	if l25.Session >= free.Session {
-		t.Errorf("session: L25GC %v !< free5GC %v", l25.Session, free.Session)
+	if free, l25 := median(sess[0]), median(sess[1]); l25 >= free {
+		t.Errorf("session median: L25GC %v !< free5GC %v", l25, free)
 	}
 }

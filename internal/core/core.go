@@ -579,8 +579,7 @@ func (c *Core) spawnSMF(u *supervisor.Unit, gen int) (sbi.Handler, supervisor.In
 		c.armN4(s)
 		return s.Handle, nil, nil
 	}
-	supervisor.AttachSMF(u, s)
-	return nil, supervisor.NewSMFInstance(s, func() error { stopN4(s); return nil }), nil
+	return nil, supervisor.NewSMFInstance(u, s, func() error { stopN4(s); return nil }), nil
 }
 
 // armN4 makes s the SMF whose association drives N4: the pfcp.assoc.*
@@ -626,8 +625,7 @@ func (c *Core) spawnAMF(u *supervisor.Unit, gen int, smfConn sbi.Conn) (sbi.Hand
 		c.closers = append(c.closers, func() { a.Close() })
 		return a.Handle, nil, nil
 	}
-	supervisor.AttachAMF(u, a)
-	return nil, supervisor.NewAMFInstance(a), nil
+	return nil, supervisor.NewAMFInstance(u, a), nil
 }
 
 // exportN4AssocMetrics registers the pfcp.assoc.* family exactly once,

@@ -210,8 +210,7 @@ func TestChaosSupervisedMeshSurvivesCascadingCrashes(t *testing.T) {
 				NodeID: fmt.Sprintf("smf-g%d", gen), UPFN3IP: n3,
 				UEPoolBase: pkt.Addr{10, 60, 0, 1},
 			}, dcConn{um.Handle}, dcConn{pc.Handle}, upfUnit.N4(), func() sbi.Conn { return nil })
-			supervisor.AttachSMF(su, s)
-			return supervisor.NewSMFInstance(s, nil), nil
+			return supervisor.NewSMFInstance(su, s, nil), nil
 		},
 	})
 	if err != nil {
@@ -231,8 +230,7 @@ func TestChaosSupervisedMeshSurvivesCascadingCrashes(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			supervisor.AttachAMF(au2, a)
-			return supervisor.NewAMFInstance(a), nil
+			return supervisor.NewAMFInstance(au2, a), nil
 		},
 	})
 	if err != nil {

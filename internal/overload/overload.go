@@ -75,6 +75,14 @@ var admitMax = [NumLevels]Class{
 	ClassDrain,        // level 3: drain only
 }
 
+// Relaxing waits for holdTicks consecutive calm ticks — hysteresis
+// against oscillation. Each advised backoff is randomized across
+// [1-backoffJitter, 1+backoffJitter], decorrelating re-attempts.
+const (
+	holdTicks     = 2
+	backoffJitter = 0.2
+)
+
 // Config shapes one Controller. The zero value is usable: defaults are
 // filled by New.
 type Config struct {
@@ -83,24 +91,16 @@ type Config struct {
 	// the drain invariant.
 	Caps [NumClasses]int64
 	// TargetP99: observed p99 above this tightens admission one level
-	// per tick (default 50ms).
+	// per tick (default 50ms); below half of it for holdTicks consecutive
+	// ticks relaxes admission one level.
 	TargetP99 time.Duration
-	// RelaxP99: observed p99 below this for HoldTicks consecutive ticks
-	// relaxes admission one level (default TargetP99/2).
-	RelaxP99 time.Duration
 	// MinSamples is the minimum window population before the controller
 	// acts on a p99 (default 16).
 	MinSamples int
-	// HoldTicks is how many consecutive calm ticks precede a relax
-	// (default 2) — hysteresis against oscillation.
-	HoldTicks int
 	// BackoffBase is the advised backoff at level 1 (default 100ms);
 	// each further level doubles it, capped at BackoffMax (default 5s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// BackoffJitter is the fraction of each advised backoff randomized
-	// across [1-J, 1+J] (default 0.2), decorrelating re-attempts.
-	BackoffJitter float64
 	// Seed drives the jitter RNG; the zero seed is a valid seed, so a
 	// chaos seed makes reject schedules reproducible.
 	Seed int64
@@ -110,26 +110,14 @@ func (c Config) norm() Config {
 	if c.TargetP99 <= 0 {
 		c.TargetP99 = 50 * time.Millisecond
 	}
-	if c.RelaxP99 <= 0 || c.RelaxP99 > c.TargetP99 {
-		c.RelaxP99 = c.TargetP99 / 2
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 16
-	}
-	if c.HoldTicks <= 0 {
-		c.HoldTicks = 2
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 100 * time.Millisecond
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
-	}
-	if c.BackoffJitter == 0 || c.BackoffJitter >= 1 {
-		c.BackoffJitter = 0.2
-	}
-	if c.BackoffJitter < 0 { // negative disables jitter explicitly
-		c.BackoffJitter = 0
 	}
 	return c
 }
@@ -153,7 +141,7 @@ type Controller struct {
 
 	window *metrics.Histogram // observed procedure latency
 	used   metrics.Window     // window as of the last tick that consumed it
-	calm   int                // consecutive ticks below RelaxP99
+	calm   int                // consecutive calm ticks
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -310,7 +298,7 @@ func (c *Controller) Backoff(cl Class) time.Duration {
 		d = c.cfg.BackoffBase / 2
 	}
 	c.rngMu.Lock()
-	f := 1 + c.cfg.BackoffJitter*(2*c.rng.Float64()-1)
+	f := 1 + backoffJitter*(2*c.rng.Float64()-1)
 	c.rngMu.Unlock()
 	return time.Duration(float64(d) * f)
 }
@@ -325,9 +313,10 @@ func (c *Controller) Observe(d time.Duration) {
 
 // Tick runs one feedback step: read the p99 of the latencies observed
 // since the last consumed window, tighten when it exceeds TargetP99,
-// relax after HoldTicks consecutive calm readings. Call it from Start's
-// loop or directly from tests/benches for deterministic stepping (one
-// goroutine at a time).
+// relax after holdTicks consecutive calm readings (p99 below half of
+// TargetP99, or a sparse window). Call it from Start's loop or directly
+// from tests/benches for deterministic stepping (one goroutine at a
+// time).
 func (c *Controller) Tick() {
 	if c == nil {
 		return
@@ -344,7 +333,7 @@ func (c *Controller) Tick() {
 		// window keeps accumulating across busy ticks; it is discarded
 		// once a relax fires so stale latencies never feed a later p99.
 		c.calm++
-		if c.calm >= c.cfg.HoldTicks {
+		if c.calm >= holdTicks {
 			c.relax()
 			c.calm = 0
 			c.used = cur
@@ -357,9 +346,9 @@ func (c *Controller) Tick() {
 	case p99 > c.cfg.TargetP99:
 		c.calm = 0
 		c.tighten(p99)
-	case p99 < c.cfg.RelaxP99:
+	case p99 < c.cfg.TargetP99/2:
 		c.calm++
-		if c.calm >= c.cfg.HoldTicks {
+		if c.calm >= holdTicks {
 			c.relax()
 			c.calm = 0
 		}

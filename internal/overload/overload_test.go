@@ -115,10 +115,10 @@ func TestDepthCapAndHighWater(t *testing.T) {
 }
 
 // TestFeedbackTightenRelax drives the p99 loop directly: a hot window
-// tightens one level per tick, calm windows relax after HoldTicks.
+// tightens one level per tick, calm windows relax after holdTicks.
 func TestFeedbackTightenRelax(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	c := New("t", Config{TargetP99: 10 * time.Millisecond, MinSamples: 4, HoldTicks: 2})
+	c := New("t", Config{TargetP99: 10 * time.Millisecond, MinSamples: 4})
 	feed := func(d time.Duration) {
 		for i := 0; i < 8; i++ {
 			c.Observe(d)
@@ -134,7 +134,7 @@ func TestFeedbackTightenRelax(t *testing.T) {
 	if c.Level() != 2 {
 		t.Fatalf("level = %d after second hot tick, want 2", c.Level())
 	}
-	// Calm readings: relax only after HoldTicks consecutive ones.
+	// Calm readings: relax only after holdTicks consecutive ones.
 	feed(time.Millisecond)
 	c.Tick()
 	if c.Level() != 2 {

@@ -1,9 +1,8 @@
 // Package resilience implements L²5GC's failure-resiliency framework
-// (§3.5): local replicas kept consistent with a no-replay output-commit
-// scheme and frozen until failover; remote replicas fed periodic state
-// deltas; the load-balancer-side counter + four-queue packet logger whose
-// ordered replay reconstructs state lost between checkpoints; and the
-// heartbeat failure detector (the S-BFD substitute).
+// (§3.5): replicas kept consistent with a no-replay output-commit scheme
+// and frozen until failover; the load-balancer-side counter + four-queue
+// packet logger whose ordered replay reconstructs state lost between
+// checkpoints; and the heartbeat failure detector (the S-BFD substitute).
 package resilience
 
 import (
@@ -23,9 +22,6 @@ type Snapshotter interface {
 	Restore([]byte) error
 }
 
-// ErrFrozen is returned when an operation needs an unfrozen replica.
-var ErrFrozen = errors.New("resilience: replica frozen")
-
 // ErrNotSynced reports a failover attempt before any checkpoint arrived.
 var ErrNotSynced = errors.New("resilience: no checkpoint received")
 
@@ -36,7 +32,7 @@ type Checkpoint struct {
 	State   []byte
 }
 
-// Encode serializes the checkpoint for transfer to a remote replica.
+// Encode serializes the checkpoint for transfer to another node.
 func (c Checkpoint) Encode() []byte {
 	out := make([]byte, 8+len(c.State))
 	binary.BigEndian.PutUint64(out[:8], c.Counter)
@@ -102,85 +98,9 @@ func (r *LocalReplica) LastCounter() uint64 {
 	return r.last.Counter
 }
 
-// Checkpoint returns the newest synchronized state (for forwarding to a
-// remote replica: the local replica performs remote sync so the primary's
-// normal operation is never impeded).
-func (r *LocalReplica) Checkpoint() (Checkpoint, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.synced {
-		return Checkpoint{}, ErrNotSynced
-	}
-	return r.last, nil
-}
-
 // Unfreeze wakes the replica and restores its state into the target,
 // returning the counter from which packet replay must resume.
 func (r *LocalReplica) Unfreeze() (uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.synced {
-		return 0, ErrNotSynced
-	}
-	if err := r.target.Restore(r.last.State); err != nil {
-		return 0, err
-	}
-	r.frozen.Store(false)
-	return r.last.Counter, nil
-}
-
-// RemoteReplica models the standby on another node: it receives periodic
-// delta checkpoints (pushed by the primary's local replica) and
-// acknowledges them so the LB can trim its replay buffers.
-type RemoteReplica struct {
-	target Snapshotter
-
-	mu     sync.Mutex
-	last   Checkpoint
-	synced bool
-	frozen atomic.Bool
-
-	// OnAck is invoked with the synchronized counter after each applied
-	// checkpoint — the "success ACK" that releases LB buffers (§3.5.1).
-	OnAck func(counter uint64)
-}
-
-// NewRemoteReplica creates a frozen remote standby restoring into target.
-func NewRemoteReplica(target Snapshotter) *RemoteReplica {
-	r := &RemoteReplica{target: target}
-	r.frozen.Store(true)
-	return r
-}
-
-// Apply ingests an encoded checkpoint from the primary.
-func (r *RemoteReplica) Apply(encoded []byte) error {
-	cp, err := DecodeCheckpoint(encoded)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.last = cp
-	r.synced = true
-	r.mu.Unlock()
-	if r.OnAck != nil {
-		r.OnAck(cp.Counter)
-	}
-	return nil
-}
-
-// Frozen reports whether the standby is parked.
-func (r *RemoteReplica) Frozen() bool { return r.frozen.Load() }
-
-// LastCounter reports the newest applied checkpoint counter.
-func (r *RemoteReplica) LastCounter() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last.Counter
-}
-
-// Unfreeze restores the last checkpoint into the target and returns the
-// replay start counter.
-func (r *RemoteReplica) Unfreeze() (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.synced {

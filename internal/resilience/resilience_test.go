@@ -59,23 +59,6 @@ func TestLocalReplicaOutputCommit(t *testing.T) {
 	}
 }
 
-func TestRemoteReplicaAckFlow(t *testing.T) {
-	target := &kvState{}
-	r := NewRemoteReplica(target)
-	var acked atomic.Uint64
-	r.OnAck = func(c uint64) { acked.Store(c) }
-	if err := r.Apply(Checkpoint{Counter: 7, State: []byte("s7")}.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if acked.Load() != 7 {
-		t.Fatalf("ack = %d", acked.Load())
-	}
-	ctr, err := r.Unfreeze()
-	if err != nil || ctr != 7 || string(target.data) != "s7" {
-		t.Fatalf("unfreeze: %d %v %q", ctr, err, target.data)
-	}
-}
-
 func TestPacketLoggerCounterOrderAcrossQueues(t *testing.T) {
 	l := NewPacketLogger(0)
 	// Interleave classes; counters are global.

@@ -2,8 +2,8 @@ package supervisor
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,12 +33,6 @@ const (
 	FrameNGAP byte = 2 // [kind][4B gnbID][ngap wire]
 	FrameN4   byte = 3 // [kind][pfcp wire]
 )
-
-// SBI requests carry a request ID that gives the receiving instance
-// exactly-once semantics across failover — a request replayed from the
-// log and then retried by the caller (who saw ErrUnitDown) hits the
-// dedup cache instead of executing twice, the same idea as the PFCP
-// responder's sequence-number dedup.
 
 const sbiFrameHdr = 1 + 2 + 8
 
@@ -74,142 +68,71 @@ func DecodeSBIFrame(data []byte) (sbi.OpID, uint64, codec.Message, error) {
 	return op, reqID, req, nil
 }
 
-// sbiResult caches one request's outcome for dedup.
-type sbiResult struct {
-	resp codec.Message
-	err  error
-}
+// --- logged calls ---
 
-// SBIInstance adapts a control-plane NF (its sbi.Handler plus its
-// Snapshotter) to the supervisor's Instance interface. Deliver decodes
-// the framed request, consults the per-instance dedup cache, and invokes
-// the handler; handler-level errors are cached and reported to the
-// retrying caller, not treated as delivery failures (replay continues
-// past them, mirroring the original execution).
-type SBIInstance struct {
-	snap resilience.Snapshotter
-	h    sbi.Handler
-
-	mu   sync.Mutex
-	seen map[uint64]sbiResult
-
-	closer func() error
-}
-
-// NewSBIInstance wraps handler+snapshotter as a supervised instance.
-// closer, when non-nil, is invoked once the generation is retired.
-func NewSBIInstance(snap resilience.Snapshotter, h sbi.Handler, closer func() error) *SBIInstance {
-	return &SBIInstance{snap: snap, h: h, seen: make(map[uint64]sbiResult), closer: closer}
-}
-
-// Snapshot implements resilience.Snapshotter.
-func (i *SBIInstance) Snapshot() ([]byte, error) { return i.snap.Snapshot() }
-
-// Restore implements resilience.Snapshotter.
-func (i *SBIInstance) Restore(b []byte) error { return i.snap.Restore(b) }
-
-// Deliver implements Instance for framed SBI requests.
-//
-//l25gc:replay
-func (i *SBIInstance) Deliver(_ resilience.Class, _ uint64, data []byte) error {
-	op, reqID, req, err := DecodeSBIFrame(data)
-	if err != nil {
-		return err
+// call stamps frame through the packet log and applies it to the active
+// generation through apply, under the unit lock, so apply reads any
+// result from the generation that applied the frame. When the unit is
+// down (or the frame was dropped) the frame is already in the log: call
+// waits out the recovery and retries the same frame against the promoted
+// generation, which either replay already brought up to date or applies
+// it now. Up to four attempts.
+func (u *Unit) call(class resilience.Class, frame []byte, apply func(active Instance, ctr uint64) error) error {
+	for attempt := 0; attempt < 4; attempt++ {
+		u.mu.Lock()
+		rec := u.recoveries.Load()
+		active := u.active
+		_, err := u.ingressLocked(class, frame, func(ctr uint64) error { return apply(active, ctr) })
+		u.mu.Unlock()
+		if err == nil {
+			return nil
+		}
+		if err := u.AwaitRecovery(rec+1, 5*time.Second); err != nil {
+			return err
+		}
 	}
-	i.mu.Lock()
-	if _, dup := i.seen[reqID]; dup {
-		i.mu.Unlock()
-		return nil
-	}
-	i.mu.Unlock()
-	resp, herr := i.h(op, req)
-	i.mu.Lock()
-	i.seen[reqID] = sbiResult{resp: resp, err: herr}
-	i.mu.Unlock()
-	return nil
+	return errors.New("failed across repeated recoveries")
 }
-
-// sbiResponder is implemented by instances that can answer framed SBI
-// requests (SBIInstance and the composite NF instances built on it);
-// Unit.Conn requires it.
-type sbiResponder interface {
-	Instance
-	Result(reqID uint64) (sbiResult, bool)
-}
-
-// Result returns the cached outcome for reqID.
-func (i *SBIInstance) Result(reqID uint64) (sbiResult, bool) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	r, ok := i.seen[reqID]
-	return r, ok
-}
-
-// Close implements Closer.
-func (i *SBIInstance) Close() error {
-	if i.closer != nil {
-		return i.closer()
-	}
-	return nil
-}
-
-// --- unit SBI conn ---
 
 // unitConn is a consumer-side sbi.Conn that routes requests through the
-// unit's packet log. When the active instance is down the request is
-// already logged: the conn waits for the supervisor to finish recovery
-// and retries the identical frame — if replay already applied it, the
-// promoted instance's dedup cache answers without re-executing. This is
-// how in-flight SBI requests complete across an NF crash instead of
-// erroring back to the UE.
+// unit's packet log with Unit.call. A request applied by replay and then
+// retried is answered from the promoted generation's dedup cache without
+// re-executing. This is how in-flight SBI requests complete across an NF
+// crash instead of erroring back to the UE.
 type unitConn struct {
 	u *Unit
 }
 
-// Conn returns an sbi.Conn over the unit. The unit's instances must be
-// SBIInstance (control-plane units); Invoke panics otherwise.
+// Conn returns an sbi.Conn over the unit. The unit's instances must
+// answer framed SBI requests (AMFInstance, SMFInstance); Invoke panics
+// otherwise.
 func (u *Unit) Conn() sbi.Conn { return &unitConn{u: u} }
-
-// nextReqID hands out unit-unique request IDs.
-func (u *Unit) nextReqID() uint64 { return u.reqID.Add(1) }
 
 // Invoke implements sbi.Conn. It admits nothing: a core publishes the
 // conn behind the NF's SBI admission gate, which sheds work before it is
 // stamped into the packet log, so replay only re-executes admitted
 // requests.
 func (c *unitConn) Invoke(op sbi.OpID, req codec.Message) (codec.Message, error) {
-	reqID := c.u.nextReqID()
+	reqID := c.u.reqID.Add(1)
 	frame, err := EncodeSBIFrame(op, reqID, req)
 	if err != nil {
 		return nil, err
 	}
-	for attempt := 0; attempt < 4; attempt++ {
-		c.u.mu.Lock()
-		rec := c.u.recoveries.Load()
-		inst, ok := c.u.active.(sbiResponder)
-		if !ok {
-			c.u.mu.Unlock()
-			panic("supervisor: Conn on a unit whose instances cannot answer SBI")
+	var r sbiResult
+	err = c.u.call(resilience.ULControl, frame, func(active Instance, ctr uint64) error {
+		if err := active.Deliver(resilience.ULControl, ctr, frame); err != nil {
+			return err
 		}
-		_, derr := c.u.ingressLocked(resilience.ULControl, frame, nil)
-		c.u.mu.Unlock()
-		if derr == nil {
-			if r, ok := inst.Result(reqID); ok {
-				return r.resp, r.err
-			}
-			return nil, fmt.Errorf("supervisor: %s: no result cached for request %d",
-				c.u.cfg.Name, reqID)
+		var ok bool
+		if r, ok = active.(sbiResponder).Result(reqID); !ok {
+			r.err = fmt.Errorf("supervisor: %s: no result cached for request %d", c.u.cfg.Name, reqID)
 		}
-		// The unit is down (or the frame was dropped); the request is in
-		// the log. Wait out the recovery and retry the same frame against
-		// the promoted instance — dedup makes the retry exactly-once.
-		if err := c.u.AwaitRecovery(rec+1, 5*time.Second); err != nil {
-			return nil, fmt.Errorf("supervisor: %s: request %d: %v",
-				c.u.cfg.Name, reqID, err)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("supervisor: %s: request %d: %v", c.u.cfg.Name, reqID, err)
 	}
-	return nil, fmt.Errorf("supervisor: %s: request %d failed across repeated recoveries",
-		c.u.cfg.Name, reqID)
+	return r.resp, r.err
 }
 
 // Close implements sbi.Conn (the unit owns instance lifecycles).
@@ -252,13 +175,12 @@ func DecodeN4Frame(data []byte) ([]byte, error) {
 // --- unit N4 endpoint ---
 
 // n4Endpoint adapts a supervised UPF unit to the SMF side of
-// pfcp.Endpoint: every N4 request is stamped through the unit's packet
-// log before the active generation's PFCP handler runs, so session
-// state is rebuildable by replay. On ErrUnitDown the request is already
-// logged; the endpoint waits out the recovery and retries — PFCP
-// session management is upsert-shaped (establish/modify by SEID), so a
-// request applied by replay and then retried converges to the same
-// rules, mirroring the real protocol's retransmission semantics.
+// pfcp.Endpoint: every N4 request goes through Unit.call, stamped into
+// the unit's packet log before the active generation's PFCP handler runs,
+// so session state is rebuildable by replay. PFCP session management is
+// upsert-shaped (establish/modify by SEID), so a request applied by replay
+// and then retried converges to the same rules, mirroring the real
+// protocol's retransmission semantics.
 type n4Endpoint struct {
 	u *Unit
 }
@@ -270,33 +192,20 @@ func (u *Unit) N4() pfcp.Endpoint { return &n4Endpoint{u: u} }
 // Request implements pfcp.Endpoint.
 func (e *n4Endpoint) Request(seid uint64, hasSEID bool, req pfcp.Message) (pfcp.Message, error) {
 	wire := pfcp.Marshal(req, seid, hasSEID, 0)
-	for attempt := 0; attempt < 4; attempt++ {
-		e.u.mu.Lock()
-		rec := e.u.recoveries.Load()
-		inst, ok := e.u.active.(*UPFInstance)
-		if !ok {
-			e.u.mu.Unlock()
-			panic("supervisor: N4 on a unit whose instances are not UPFs")
-		}
-		var (
-			resp pfcp.Message
-			herr error
-		)
-		_, derr := e.u.ingressLocked(resilience.DLControl, wire, func() error {
-			// Handler-level rejections travel back to the SMF as the
-			// response path, not as delivery failures.
-			resp, herr = inst.upfc.Handle(seid, req)
-			return nil
-		})
-		e.u.mu.Unlock()
-		if derr == nil {
-			return resp, herr
-		}
-		if err := e.u.AwaitRecovery(rec+1, 5*time.Second); err != nil {
-			return nil, fmt.Errorf("supervisor: %s: N4 request: %v", e.u.cfg.Name, err)
-		}
+	var (
+		resp pfcp.Message
+		herr error
+	)
+	err := e.u.call(resilience.DLControl, wire, func(active Instance, _ uint64) error {
+		// Handler-level rejections travel back to the SMF as the
+		// response path, not as delivery failures.
+		resp, herr = active.(*UPFInstance).upfc.Handle(seid, req)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("supervisor: %s: N4 request: %v", e.u.cfg.Name, err)
 	}
-	return nil, fmt.Errorf("supervisor: %s: N4 request failed across repeated recoveries", e.u.cfg.Name)
+	return resp, herr
 }
 
 // SetHandler implements pfcp.Endpoint. Session reports (UPF->SMF)

@@ -2,132 +2,166 @@ package supervisor
 
 import (
 	"fmt"
+	"sync"
 
+	"l25gc/internal/codec"
 	"l25gc/internal/nf/amf"
 	"l25gc/internal/nf/smf"
 	"l25gc/internal/resilience"
+	"l25gc/internal/sbi"
 )
 
-// Composite instances for the real control-plane NFs: one generation of
-// a supervised AMF or SMF, dispatching replayed frames by kind tag back
-// into the same handlers live traffic uses. AttachAMF/AttachSMF install
-// the ingress taps that route live inbound traffic through the unit's
-// packet-log counter — together they close the loop the ISSUE describes:
-// every inbound NAS/SBI/N4 message is counter-stamped, so post-checkpoint
-// control transactions replay in order on the promoted replica.
-
-// AMFInstance is one supervised AMF generation.
-type AMFInstance struct {
-	A   *amf.AMF
-	sbi *SBIInstance
+// sbiResult caches one request's outcome for dedup.
+type sbiResult struct {
+	resp codec.Message
+	err  error
 }
 
-// NewAMFInstance wraps a freshly spawned AMF.
-func NewAMFInstance(a *amf.AMF) *AMFInstance {
-	return &AMFInstance{A: a, sbi: NewSBIInstance(a, a.Handle, nil)}
+// sbiResponder is implemented by instances that can answer framed SBI
+// requests (cpInstance and the NF types built on it); Unit.Conn requires
+// it.
+type sbiResponder interface {
+	Result(reqID uint64) (sbiResult, bool)
 }
 
-// AttachAMF routes the AMF's inbound NGAP stream through the unit's
-// packet log (call once per spawned generation).
-func AttachAMF(u *Unit, a *amf.AMF) {
-	a.SetIngressTap(func(gnbID uint32, wire []byte, apply func() error) error {
-		_, err := u.IngressApply(resilience.ULControl, EncodeNGAPFrame(gnbID, wire), apply)
-		return err
-	})
+// cpInstance is one generation of a supervised control-plane NF. It
+// dispatches a replayed or live frame by kind tag back into the handler
+// live traffic uses: SBI requests to the NF's sbi.Handler behind a
+// per-generation dedup cache, and the NF's one other kind (NGAP for the
+// AMF, N4 for the SMF) to deliver. Handler-level SBI errors are cached
+// and reported to the retrying caller, not treated as delivery failures
+// (replay continues past them, mirroring the original execution).
+//
+// The dedup cache gives SBI requests exactly-once semantics across
+// failover, the same idea as the PFCP responder's sequence-number dedup:
+// a request replayed from the log and then retried by its caller (who saw
+// ErrUnitDown) finds its cached result instead of executing twice. Result
+// takes the entry it returns, so the cache holds at most the requests
+// replayed into this generation whose callers have not retried yet.
+type cpInstance struct {
+	snap    resilience.Snapshotter
+	h       sbi.Handler
+	kind    byte                    // the frame kind deliver applies
+	deliver func(data []byte) error // nil: only SBI frames reach this NF
+	closer  func() error
+
+	mu   sync.Mutex
+	seen map[uint64]sbiResult
+}
+
+func newCPInstance(snap resilience.Snapshotter, h sbi.Handler, kind byte, deliver func([]byte) error, closer func() error) *cpInstance {
+	return &cpInstance{snap: snap, h: h, kind: kind, deliver: deliver, closer: closer,
+		seen: make(map[uint64]sbiResult)}
 }
 
 // Snapshot implements resilience.Snapshotter.
-func (i *AMFInstance) Snapshot() ([]byte, error) { return i.A.Snapshot() }
+func (i *cpInstance) Snapshot() ([]byte, error) { return i.snap.Snapshot() }
 
 // Restore implements resilience.Snapshotter.
-func (i *AMFInstance) Restore(b []byte) error { return i.A.Restore(b) }
+func (i *cpInstance) Restore(b []byte) error { return i.snap.Restore(b) }
 
-// Deliver implements Instance: NGAP frames replay through DeliverNGAP,
-// SBI frames (N1N2 transfers from the SMF) through the dedup handler.
+// Deliver implements Instance: SBI frames through the dedup handler, the
+// NF's other frame kind through deliver.
 //
 //l25gc:replay
-func (i *AMFInstance) Deliver(class resilience.Class, ctr uint64, data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("supervisor: empty frame for amf")
-	}
-	switch data[0] {
-	case FrameNGAP:
-		gnbID, wire, err := DecodeNGAPFrame(data)
-		if err != nil {
-			return err
-		}
-		return i.A.DeliverNGAP(gnbID, wire)
-	case FrameSBI:
-		return i.sbi.Deliver(class, ctr, data)
+func (i *cpInstance) Deliver(_ resilience.Class, _ uint64, data []byte) error {
+	switch {
+	case len(data) == 0:
+		return fmt.Errorf("supervisor: empty frame")
+	case data[0] == FrameSBI:
+		return i.deliverSBI(data)
+	case data[0] == i.kind && i.deliver != nil:
+		return i.deliver(data)
 	default:
-		return fmt.Errorf("supervisor: unknown frame kind %d for amf", data[0])
+		return fmt.Errorf("supervisor: unknown frame kind %d", data[0])
 	}
 }
 
-// Result implements sbiResponder.
-func (i *AMFInstance) Result(reqID uint64) (sbiResult, bool) { return i.sbi.Result(reqID) }
-
-// Close implements Closer: a retired AMF generation releases its N2
-// listener and gNB connections.
-func (i *AMFInstance) Close() error { return i.A.Close() }
-
-// SMFInstance is one supervised SMF generation.
-type SMFInstance struct {
-	S      *smf.SMF
-	sbi    *SBIInstance
-	closer func() error
-}
-
-// NewSMFInstance wraps a freshly spawned SMF. closer, when non-nil, is
-// invoked on retirement (e.g. to close the generation's N4 endpoint).
-func NewSMFInstance(s *smf.SMF, closer func() error) *SMFInstance {
-	return &SMFInstance{S: s, sbi: NewSBIInstance(s, s.Handle, nil), closer: closer}
-}
-
-// AttachSMF routes the SMF's inbound N4 requests (UPF session reports)
-// through the unit's packet log (call once per spawned generation).
-func AttachSMF(u *Unit, s *smf.SMF) {
-	s.SetN4Tap(func(wire []byte, apply func() error) error {
-		_, err := u.IngressApply(resilience.DLControl, EncodeN4Frame(wire), apply)
+// deliverSBI decodes the framed request and runs the handler unless the
+// dedup cache already holds its result.
+func (i *cpInstance) deliverSBI(data []byte) error {
+	op, reqID, req, err := DecodeSBIFrame(data)
+	if err != nil {
 		return err
-	})
+	}
+	i.mu.Lock()
+	_, dup := i.seen[reqID]
+	i.mu.Unlock()
+	if dup {
+		return nil
+	}
+	resp, herr := i.h(op, req)
+	i.mu.Lock()
+	i.seen[reqID] = sbiResult{resp: resp, err: herr}
+	i.mu.Unlock()
+	return nil
 }
 
-// Snapshot implements resilience.Snapshotter.
-func (i *SMFInstance) Snapshot() ([]byte, error) { return i.S.Snapshot() }
-
-// Restore implements resilience.Snapshotter.
-func (i *SMFInstance) Restore(b []byte) error { return i.S.Restore(b) }
-
-// Deliver implements Instance: SBI frames (session management from the
-// AMF) through the dedup handler, N4 frames through DeliverN4.
-//
-//l25gc:replay
-func (i *SMFInstance) Deliver(class resilience.Class, ctr uint64, data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("supervisor: empty frame for smf")
-	}
-	switch data[0] {
-	case FrameSBI:
-		return i.sbi.Deliver(class, ctr, data)
-	case FrameN4:
-		wire, err := DecodeN4Frame(data)
-		if err != nil {
-			return err
-		}
-		return i.S.DeliverN4(wire)
-	default:
-		return fmt.Errorf("supervisor: unknown frame kind %d for smf", data[0])
-	}
+// Result takes the cached outcome for reqID out of the dedup cache.
+func (i *cpInstance) Result(reqID uint64) (sbiResult, bool) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	r, ok := i.seen[reqID]
+	delete(i.seen, reqID)
+	return r, ok
 }
-
-// Result implements sbiResponder.
-func (i *SMFInstance) Result(reqID uint64) (sbiResult, bool) { return i.sbi.Result(reqID) }
 
 // Close implements Closer.
-func (i *SMFInstance) Close() error {
+func (i *cpInstance) Close() error {
 	if i.closer != nil {
 		return i.closer()
 	}
 	return nil
+}
+
+// AMFInstance is one supervised AMF generation: SBI frames (N1N2
+// transfers from the SMF) reach Handle, NGAP frames DeliverNGAP.
+type AMFInstance struct {
+	*cpInstance
+	A *amf.AMF
+}
+
+// NewAMFInstance wraps a freshly spawned AMF as generation of u and routes
+// its inbound NGAP stream through u's packet log, so every message is
+// counter-stamped and replays in order on a promoted generation. Closing
+// the generation releases its N2 listener and gNB connections.
+func NewAMFInstance(u *Unit, a *amf.AMF) *AMFInstance {
+	a.SetIngressTap(func(gnbID uint32, wire []byte, apply func() error) error {
+		_, err := u.IngressApply(resilience.ULControl, EncodeNGAPFrame(gnbID, wire), apply)
+		return err
+	})
+	deliver := func(data []byte) error {
+		gnbID, wire, err := DecodeNGAPFrame(data)
+		if err != nil {
+			return err
+		}
+		return a.DeliverNGAP(gnbID, wire)
+	}
+	return &AMFInstance{cpInstance: newCPInstance(a, a.Handle, FrameNGAP, deliver, a.Close), A: a}
+}
+
+// SMFInstance is one supervised SMF generation: SBI frames (session
+// management from the AMF) reach Handle, N4 frames (UPF session reports)
+// DeliverN4.
+type SMFInstance struct {
+	*cpInstance
+	S *smf.SMF
+}
+
+// NewSMFInstance wraps a freshly spawned SMF as generation of u and routes
+// its inbound N4 requests through u's packet log. closer, when non-nil, is
+// invoked on retirement (e.g. to stop the generation's N4 association).
+func NewSMFInstance(u *Unit, s *smf.SMF, closer func() error) *SMFInstance {
+	s.SetN4Tap(func(wire []byte, apply func() error) error {
+		_, err := u.IngressApply(resilience.DLControl, EncodeN4Frame(wire), apply)
+		return err
+	})
+	deliver := func(data []byte) error {
+		wire, err := DecodeN4Frame(data)
+		if err != nil {
+			return err
+		}
+		return s.DeliverN4(wire)
+	}
+	return &SMFInstance{cpInstance: newCPInstance(s, s.Handle, FrameN4, deliver, closer), S: s}
 }

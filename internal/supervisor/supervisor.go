@@ -86,10 +86,6 @@ type UnitConfig struct {
 	// CheckpointEvery triggers an automatic checkpoint after this many
 	// applied messages (0 = checkpoints are explicit: Unit.Checkpoint).
 	CheckpointEvery int
-	// RemoteApply, when set, receives every checkpoint in encoded form —
-	// the §3.5.1 delta sync toward a remote replica, performed off the
-	// primary's critical path by the supervisor.
-	RemoteApply func(encoded []byte) error
 	// OnPromote, when set, runs once at registration with the initial
 	// primary and again after every completed failover with the promoted
 	// instance (after the replacement standby has spawned). Instances
@@ -411,12 +407,13 @@ func (u *Unit) Ingress(class resilience.Class, data []byte) (uint64, error) {
 func (u *Unit) IngressApply(class resilience.Class, data []byte, apply func() error) (uint64, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return u.ingressLocked(class, data, apply)
+	return u.ingressLocked(class, data, func(uint64) error { return apply() })
 }
 
 // ingressLocked logs, fault-checks, and applies one message. apply, when
-// non-nil, replaces active.Deliver as the application step.
-func (u *Unit) ingressLocked(class resilience.Class, data []byte, apply func() error) (uint64, error) {
+// non-nil, replaces active.Deliver as the application step and receives
+// the message's counter.
+func (u *Unit) ingressLocked(class resilience.Class, data []byte, apply func(ctr uint64) error) (uint64, error) {
 	ctr, _ := u.log.Log(class, data)
 	target := u.targetLocked(u.gen)
 	if err := u.faultCheckLocked(target, data); err != nil {
@@ -424,7 +421,7 @@ func (u *Unit) ingressLocked(class resilience.Class, data []byte, apply func() e
 	}
 	var err error
 	if apply != nil {
-		err = apply()
+		err = apply(ctr)
 	} else {
 		err = u.active.Deliver(class, ctr, data)
 	}
@@ -465,9 +462,9 @@ func (u *Unit) faultCheckLocked(target string, data []byte) error {
 }
 
 // Checkpoint snapshots the active instance at the current output-commit
-// point, syncs the frozen replica (and the remote one, if configured),
-// and releases the covered packet-log prefix — the automatic trimming
-// that bounds replay memory under long runs.
+// point, syncs the frozen replica, and releases the covered packet-log
+// prefix — the automatic trimming that bounds replay memory under long
+// runs.
 func (u *Unit) Checkpoint() error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -481,11 +478,6 @@ func (u *Unit) checkpointLocked() error {
 	}
 	cp := resilience.Checkpoint{Counter: u.applied, State: state}
 	u.replica.Sync(cp)
-	if u.cfg.RemoteApply != nil {
-		if err := u.cfg.RemoteApply(cp.Encode()); err != nil {
-			return fmt.Errorf("supervisor: remote sync %s: %w", u.cfg.Name, err)
-		}
-	}
 	// The standby acknowledged the checkpoint: everything it covers can
 	// leave the replay buffers.
 	u.log.ReleaseUpTo(cp.Counter)

@@ -173,47 +173,6 @@ func TestSupervisorSurvivesRepeatedCrashes(t *testing.T) {
 	}
 }
 
-// TestSupervisorRemoteDeltaSync checks the optional remote replica path:
-// every checkpoint is shipped in encoded form and decodes to a
-// monotonically advancing counter.
-func TestSupervisorRemoteDeltaSync(t *testing.T) {
-	var mu sync.Mutex
-	var counters []uint64
-	s := New(Config{})
-	defer s.Stop()
-	u, err := s.Register(UnitConfig{
-		Name:            "kv",
-		Spawn:           func(*Unit, int) (Instance, error) { return newKV(), nil },
-		CheckpointEvery: 5,
-		RemoteApply: func(encoded []byte) error {
-			cp, err := resilience.DecodeCheckpoint(encoded)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			counters = append(counters, cp.Counter)
-			mu.Unlock()
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	for i := 0; i < 25; i++ {
-		u.Ingress(resilience.ULControl, []byte(fmt.Sprintf("k%d=v%d", i, i)))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(counters) < 5 {
-		t.Fatalf("remote replica saw %d delta syncs, want >= 5", len(counters))
-	}
-	for i := 1; i < len(counters); i++ {
-		if counters[i] < counters[i-1] {
-			t.Fatalf("remote checkpoint counters regressed: %v", counters)
-		}
-	}
-}
-
 // TestUnitConnDedupAcrossFailover drives an SBI request into a crashing
 // unit: the conn must hold the in-flight request through the recovery and
 // complete it exactly once (replay applies it, the retry hits the dedup
@@ -234,7 +193,7 @@ func TestUnitConnDedupAcrossFailover(t *testing.T) {
 	u, err := s.Register(UnitConfig{
 		Name: "ctl",
 		Spawn: func(*Unit, int) (Instance, error) {
-			return NewSBIInstance(shared, handler, nil), nil
+			return newCPInstance(shared, handler, 0, nil, nil), nil
 		},
 		Injector: inj,
 		// Checkpoint after every request so completed requests never
@@ -273,6 +232,41 @@ func TestUnitConnDedupAcrossFailover(t *testing.T) {
 	// hit the dedup cache; total = 1 healthy + 1 recovered.
 	if got := executions.Load(); got != 2 {
 		t.Fatalf("handler executed %d times, want 2 (dedup failed)", got)
+	}
+}
+
+// TestUnitConnDedupBounded: the dedup cache gives up each result as its
+// caller reads it, so a long healthy run leaves no entries behind.
+func TestUnitConnDedupBounded(t *testing.T) {
+	handler := func(op sbi.OpID, req codec.Message) (codec.Message, error) {
+		return &sbi.NFDiscoveryResponse{Addrs: req.(*sbi.NFDiscoveryRequest).TargetNfType}, nil
+	}
+	shared := newKV()
+	s := New(Config{})
+	defer s.Stop()
+	u, err := s.Register(UnitConfig{
+		Name: "ctl",
+		Spawn: func(*Unit, int) (Instance, error) {
+			return newCPInstance(shared, handler, 0, nil, nil), nil
+		},
+		CheckpointEvery: 1,
+	})
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	conn := u.Conn()
+	const invokes = 10000
+	for i := 0; i < invokes; i++ {
+		if _, err := conn.Invoke(sbi.OpNFDiscover, &sbi.NFDiscoveryRequest{TargetNfType: "SMF"}); err != nil {
+			t.Fatalf("invoke %d: %v", i, err)
+		}
+	}
+	inst := u.Active().(*cpInstance)
+	inst.mu.Lock()
+	n := len(inst.seen)
+	inst.mu.Unlock()
+	if n > 1 {
+		t.Fatalf("dedup cache holds %d entries after %d healthy invokes, want at most 1", n, invokes)
 	}
 }
 
